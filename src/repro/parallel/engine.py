@@ -22,8 +22,10 @@ Design contract:
   parent merges back (:meth:`~repro.obs.registry.Registry.merge_snapshot`),
   so counters and histogram counts reconcile with a serial run.
 * **Graceful degradation** — ``workers=0`` auto-detects the usable CPU
-  count; unpicklable work or a sandbox without process support falls back
-  to threads; one worker (or one item) short-circuits to a plain loop.
+  count; unpicklable work or a sandbox without process support falls
+  back to threads; ``workers=None``, one worker or one item
+  short-circuits to a plain loop (``None`` means serial everywhere in
+  the library).
 """
 
 from __future__ import annotations
@@ -73,14 +75,15 @@ def available_cpus() -> int:
 def resolve_workers(workers: int | None) -> int:
     """Normalize a worker-count knob to an effective count (>= 1).
 
-    ``0`` and ``None`` mean *auto-detect* (:func:`available_cpus`); any
-    positive integer is taken literally.
+    ``None`` means *serial* (one worker), as it does for every
+    ``workers=`` knob in the library; ``0`` means *auto-detect*
+    (:func:`available_cpus`); any positive integer is taken literally.
 
     Raises:
         ConfigurationError: for a negative or non-integer count.
     """
     if workers is None:
-        return available_cpus()
+        return 1
     if isinstance(workers, bool) or not isinstance(workers, int):
         raise ConfigurationError(
             f"workers must be an integer >= 0, got {workers!r}")
@@ -122,7 +125,8 @@ def plan_execution(n_items: int, workers: int | None = 0,
 
     Args:
         n_items: number of work items.
-        workers: requested worker count (``0``/``None`` = auto).
+        workers: requested worker count (``0`` = auto-detect, ``None``
+            = serial).
         mode: ``"auto"`` (processes when the probe objects pickle, else
             threads), or an explicit ``"process"``/``"thread"``/
             ``"serial"``.
@@ -228,8 +232,8 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], *,
             object); ``"auto"`` mode silently degrades to threads when it
             does not.
         items: the work items, fully materialized before dispatch.
-        workers: worker count; ``0``/``None`` auto-detects usable CPUs,
-            ``1`` short-circuits to a serial loop.
+        workers: worker count; ``0`` auto-detects usable CPUs, ``None``
+            or ``1`` short-circuits to a serial loop.
         mode: ``"auto"`` | ``"process"`` | ``"thread"`` | ``"serial"``.
         chunk_size: items per chunk (default: enough chunks for
             :data:`CHUNKS_PER_WORKER` per worker).

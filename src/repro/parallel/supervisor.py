@@ -219,7 +219,9 @@ def supervised_map(fn: Callable[[Any], Any], items: Iterable[Any], *,
 
     Args:
         fn / items / workers / mode / chunk_size / collect_obs: as in
-            :func:`~repro.parallel.parallel_map`.
+            :func:`~repro.parallel.parallel_map` (``workers=0``
+            auto-detects usable CPUs; ``None`` or ``1`` runs the serial
+            plan).
         policy: the :class:`RetryPolicy`; ``None`` uses the defaults.
         on_chunk_complete: parent-side callback ``(chunk_index,
             results)`` invoked as each chunk completes (in completion

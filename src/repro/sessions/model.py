@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from repro.exceptions import ReconstructionError
 
@@ -428,12 +430,74 @@ class SessionSet:
         return cls(sessions)
 
     def save(self, path: str) -> None:
-        """Write the set to ``path`` as JSON."""
+        """Write the set to ``path`` as JSON.
+
+        The file is byte-identical to ``json.dump(self.to_jsonable(), f)``
+        (the spec), but the cost scales with *distinct* request objects
+        rather than request occurrences: see :func:`_iter_json`.
+        """
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_jsonable(), handle)
+            handle.writelines(_iter_json(self._sessions))
 
     @classmethod
     def load(cls, path: str) -> "SessionSet":
         """Read a set previously written by :meth:`save`."""
         with open(path, encoding="utf-8") as handle:
             return cls.from_jsonable(json.load(handle))
+
+
+def _iter_json(sessions: Iterable[Session]) -> Iterator[str]:
+    """The text of ``json.dumps(SessionSet(sessions).to_jsonable())``, one
+    chunk per session.
+
+    Smart-SRA Phase 2 emits every maximal session of a candidate, so one
+    logged request object appears in many output sessions (dozens of times
+    per log line on long candidates).  Each distinct request *object* is
+    formatted once into its ``{"t": ..., "page": ..., "synthetic": ...}``
+    fragment and sessions join the cached fragments.  The memo is keyed by
+    ``id()``, not by :class:`Request` equality: equality ignores
+    ``synthetic``, so an equality-keyed memo would write a synthetic
+    request as a real one.  The ids stay valid because ``sessions`` keeps
+    every request alive for the whole call.
+
+    Exact ``str`` and finite exact ``float`` values take the same routes
+    the ``json`` encoder takes (``encode_basestring_ascii`` and
+    ``float.__repr__``); anything else goes through ``json.dumps``, so the
+    bytes never differ from the spec.
+    """
+    strings: dict[str, str] = {}
+    fragments: dict[int, str] = {}
+
+    def text(value: object) -> str:
+        if type(value) is not str:
+            return json.dumps(value)
+        encoded = strings.get(value)
+        if encoded is None:
+            encoded = strings[value] = encode_basestring_ascii(value)
+        return encoded
+
+    def fragment(request: Request) -> str:
+        t = request.timestamp
+        t_text = (float.__repr__(t) if type(t) is float and math.isfinite(t)
+                  else json.dumps(t))
+        synthetic = request.synthetic
+        synthetic_text = ("true" if synthetic is True else
+                          "false" if synthetic is False else
+                          json.dumps(synthetic))
+        return (f'{{"t": {t_text}, "page": {text(request.page)}, '
+                f'"synthetic": {synthetic_text}}}')
+
+    separator = "["
+    for session in sessions:
+        requests = session.requests
+        parts = []
+        for request in requests:
+            cached = fragments.get(id(request))
+            if cached is None:
+                cached = fragments[id(request)] = fragment(request)
+            parts.append(cached)
+        user = text(requests[0].user_id) if requests else '""'
+        yield (f'{separator}{{"user": {user}, "requests": '
+               f'[{", ".join(parts)}]}}')
+        separator = ", "
+    yield "]" if separator == ", " else "[]"

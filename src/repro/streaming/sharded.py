@@ -539,20 +539,6 @@ def restore_capsule(pipeline: Any, capsule: dict[str, Any]) -> None:
 # worker process
 
 
-def _session_document(session: Session) -> dict[str, Any]:
-    requests = session.requests
-    return {"user": requests[0].user_id,
-            "requests": [[r.timestamp, r.page, r.synthetic]
-                         for r in requests]}
-
-
-def _session_from_document(document: dict[str, Any]) -> Session:
-    user = document["user"]
-    return Session.from_trusted_parts(tuple(
-        Request(float(t), user, page, bool(synthetic))
-        for t, page, synthetic in document["requests"]))
-
-
 def _write_all(fd: int, data: bytes) -> None:
     view = memoryview(data)
     while view:
@@ -571,6 +557,8 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
             pass
     reader = wire.FrameReader()
     decoder = wire.SymbolDecoder()
+    # interns the users and pages of emitted sessions, worker -> coordinator
+    encoder = wire.SymbolEncoder()
     registry = Registry()
     pipeline = builder(registry)
     ordinal = 0
@@ -615,24 +603,17 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
                         os.close(down_fd)
                         os.close(up_fd)
                         os._exit(0)
-                    emitted = pipeline.feed(
-                        Request(ts, user, page, synthetic, referrer))
-                    for session in emitted:
-                        out += wire.json_frame(wire.OUT,
-                                               _session_document(session))
+                    encoder.encode_sessions(out, pipeline.feed(
+                        Request(ts, user, page, synthetic, referrer)))
                     if ordinal % ack_interval == 0:
                         maybe_ack(out)
                 elif kind == wire.WM:
                     watermark = wire.decode_watermark(payload)
                     wm_index += 1
-                    for session in pipeline.flush(watermark):
-                        out += wire.json_frame(wire.OUT,
-                                               _session_document(session))
+                    encoder.encode_sessions(out, pipeline.flush(watermark))
                     maybe_ack(out)
                 elif kind == wire.EOF:
-                    for session in pipeline.flush():
-                        out += wire.json_frame(wire.OUT,
-                                               _session_document(session))
+                    encoder.encode_sessions(out, pipeline.flush())
                     document = progress_document()
                     document["watermark"] = math.inf
                     document["stats"] = dataclasses.asdict(pipeline.stats())
@@ -709,8 +690,8 @@ class ShardedRunResult:
 class _ShardHandle:
     """Coordinator-side mutable state of one shard."""
 
-    __slots__ = ("shard", "proc", "down_fd", "up_fd", "encoder", "reader",
-                 "outbound", "pending", "watermark", "last_inbound",
+    __slots__ = ("shard", "proc", "down_fd", "up_fd", "encoder", "decoder",
+                 "reader", "outbound", "pending", "watermark", "last_inbound",
                  "last_sent", "incarnation", "state", "eof_sent",
                  "events_sent", "wm_sent", "done", "failed_at")
 
@@ -720,6 +701,7 @@ class _ShardHandle:
         self.down_fd = -1
         self.up_fd = -1
         self.encoder = wire.SymbolEncoder()
+        self.decoder = wire.SymbolDecoder()
         self.reader = wire.FrameReader()
         self.outbound = bytearray()
         self.pending: list[Session] = []
@@ -845,6 +827,7 @@ class ShardedStreamingRuntime:
         handle.down_fd = down_write
         handle.up_fd = up_read
         handle.encoder = wire.SymbolEncoder()
+        handle.decoder = wire.SymbolDecoder()
         handle.reader = wire.FrameReader()
         handle.outbound = bytearray()
         handle.state = "running"
@@ -1055,9 +1038,11 @@ class ShardedStreamingRuntime:
 
     def _on_frame(self, handle: _ShardHandle, kind: int,
                   payload: bytes) -> None:
+        if kind == wire.SYM:
+            handle.decoder.add_symbol(payload)
+            return
         if kind == wire.OUT:
-            handle.pending.append(
-                _session_from_document(wire.decode_json(payload)))
+            handle.pending.extend(handle.decoder.decode_sessions(payload))
             return
         if kind == wire.ACK:
             document = wire.decode_json(payload)

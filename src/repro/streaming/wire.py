@@ -15,22 +15,35 @@ stream:
 * an event is a fixed 21-byte record (float64 timestamp, three int32
   symbol ids — referrer ``-1`` meaning absent — and one synthetic flag
   byte), independent of how long the user/page strings are;
-* control and result frames (watermarks, capsules, emitted sessions,
-  acks) are small and infrequent, so they ride as canonical JSON.
+* emitted sessions travel as one binary ``OUT`` frame per emission
+  batch (the sessions one feed, flush or EOF produced): a table of the
+  batch's distinct requests as fixed 17-byte records (float64
+  timestamp, uint32 user and page symbol ids, synthetic flag byte),
+  then each session as a list of indices into that table.  Smart-SRA
+  emits every maximal session of a candidate, so one request appears
+  in many sessions of a batch; it crosses the pipe once, and the
+  decoded sessions share one :class:`~repro.sessions.model.Request`
+  object per table entry;
+* control frames (watermarks, capsules, acks) are small and
+  infrequent, so they ride as canonical JSON.
 
-Both directions of the pipe use the same framing; only the kind sets
-differ.  The protocol is strictly sequential per connection — a fresh
-worker incarnation starts from an empty symbol table, and the
-coordinator re-interns from scratch when it replays.
+Both directions of the pipe use the same framing and the same ``SYM``
+interning (worker → coordinator for the users and pages of emitted
+sessions); only the kind sets differ.  The protocol is strictly
+sequential per connection — a fresh worker incarnation starts from
+empty symbol tables in both directions, and the coordinator re-interns
+from scratch when it replays.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Sequence
 from typing import Any, Iterator
 
 from repro.exceptions import WireProtocolError
+from repro.sessions.model import Request, Session
 
 __all__ = [
     "SYM", "EVT", "WM", "EOF", "CAP", "OUT", "ACK", "DONE", "ERR",
@@ -47,7 +60,7 @@ EOF = 4   #: end of stream — flush everything and send DONE
 CAP = 5   #: state capsule (JSON), sent before replaying into a respawn
 
 # worker -> coordinator
-OUT = 6   #: one emitted session (JSON)
+OUT = 6   #: one emission batch of sessions (binary request table)
 ACK = 7   #: progress acknowledgement + refreshed capsule (JSON)
 DONE = 8  #: final stats + obs snapshot (JSON)
 ERR = 9   #: fatal, deterministic worker error (UTF-8 traceback)
@@ -57,6 +70,9 @@ _KINDS = frozenset((SYM, EVT, WM, EOF, CAP, OUT, ACK, DONE, ERR))
 _HEADER = struct.Struct("!BI")
 _EVENT = struct.Struct("!diiiB")
 _WM = struct.Struct("!d")
+_BATCH = struct.Struct("!II")        # table entries, sessions
+_REQUEST = struct.Struct("!dIIB")    # timestamp, user id, page id, synthetic
+_INDEX = 4                           # bytes per uint32 length or index
 
 #: sentinel symbol id for "no referrer" in an event record.
 NO_SYMBOL = -1
@@ -160,6 +176,38 @@ class SymbolEncoder:
         out += frame(EVT, _EVENT.pack(timestamp, user_id, page_id, ref_id,
                                       1 if synthetic else 0))
 
+    def encode_sessions(self, out: bytearray,
+                        sessions: Sequence[Session]) -> None:
+        """Append the SYM frames (if any) and one OUT frame to ``out``.
+
+        The request table is keyed by object identity, so a request
+        shared by several sessions of the batch is sent once.  Referrers
+        do not travel: emitted sessions never carried them.  An empty
+        batch appends nothing.
+        """
+        if not sessions:
+            return
+        slots: dict[int, int] = {}
+        table = bytearray()
+        lengths: list[int] = []
+        indices: list[int] = []
+        for session in sessions:
+            requests = session.requests
+            lengths.append(len(requests))
+            for request in requests:
+                slot = slots.get(id(request))
+                if slot is None:
+                    slot = slots[id(request)] = len(slots)
+                    table += _REQUEST.pack(
+                        request.timestamp, self._intern(out, request.user_id),
+                        self._intern(out, request.page),
+                        1 if request.synthetic else 0)
+                indices.append(slot)
+        out += frame(OUT, b"".join((
+            _BATCH.pack(len(slots), len(lengths)), table,
+            struct.pack(f"!{len(lengths)}I", *lengths),
+            struct.pack(f"!{len(indices)}I", *indices))))
+
 
 class SymbolDecoder:
     """Receiver-side interning table mirroring :class:`SymbolEncoder`."""
@@ -193,3 +241,47 @@ class SymbolDecoder:
         referrer = None if ref_id == NO_SYMBOL else self._lookup(ref_id)
         return (timestamp, self._lookup(user_id), self._lookup(page_id),
                 referrer, bool(synthetic))
+
+    def decode_sessions(self, payload: bytes) -> list[Session]:
+        """Decode an OUT payload into its batch of sessions.
+
+        One :class:`~repro.sessions.model.Request` is built per table
+        entry, so sessions of the batch share request objects exactly as
+        the sender's did.
+        """
+        if len(payload) < _BATCH.size:
+            raise WireProtocolError(
+                f"session batch payload is {len(payload)} bytes, shorter "
+                f"than its {_BATCH.size}-byte header")
+        n_table, n_sessions = _BATCH.unpack_from(payload)
+        table_end = _BATCH.size + n_table * _REQUEST.size
+        lengths_end = table_end + n_sessions * _INDEX
+        if len(payload) < lengths_end:
+            raise WireProtocolError(
+                f"session batch payload is {len(payload)} bytes, want at "
+                f"least {lengths_end} for {n_table} requests and "
+                f"{n_sessions} sessions")
+        lengths = struct.unpack_from(f"!{n_sessions}I", payload, table_end)
+        total = sum(lengths)
+        if len(payload) != lengths_end + total * _INDEX:
+            raise WireProtocolError(
+                f"session batch payload is {len(payload)} bytes, want "
+                f"{lengths_end + total * _INDEX} for {total} indices")
+        indices = struct.unpack_from(f"!{total}I", payload, lengths_end)
+        if total and max(indices) >= n_table:
+            raise WireProtocolError(
+                f"request index {max(indices)} outside table of {n_table}")
+        lookup = self._lookup
+        requests = [
+            Request(timestamp, lookup(user_id), lookup(page_id),
+                    bool(synthetic))
+            for timestamp, user_id, page_id, synthetic in _REQUEST.iter_unpack(
+                memoryview(payload)[_BATCH.size:table_end])]
+        sessions = []
+        start = 0
+        for length in lengths:
+            end = start + length
+            sessions.append(Session.from_trusted_parts(
+                tuple(map(requests.__getitem__, indices[start:end]))))
+            start = end
+        return sessions

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
 from repro.exceptions import ReconstructionError
@@ -138,3 +141,42 @@ class TestSessionSet:
         sessions = SessionSet([_session(["A"]), _session(["B"])])
         assert sessions[0].pages == ("A",)
         assert [s.pages for s in sessions] == [("A",), ("B",)]
+
+
+class TestSessionSetSave:
+    """``save`` memoizes request fragments; ``json.dumps(to_jsonable())``
+    is the byte-level spec."""
+
+    def _saved(self, sessions, tmp_path):
+        path = tmp_path / "sessions.json"
+        sessions.save(str(path))
+        assert path.read_bytes() == json.dumps(
+            sessions.to_jsonable()).encode("utf-8")
+        return SessionSet.load(str(path))
+
+    def test_equal_requests_differing_in_synthetic_stay_apart(self, tmp_path):
+        # equal and hash-equal: a memo keyed by the Request itself would
+        # write the second one with the first one's synthetic flag.
+        real = Request(1.0, "u", "A")
+        inserted = Request(1.0, "u", "A", synthetic=True)
+        assert real == inserted and hash(real) == hash(inserted)
+        loaded = self._saved(SessionSet([Session([real]),
+                                         Session([inserted]),
+                                         Session([real, inserted])]),
+                             tmp_path)
+        assert [[r.synthetic for r in s] for s in loaded] \
+            == [[False], [True], [False, True]]
+
+    def test_fallback_types_match_the_json_encoder(self, tmp_path):
+        class Stamp(float):
+            def __repr__(self):
+                return "not-json"
+
+        sessions = SessionSet([
+            Session([Request(3, "u", "A"), Request(Stamp(4.5), "u", "B"),
+                     Request(math.inf, "u", "C")]),
+            Session([Request(math.nan, "v", "D")]),
+            Session([Request(-math.inf, "w", "E", synthetic=1)]),
+            Session([]),
+        ])
+        self._saved(sessions, tmp_path)

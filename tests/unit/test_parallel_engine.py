@@ -37,9 +37,20 @@ def _count_and_square(x):
 
 
 class TestResolveWorkers:
-    def test_none_and_zero_mean_auto(self):
-        assert resolve_workers(None) == available_cpus()
+    def test_none_means_serial_and_zero_means_auto(self):
+        assert resolve_workers(None) == 1
         assert resolve_workers(0) == available_cpus()
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_plans_do_not_depend_on_the_host(self, monkeypatch, cpus):
+        monkeypatch.setattr("os.sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert available_cpus() == cpus
+        assert plan_execution(16, workers=None, probe=(_square, 1)) \
+            == ParallelPlan(1, "serial", 16)
+        auto = plan_execution(16, workers=0, mode="thread")
+        assert auto.workers == cpus
+        assert auto.mode == ("serial" if cpus == 1 else "thread")
 
     def test_positive_is_literal(self):
         assert resolve_workers(1) == 1

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 
 import pytest
 
 from repro.exceptions import (ConfigurationError, ExecutionError,
                               WireProtocolError)
 from repro.obs import Registry
-from repro.sessions.model import Request, SessionSet
+from repro.sessions.model import Request, Session, SessionSet
 from repro.streaming import (ShardedConfig, ShardedStreamingRuntime,
                              audit_sharded_config, shard_for,
                              streaming_smart_sra)
@@ -74,6 +75,85 @@ class TestWireProtocol:
             wire.decode_watermark(b"\x00" * 3)
         with pytest.raises(WireProtocolError):
             wire.SymbolDecoder().decode_event(b"\x00" * 21)
+
+    @staticmethod
+    def _batch():
+        a = Request(10.0, "alice", "/a")
+        b = Request(11.0, "alice", "/b", synthetic=True)
+        c = Request(12.0, "alice", "/c")
+        d = Request(5.0, "bob", "/a")
+        return [Session([a, b]), Session([a, c]), Session([a, b, c]),
+                Session([d])]
+
+    @staticmethod
+    def _receive(stream: bytes, decoder, chunk: int | None = None):
+        reader = wire.FrameReader()
+        chunks = ([stream] if chunk is None else
+                  [stream[i:i + chunk] for i in range(0, len(stream), chunk)])
+        batches = []
+        for piece in chunks:
+            for kind, payload in reader.feed(piece):
+                if kind == wire.SYM:
+                    decoder.add_symbol(payload)
+                else:
+                    assert kind == wire.OUT
+                    batches.append(decoder.decode_sessions(payload))
+        assert reader.pending_bytes == 0
+        return batches
+
+    def test_session_batch_roundtrip_shares_requests(self):
+        sent = self._batch()
+        encoder = wire.SymbolEncoder()
+        out = bytearray()
+        encoder.encode_sessions(out, sent)
+        encoder.encode_sessions(out, sent[3:])
+        encoder.encode_sessions(out, [])            # appends nothing
+        decoder = wire.SymbolDecoder()
+        first, second = self._receive(bytes(out), decoder)
+        assert first == sent and second == sent[3:]
+        assert [[r.synthetic for r in s] for s in first] \
+            == [[False, True], [False, False], [False, True, False], [False]]
+        # one Request object per table entry, shared across the batch...
+        assert first[0][0] is first[1][0] is first[2][0]
+        assert first[0][1] is first[2][1] and first[1][1] is first[2][2]
+        # ...but never across batches, so memory stays bounded by one.
+        assert second[0][0] is not first[3][0]
+        # users and pages are interned once for the connection.
+        assert len(decoder) == len(encoder) == 5
+
+    def test_session_batch_split_across_chunks_decodes(self):
+        out = bytearray()
+        wire.SymbolEncoder().encode_sessions(out, self._batch())
+        [batch] = self._receive(bytes(out), wire.SymbolDecoder(), chunk=3)
+        assert batch == self._batch()
+
+    def test_malformed_session_batches_are_protocol_errors(self):
+        encoder = wire.SymbolEncoder()
+        out = bytearray()
+        encoder.encode_sessions(out, self._batch())
+        decoder = wire.SymbolDecoder()
+        payloads = []
+        for kind, payload in wire.FrameReader().feed(bytes(out)):
+            if kind == wire.SYM:
+                decoder.add_symbol(payload)
+            else:
+                payloads.append(payload)
+        [payload] = payloads
+        for cut in range(len(payload)):           # every truncation
+            with pytest.raises(WireProtocolError):
+                decoder.decode_sessions(payload[:cut])
+        with pytest.raises(WireProtocolError):
+            decoder.decode_sessions(payload + b"\x00")
+        record = struct.pack("!dIIB", 1.0, 0, 1, 0)
+        out_of_range = (struct.pack("!II", 1, 1) + record
+                        + struct.pack("!II", 1, 1))
+        with pytest.raises(WireProtocolError, match="index 1 outside"):
+            decoder.decode_sessions(out_of_range)
+        unknown_symbol = (struct.pack("!II", 1, 1)
+                          + struct.pack("!dIIB", 1.0, 0, 99, 0)
+                          + struct.pack("!II", 1, 0))
+        with pytest.raises(WireProtocolError, match="symbol id 99"):
+            decoder.decode_sessions(unknown_symbol)
 
     def test_infinite_watermark_survives_the_wire(self):
         _, payload = next(iter(
