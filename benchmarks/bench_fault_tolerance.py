@@ -97,7 +97,7 @@ def test_policy_throughput_overhead(workload, results_dir):
     specs = [(name, 0.05) for name in sorted(FAULT_MODELS)]
     dirty = list(chaos_stream(lines, specs=specs, seed=BENCH_SEED))
 
-    def best_of(stream, policy, repeats=3):
+    def best_of(stream, policy, repeats=9):
         elapsed = []
         for _ in range(repeats):
             start = time.perf_counter()

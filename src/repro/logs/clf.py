@@ -14,6 +14,7 @@ server would impose.
 from __future__ import annotations
 
 import calendar
+import functools
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -36,17 +37,16 @@ _MONTHS = ("", "Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 _MONTH_NUMBER = {name: number for number, name in enumerate(_MONTHS) if name}
 
-_CLF_BODY = (
-    r'^(?P<host>\S+) (?P<ident>\S+) (?P<authuser>\S+) '
+#: the CLF body plus an optional Combined tail: a full match takes the tail
+#: exactly when the line is Combined (it ends in a quote, CLF in a size).
+_LINE_PATTERN = re.compile(
+    r'(?P<host>\S+) (?P<ident>\S+) (?P<authuser>\S+) '
     r'\[(?P<day>\d{2})/(?P<month>[A-Za-z]{3})/(?P<year>\d{4}):'
     r'(?P<hour>\d{2}):(?P<minute>\d{2}):(?P<second>\d{2}) '
     r'(?P<tz_sign>[+-])(?P<tz_hours>\d{2})(?P<tz_minutes>\d{2})\] '
     r'"(?P<method>[A-Z]+) (?P<url>\S+) (?P<protocol>[^"]+)" '
-    r'(?P<status>\d{3}) (?P<bytes>\d+|-)')
-
-_CLF_PATTERN = re.compile(_CLF_BODY + r'$')
-_COMBINED_PATTERN = re.compile(
-    _CLF_BODY + r' "(?P<referrer>[^"]*)" "(?P<user_agent>[^"]*)"$')
+    r'(?P<status>\d{3}) (?P<bytes>\d+|-)'
+    r'(?: "(?P<referrer>[^"]*)" "(?P<user_agent>[^"]*)")?')
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,11 +115,7 @@ def parse_clf_line(line: str, line_number: int | None = None) -> CLFRecord:
         LogFormatError: if the line does not match CLF, names an impossible
             calendar date, or uses an unknown month abbreviation.
     """
-    match = _CLF_PATTERN.match(line.rstrip("\n"))
-    if match is None:
-        raise LogFormatError("line does not match Common Log Format",
-                             line_number=line_number, line=line)
-    return _record_from_fields(match.groupdict(), line, line_number)
+    return _parse(line, line_number, combined=False)
 
 
 def format_combined_line(record: CLFRecord) -> str:
@@ -150,69 +146,64 @@ def parse_combined_line(line: str,
     Raises:
         LogFormatError: if the line does not match the combined format.
     """
-    match = _COMBINED_PATTERN.match(line.rstrip("\n"))
-    if match is None:
-        raise LogFormatError(
-            "line does not match Combined Log Format",
-            line_number=line_number, line=line)
-    fields = match.groupdict()
-    referrer = fields.pop("referrer")
-    user_agent = fields.pop("user_agent")
-    record = _record_from_fields(fields, line, line_number)
-    return CLFRecord(
-        host=record.host, timestamp=record.timestamp, method=record.method,
-        url=record.url, protocol=record.protocol, status=record.status,
-        size=record.size, ident=record.ident, authuser=record.authuser,
-        referrer=None if referrer == "-" else referrer,
-        user_agent=None if user_agent == "-" else user_agent,
-    )
+    return _parse(line, line_number, combined=True)
 
 
 def parse_log_line(line: str, line_number: int | None = None) -> CLFRecord:
-    """Parse a line in either format (combined first, then plain CLF).
+    """Parse a line in either format, in one pass.
 
     Raises:
         LogFormatError: if the line matches neither format.
     """
-    try:
-        return parse_combined_line(line, line_number)
-    except LogFormatError:
-        return parse_clf_line(line, line_number)
+    return _parse(line, line_number)
 
 
-def _record_from_fields(fields: dict[str, str], line: str,
-                        line_number: int | None) -> CLFRecord:
-    """Assemble a record from the regex groups shared by both formats."""
-    month = _MONTH_NUMBER.get(fields["month"].capitalize())
-    if month is None:
+def _parse(line: str, line_number: int | None,
+           combined: bool | None = None) -> CLFRecord:
+    """Match once and build one record; ``combined`` restricts the format
+    (``None``: either)."""
+    match = _LINE_PATTERN.fullmatch(line.rstrip("\n"))
+    if match is None or (combined is not None and combined
+                         != (match.group("referrer") is not None)):
         raise LogFormatError(
-            f"unknown month abbreviation {fields['month']!r}",
+            "line does not match Combined Log Format" if combined
+            else "line does not match Common Log Format",
             line_number=line_number, line=line)
+    (host, ident, authuser, day, month, year, hour, minute, second,
+     tz_sign, tz_hours, tz_minutes, method, url, protocol, status, size,
+     referrer, user_agent) = match.groups()
+    hours, minutes, seconds = int(hour), int(minute), int(second)
     try:
-        moment = datetime(int(fields["year"]), month, int(fields["day"]),
-                          int(fields["hour"]), int(fields["minute"]),
-                          int(fields["second"]))
+        if hours < 24 and minutes < 60 and seconds < 60:
+            epoch = (_day_epoch(year, month, day)
+                     + hours * 3600 + minutes * 60 + seconds)
+        else:   # datetime names the first out-of-range field
+            epoch = _epoch(year, month, day, hours, minutes, seconds)
+    except KeyError:
+        raise LogFormatError(f"unknown month abbreviation {month!r}",
+                             line_number=line_number, line=line) from None
     except ValueError as exc:
         raise LogFormatError(f"invalid date/time: {exc}",
                              line_number=line_number, line=line) from exc
-    epoch = calendar.timegm(moment.timetuple())
-    offset = (int(fields["tz_hours"]) * 3600 + int(fields["tz_minutes"]) * 60)
-    if fields["tz_sign"] == "+":
-        epoch -= offset
-    else:
-        epoch += offset
-    size = None if fields["bytes"] == "-" else int(fields["bytes"])
-    return CLFRecord(
-        host=fields["host"],
-        timestamp=float(epoch),
-        method=fields["method"],
-        url=fields["url"],
-        protocol=fields["protocol"],
-        status=int(fields["status"]),
-        size=size,
-        ident=fields["ident"],
-        authuser=fields["authuser"],
-    )
+    offset = int(tz_hours) * 3600 + int(tz_minutes) * 60
+    epoch = epoch - offset if tz_sign == "+" else epoch + offset
+    return CLFRecord(host, float(epoch), method, url, protocol, int(status),
+                     None if size == "-" else int(size), ident, authuser,
+                     None if referrer == "-" else referrer,
+                     None if user_agent == "-" else user_agent)
+
+
+def _epoch(year: str, month: str, day: str, hours: int = 0,
+           minutes: int = 0, seconds: int = 0) -> int:
+    """UTC epoch of a CLF date and time; raises ``KeyError`` for an unknown
+    month and ``ValueError`` (datetime's message) for an impossible one."""
+    moment = datetime(int(year), _MONTH_NUMBER[month.capitalize()], int(day),
+                      hours, minutes, seconds)
+    return calendar.timegm(moment.timetuple())
+
+
+#: midnight of a CLF date, cached: a log spans few days.
+_day_epoch = functools.lru_cache(maxsize=1024)(_epoch)
 
 
 def page_to_url(page: str) -> str:

@@ -41,9 +41,9 @@ from typing import IO
 
 from repro.exceptions import ConfigurationError, LogFormatError
 from repro.logs.clf import (
-    _CLF_BODY,
+    _LINE_PATTERN,
     CLFRecord,
-    _record_from_fields,
+    parse_clf_line,
     parse_log_line,
 )
 from repro.obs import Registry, get_registry, split_series
@@ -65,8 +65,9 @@ MAX_SAMPLES = 5
 #: a quarantine sink: anything with ``write`` (file-like) or a plain list.
 QuarantineSink = IO[str] | list[str]
 
-_CLF_PREFIX = re.compile(_CLF_BODY)
 _DATE_OPEN = re.compile(r"^\S+ \S+ \S+ \[")
+#: control bytes other than tab (the ``encoding`` fault signature).
+_CONTROLS = re.compile(r"[\x00-\x08\x0a-\x1f]")
 
 
 class ErrorPolicy(str, enum.Enum):
@@ -187,7 +188,7 @@ def classify_fault(line: str, error: LogFormatError) -> str:
     opened-but-unclosed ``[date]``), ``garbage`` (everything else).
     """
     stripped = line.rstrip("\r\n")
-    if any(ord(ch) < 32 and ch not in "\t" for ch in stripped):
+    if _CONTROLS.search(stripped):
         return "encoding"
     message = str(error)
     if "invalid date/time" in message or "unknown month" in message:
@@ -207,19 +208,17 @@ def attempt_repair(line: str, line_number: int | None = None
         ``(record, strategy)`` on success — ``strategy`` names the repair
         that worked — or ``None`` when no strategy applies.
     """
-    cleaned = "".join(ch for ch in line.rstrip("\n")
-                      if ord(ch) >= 32 or ch == "\t")
+    cleaned = _CONTROLS.sub("", line.rstrip("\n"))
     if cleaned != line.rstrip("\n"):
         try:
             return (parse_log_line(cleaned, line_number=line_number),
                     "strip-controls")
         except LogFormatError:
             pass
-    match = _CLF_PREFIX.match(cleaned)
-    if match is not None:
+    match = _LINE_PATTERN.match(cleaned)
+    if match is not None:       # parse the CLF body alone, tail or not
         try:
-            return (_record_from_fields(match.groupdict(), line,
-                                        line_number),
+            return (parse_clf_line(cleaned[:match.end("bytes")], line_number),
                     "clf-prefix")
         except LogFormatError:
             pass

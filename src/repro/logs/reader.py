@@ -1,9 +1,9 @@
 """Parse access-log files back into records and request streams.
 
-The reader auto-detects the line format: Combined Log Format lines (with
-quoted Referer / User-Agent fields) are tried first, plain CLF second, so a
-single code path ingests both kinds of files — and mixed files, which real
-log rotations do produce.
+The reader auto-detects the line format per line: one pattern reads the
+CLF body and an optional Combined Log Format tail (quoted Referer /
+User-Agent fields), so a single code path ingests both kinds of files —
+and mixed files, which real log rotations do produce.
 
 These are the *convenience* entry points.  They delegate to
 :mod:`repro.logs.ingest`, which adds full error policies (quarantine,
@@ -15,6 +15,7 @@ account of every dropped line.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable, Iterator
 
 from repro.exceptions import LogFormatError
@@ -118,13 +119,14 @@ def iter_requests(records: Iterable[CLFRecord],
         LateEventError: as :func:`records_to_requests`.
     """
     from repro.exceptions import LateEventError
+    # a site has few distinct URLs: map each to its page once.
+    page = functools.lru_cache(maxsize=4096)(url_to_page)
     for record in records:
         if watermark is not None and record.timestamp < watermark:
             raise LateEventError(
                 f"record from {record.host!r} at t={record.timestamp} "
                 f"predates the watermark {watermark}")
         if not page_views_only or record.is_page_view:
-            yield Request(record.timestamp, record.host,
-                          url_to_page(record.url),
-                          referrer=(url_to_page(record.referrer)
+            yield Request(record.timestamp, record.host, page(record.url),
+                          referrer=(page(record.referrer)
                                     if record.referrer is not None else None))

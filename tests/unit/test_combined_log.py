@@ -70,6 +70,54 @@ class TestAutoDetection:
             parse_log_line("garbage")
 
 
+def _with_date(line, date):
+    """``line`` with its ``dd/Mon/yyyy`` date replaced by ``date``."""
+    start = line.index("[") + 1
+    return line[:start] + date + line[line.index(":", start):]
+
+
+class TestBadDates:
+    """An impossible date is reported as such in either format; a
+    Combined line used to fall through to "does not match Common Log
+    Format"."""
+
+    @pytest.mark.parametrize("formatter",
+                             [format_clf_line, format_combined_line])
+    def test_impossible_date_names_the_date(self, formatter):
+        line = _with_date(formatter(_record()), "31/Feb/2000")
+        with pytest.raises(LogFormatError) as caught:
+            parse_log_line(line, line_number=9)
+        assert caught.value.args == (
+            "invalid date/time: day is out of range for month",)
+        assert caught.value.line_number == 9
+        assert caught.value.line == line
+
+    @pytest.mark.parametrize("formatter",
+                             [format_clf_line, format_combined_line])
+    def test_unknown_month_names_the_month(self, formatter):
+        line = _with_date(formatter(_record()), "01/Foo/2000")
+        with pytest.raises(LogFormatError) as caught:
+            parse_log_line(line)
+        assert caught.value.args == ("unknown month abbreviation 'Foo'",)
+
+    def test_combined_view_agrees(self):
+        line = _with_date(format_combined_line(_record()), "29/Feb/2023")
+        with pytest.raises(LogFormatError, match="invalid date/time"):
+            parse_combined_line(line)
+
+    def test_leap_day_parses(self):
+        line = _with_date(format_combined_line(_record()), "29/Feb/2000")
+        assert parse_log_line(line).referrer == "/P1.html"
+
+    def test_classified_as_bad_timestamp(self):
+        from repro.logs.ingest import classify_fault
+        for formatter in (format_clf_line, format_combined_line):
+            line = _with_date(formatter(_record()), "31/Feb/2000")
+            with pytest.raises(LogFormatError) as caught:
+                parse_log_line(line)
+            assert classify_fault(line, caught.value) == "bad-timestamp"
+
+
 class TestWriterIntegration:
     def test_requests_carry_referrers(self):
         requests = [Request(1.0, "u", "P2", referrer="P1"),

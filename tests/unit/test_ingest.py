@@ -146,6 +146,49 @@ class TestClassification:
         assert classify_fault(BAD + "\n", LogFormatError("x")) == "garbage"
 
 
+class TestCombinedBadDate:
+    """A Combined line with an impossible date is a ``bad-timestamp``
+    fault everywhere the fault class is reported, like a CLF one."""
+
+    LINE = format_combined_line(
+        CLFRecord("10.0.0.1", 1000.0, "GET", "/P1.html", "HTTP/1.1", 200,
+                  64, referrer="/P0.html", user_agent="Mozilla/5.0")
+    ).replace("01/Jan/1970", "31/Feb/2000")
+
+    def test_skip_counts_bad_timestamp(self):
+        report, seen = IngestReport(), []
+        records = list(ingest_lines([GOOD, self.LINE], policy="skip",
+                                    report=report, on_malformed=seen.append))
+        assert len(records) == 1
+        assert report.fault_counts == {"bad-timestamp": 1}
+        assert report.dropped == 1 and report.reconciles()
+        assert seen[0].args == (
+            "invalid date/time: day is out of range for month",)
+
+    def test_quarantine_metadata_names_the_date(self):
+        sink = []
+        list(ingest_lines([self.LINE], policy="quarantine", quarantine=sink))
+        assert sink[0].split("\n")[0] == (
+            "# line 1 fault=bad-timestamp: invalid date/time: "
+            "day is out of range for month")
+
+    def test_follow_log_counts_bad_timestamp(self, tmp_path):
+        from repro.logs.stream import FollowStats, follow_log
+        path = tmp_path / "access.log"
+        path.write_text(f"{GOOD}\n{self.LINE}\n", encoding="utf-8")
+        stats = FollowStats()
+        records = list(follow_log(str(path), poll_interval=0.01,
+                                  idle_timeout=0.02, stats=stats))
+        assert len(records) == 1
+        assert stats.fault_counts == {"bad-timestamp": 1}
+
+    def test_strict_raises_the_date_error(self):
+        with pytest.raises(LogFormatError) as caught:
+            list(ingest_lines([GOOD, self.LINE], policy="strict"))
+        assert caught.value.line_number == 2
+        assert "invalid date/time" in str(caught.value)
+
+
 class TestAttemptRepair:
     def test_no_strategy_returns_none(self):
         assert attempt_repair(BAD) is None
