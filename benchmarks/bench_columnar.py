@@ -24,9 +24,8 @@ object-boundary costs that dominate the end-to-end ``columnar`` row
 (dict partitioning of the request stream and Session construction are
 object work by definition).  ``docs/performance.md`` ("When to expect
 the 10x") quotes this table and explains which row applies to which
-deployment.  In stdlib-fallback mode (numpy vetoed) and in
-``REPRO_BENCH_QUICK`` mode the bench is correctness-only — equivalence
-assertions run, timing bars do not.
+deployment.  In ``REPRO_BENCH_QUICK`` mode the bench is
+correctness-only — equivalence assertions run, timing bars do not.
 
 Rounds are tightly interleaved across the five series with a
 ``gc.collect()`` fence before every timed region and best-of (min)
@@ -40,7 +39,7 @@ import gc
 import time
 
 from _bench_utils import BENCH_AGENTS, BENCH_QUICK, BENCH_SEED, emit
-from repro.core.columnar import ColumnBatch, active_backend
+from repro.core.columnar import ColumnBatch
 from repro.core.smart_sra import SmartSRA
 from repro.evaluation.experiments import PAPER_DEFAULTS, paper_topology
 from repro.parallel import available_cpus
@@ -121,9 +120,8 @@ def test_columnar_plane_throughput(benchmark, results_dir, bench_metrics):
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    backend = active_backend()
     baseline = best["object"]
-    if not BENCH_QUICK and backend == "numpy":
+    if not BENCH_QUICK:
         # the tentpole bar: the vectorized plane itself must clear 10x
         # the object engine on the A11 workload.
         ratio = baseline / best["plane-resident"]
@@ -131,7 +129,7 @@ def test_columnar_plane_throughput(benchmark, results_dir, bench_metrics):
 
     lines = [f"Extension A20 — columnar data plane vs object engine "
              f"({_AGENTS} agents, seed {BENCH_SEED}, best of "
-             f"{_ROUNDS}x{_INNER}, backend {backend}, "
+             f"{_ROUNDS}x{_INNER}, "
              f"{available_cpus()} CPU(s) visible)",
              "  interleaved rounds + GC fence; ≥10x bar applies to "
              "plane-resident (see docs/performance.md)",

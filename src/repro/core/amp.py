@@ -363,9 +363,9 @@ def amp_sessions_optimized(candidate: Sequence[Request], topology: WebGraph,
     exists to avoid — so the first ``path_budget`` paths stream out of
     the lazy shared-order DFS instead.
     """
-    # Imported here: repro.core.columnar imports sessions.model and
-    # topology, and keeping core.amp importable without pulling the whole
-    # columnar plane keeps the stdlib-fallback cold path cheap.
+    # Imported here: repro.core.columnar imports numpy, sessions.model
+    # and topology, so importing core.amp does not pull in the columnar
+    # plane until an AMP candidate is actually enumerated.
     from repro.core.columnar import SymbolTable
 
     if config is None:

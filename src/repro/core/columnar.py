@@ -13,14 +13,15 @@ appear at the boundary — ingest interns them into columns, and the final
 session index lists are materialized back through
 :meth:`~repro.sessions.model.Session.from_trusted_parts`.
 
-Backends
---------
-When numpy imports, every pass is vectorized; otherwise (or when the
-``REPRO_COLUMNAR_FALLBACK`` environment variable is set to a non-empty
-value other than ``0``) a pure-stdlib implementation over ``array`` columns
-runs the *same* algorithm and produces **identical** output — session for
-session, in the same order.  The fallback has no speed claim; it exists so
-the columnar engine is correct everywhere numpy is not.
+Backend
+-------
+numpy is a required dependency and the plane's only backend: columns are
+numpy arrays and every pass is vectorized.  The readable references for
+the same semantics are the object path's
+:func:`~repro.core.phase2.maximal_sessions` (the oracle) and
+:func:`~repro.core.phase2.maximal_sessions_fast` (the object and
+streaming kernel); cross-engine equivalence is pinned by the property
+suite and the ``repro diffcheck`` golden corpus.
 
 Phase 2 as a DAG pass
 ---------------------
@@ -71,11 +72,11 @@ resolve bit-identically to the object engines.
 from __future__ import annotations
 
 import math
-import os
 from array import array
-from bisect import bisect_right
 from collections.abc import Sequence
 from operator import attrgetter
+
+import numpy as np
 
 from repro.core.config import SmartSRAConfig
 from repro.exceptions import ConfigurationError, ReconstructionError
@@ -83,15 +84,7 @@ from repro.obs import SIZE_BUCKETS, get_registry
 from repro.sessions.model import Request, Session
 from repro.topology.graph import WebGraph
 
-try:  # numpy is optional — the stdlib fallback reproduces it exactly
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the CI fallback leg
-    _np = None
-
 __all__ = [
-    "COLUMNAR_FALLBACK_ENV",
-    "numpy_available",
-    "active_backend",
     "SymbolTable",
     "UserColumns",
     "ColumnBatch",
@@ -101,11 +94,6 @@ __all__ = [
     "reconstruct_parallel",
 ]
 
-#: setting this environment variable to anything non-empty other than
-#: ``"0"`` forces the stdlib fallback even when numpy is importable —
-#: how tests and the CI fallback leg exercise backend parity cheaply.
-COLUMNAR_FALLBACK_ENV = "REPRO_COLUMNAR_FALLBACK"
-
 #: dense adjacency matrices are capped at this many cells (16M booleans =
 #: 16 MiB); larger topologies fall back to sorted-edge-key membership.
 _DENSE_ADJACENCY_LIMIT = 1 << 24
@@ -113,37 +101,6 @@ _DENSE_ADJACENCY_LIMIT = 1 << 24
 # C-level attribute readers for the ingest hot loops.
 _GET_TIMESTAMP = attrgetter("timestamp")
 _GET_PAGE = attrgetter("page")
-
-
-def numpy_available() -> bool:
-    """Whether the numpy backend can be selected at all."""
-    return _np is not None
-
-
-def active_backend(backend: str | None = None) -> str:
-    """Resolve a backend request to ``"numpy"`` or ``"fallback"``.
-
-    Args:
-        backend: ``None`` (follow :data:`COLUMNAR_FALLBACK_ENV`, then
-            numpy availability) or an explicit ``"numpy"``/``"fallback"``.
-
-    Raises:
-        ConfigurationError: for an unknown name, or an explicit
-            ``"numpy"`` request when numpy is not importable.
-    """
-    if backend is None:
-        forced = os.environ.get(COLUMNAR_FALLBACK_ENV, "")
-        if forced and forced != "0":
-            return "fallback"
-        return "numpy" if _np is not None else "fallback"
-    if backend not in ("numpy", "fallback"):
-        raise ConfigurationError(
-            f"unknown columnar backend {backend!r}; "
-            "use 'numpy' or 'fallback'")
-    if backend == "numpy" and _np is None:
-        raise ConfigurationError(
-            "columnar backend 'numpy' requested but numpy is not importable")
-    return backend
 
 
 class SymbolTable:
@@ -219,9 +176,7 @@ class UserColumns:
     referrer/synthetic columns entirely when every value is the default
     (plain CLF logs), so a request costs 12 wire bytes against ~30 for a
     pickled ``Request`` — and, more importantly, decoding is a buffer
-    copy, not per-object reconstruction.  The byte form is
-    backend-neutral: a numpy parent can feed fallback workers and vice
-    versa (both sides hold native-endian float64/int64 after decode).
+    copy, not per-object reconstruction.
     """
 
     __slots__ = ("user_id", "times", "pages", "referrers", "synthetic")
@@ -236,8 +191,7 @@ class UserColumns:
 
     @classmethod
     def from_requests(cls, user_id: str, requests: Sequence[Request],
-                      symbols: SymbolTable,
-                      backend: str | None = None) -> "UserColumns":
+                      symbols: SymbolTable) -> "UserColumns":
         """Intern one user's (chronological) requests into columns."""
         ids = symbols._ids
         intern = symbols.intern
@@ -257,14 +211,11 @@ class UserColumns:
                 referrers.append(rid if rid is not None
                                  else intern(referrer))
             synthetic.append(1 if request.synthetic else 0)
-        if active_backend(backend) == "numpy":
-            return cls(user_id,
-                       _np.asarray(times, dtype=_np.float64),
-                       _np.asarray(pages, dtype=_np.int64),
-                       _np.asarray(referrers, dtype=_np.int64),
-                       _np.asarray(synthetic, dtype=_np.uint8))
-        return cls(user_id, array("d", times), array("q", pages),
-                   array("q", referrers), array("B", synthetic))
+        return cls(user_id,
+                   np.asarray(times, dtype=np.float64),
+                   np.asarray(pages, dtype=np.int64),
+                   np.asarray(referrers, dtype=np.int64),
+                   np.asarray(synthetic, dtype=np.uint8))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -274,60 +225,30 @@ class UserColumns:
         # for the synthetic column "all false" — the plain-CLF common
         # case costs zero wire bytes.  Ids travel as int32 (a symbol
         # table big enough to overflow that would not fit in memory).
-        referrers = (None if _column_all_equal(self.referrers, NO_REFERRER)
+        referrers = (None if (self.referrers == NO_REFERRER).all()
                      else _ids_to_bytes(self.referrers))
-        synthetic = (None if _column_all_equal(self.synthetic, 0)
-                     else _as_bytes(self.synthetic))
-        return (self.user_id, len(self.times), _as_bytes(self.times),
+        synthetic = (None if not self.synthetic.any()
+                     else self.synthetic.tobytes())
+        return (self.user_id, len(self.times), self.times.tobytes(),
                 _ids_to_bytes(self.pages), referrers, synthetic)
 
     def __setstate__(self, state) -> None:
         user_id, count, times_b, pages_b, referrers_b, synthetic_b = state
         self.user_id = user_id
-        if active_backend() == "numpy":
-            self.times = _np.frombuffer(times_b, dtype=_np.float64)
-            self.pages = _np.frombuffer(
-                pages_b, dtype=_np.int32).astype(_np.int64)
-            self.referrers = (
-                _np.full(count, NO_REFERRER, dtype=_np.int64)
-                if referrers_b is None else
-                _np.frombuffer(referrers_b, dtype=_np.int32
-                               ).astype(_np.int64))
-            self.synthetic = (_np.zeros(count, dtype=_np.uint8)
-                              if synthetic_b is None else
-                              _np.frombuffer(synthetic_b, dtype=_np.uint8))
-        else:
-            self.times = _from_bytes("d", times_b)
-            self.pages = array("q", _from_bytes("i", pages_b))
-            self.referrers = (array("q", [NO_REFERRER]) * count
-                              if referrers_b is None else
-                              array("q", _from_bytes("i", referrers_b)))
-            self.synthetic = (array("B", [0]) * count
-                              if synthetic_b is None else
-                              _from_bytes("B", synthetic_b))
-
-
-def _as_bytes(column) -> bytes:
-    return column.tobytes()
+        self.times = np.frombuffer(times_b, dtype=np.float64)
+        self.pages = np.frombuffer(pages_b, dtype=np.int32).astype(np.int64)
+        self.referrers = (
+            np.full(count, NO_REFERRER, dtype=np.int64)
+            if referrers_b is None else
+            np.frombuffer(referrers_b, dtype=np.int32).astype(np.int64))
+        self.synthetic = (np.zeros(count, dtype=np.uint8)
+                          if synthetic_b is None else
+                          np.frombuffer(synthetic_b, dtype=np.uint8))
 
 
 def _ids_to_bytes(column) -> bytes:
     """Narrow an int64 id column to its int32 wire form."""
-    if _np is not None and isinstance(column, _np.ndarray):
-        return column.astype(_np.int32).tobytes()
-    return array("i", column).tobytes()
-
-
-def _column_all_equal(column, value: int) -> bool:
-    if _np is not None and isinstance(column, _np.ndarray):
-        return bool((column == value).all())
-    return all(entry == value for entry in column)
-
-
-def _from_bytes(typecode: str, data: bytes):
-    column = array(typecode)
-    column.frombytes(data)
-    return column
+    return column.astype(np.int32).tobytes()
 
 
 class ColumnBatch:
@@ -340,21 +261,18 @@ class ColumnBatch:
     and candidate splitting forces a cut at every user boundary.
     """
 
-    __slots__ = ("users", "user_starts", "times", "pages", "backend")
+    __slots__ = ("users", "user_starts", "times", "pages")
 
-    def __init__(self, users, user_starts, times, pages,
-                 backend: str) -> None:
+    def __init__(self, users, user_starts, times, pages) -> None:
         self.users = users
         self.user_starts = user_starts
         self.times = times
         self.pages = pages
-        self.backend = backend
 
     @classmethod
-    def from_user_requests(cls, items, symbols: SymbolTable,
-                           backend: str | None = None) -> "ColumnBatch":
+    def from_user_requests(cls, items,
+                           symbols: SymbolTable) -> "ColumnBatch":
         """Intern ``[(user_id, sorted requests), ...]`` into one batch."""
-        resolved = active_backend(backend)
         users: list[str] = []
         user_starts: list[int] = [0]
         cursor = 0
@@ -371,35 +289,24 @@ class ColumnBatch:
             intern = symbols.intern
             pages = [pid if pid is not None else intern(request.page)
                      for pid, request in zip(pages, pool)]
-        if resolved == "numpy":
-            return cls(users, _np.asarray(user_starts, dtype=_np.int64),
-                       _np.asarray(times, dtype=_np.float64),
-                       _np.asarray(pages, dtype=_np.int64), resolved)
-        return cls(users, user_starts, array("d", times),
-                   array("q", pages), resolved)
+        return cls(users, np.asarray(user_starts, dtype=np.int64),
+                   np.asarray(times, dtype=np.float64),
+                   np.asarray(pages, dtype=np.int64))
 
     @classmethod
     def from_user_columns(cls, columns: Sequence[UserColumns]
                           ) -> "ColumnBatch":
-        """Concatenate per-user columns (all of one backend) into a batch."""
-        backend = active_backend()
+        """Concatenate per-user columns into a batch."""
         users = [column.user_id for column in columns]
         user_starts: list[int] = [0]
         for column in columns:
             user_starts.append(user_starts[-1] + len(column))
-        if backend == "numpy":
-            times = (_np.concatenate([c.times for c in columns])
-                     if columns else _np.zeros(0, dtype=_np.float64))
-            pages = (_np.concatenate([c.pages for c in columns])
-                     if columns else _np.zeros(0, dtype=_np.int64))
-            return cls(users, _np.asarray(user_starts, dtype=_np.int64),
-                       times, pages, backend)
-        times = array("d")
-        pages = array("q")
-        for column in columns:
-            times.extend(column.times)
-            pages.extend(column.pages)
-        return cls(users, user_starts, times, pages, backend)
+        times = (np.concatenate([c.times for c in columns])
+                 if columns else np.zeros(0, dtype=np.float64))
+        pages = (np.concatenate([c.pages for c in columns])
+                 if columns else np.zeros(0, dtype=np.int64))
+        return cls(users, np.asarray(user_starts, dtype=np.int64),
+                   times, pages)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -495,21 +402,13 @@ class ColumnarPlane:
         candidates, extension hits, orphan misses, session count), proven
         by the counter-parity unit test.
         """
-        if batch.backend == "numpy":
-            starts = _split_numpy(batch.times, batch.user_starts,
-                                  self.max_gap, self.max_duration)
-            self._publish_phase1(len(starts), len(batch),
-                                 _sizes_numpy(starts, len(batch)))
-            if not self.phase2:
-                return _candidates_as_result_numpy(batch, starts)
-            return self._phase2_numpy(batch, starts)
-        starts = _split_fallback(batch.times, batch.user_starts,
-                                 self.max_gap, self.max_duration)
+        starts = _split_numpy(batch.times, batch.user_starts,
+                              self.max_gap, self.max_duration)
         self._publish_phase1(len(starts), len(batch),
-                             _sizes_fallback(starts, len(batch)))
+                             _sizes_numpy(starts, len(batch)))
         if not self.phase2:
-            return _candidates_as_result_fallback(batch, starts)
-        return self._phase2_fallback(batch, starts)
+            return _candidates_as_result_numpy(batch, starts)
+        return self._phase2_numpy(batch, starts)
 
     def _publish_phase1(self, n_candidates: int, n_requests: int,
                         sizes) -> None:
@@ -538,7 +437,6 @@ class ColumnarPlane:
 
     def _linked_numpy(self, pa, pb):
         """Vector bool: is there a hyperlink ``page pa → page pb``?"""
-        np = _np
         n_topo = self.n_topology
         if n_topo == 0 or pa.size == 0:
             return np.zeros(pa.shape, dtype=bool)
@@ -571,7 +469,6 @@ class ColumnarPlane:
     # -- phase 2, numpy ----------------------------------------------------
 
     def _phase2_numpy(self, batch: ColumnBatch, starts) -> PlaneResult:
-        np = _np
         t = batch.times
         n = t.shape[0]
         if n == 0:
@@ -588,24 +485,29 @@ class ColumnarPlane:
 
         # Offset timestamps: per-candidate-normalized times spread onto a
         # stride that isolates candidates, so one global sorted array
-        # answers every "tails within ρ of b, same candidate" window via
-        # searchsorted.  Rounding only widens the windows (slack below);
-        # the exact predicates filter afterwards.
+        # answers every "tails within the window of b, same candidate"
+        # query via searchsorted.  The window is ρ capped just past the
+        # largest candidate span — a wider one adds no same-candidate
+        # pair, and the cap keeps the stride finite when ρ = ∞.
+        # Rounding only widens the windows (slack below); the exact
+        # predicates filter afterwards.
         t_norm = t - t[cand_start_of]
-        stride = float(t_norm.max()) + max_gap + 2.0
+        span = float(t_norm.max())
+        window = min(max_gap, span + 1.0)
+        stride = span + window + 2.0
         t_off = t_norm + cand_ord * stride
         slack = 1e-6 + abs(float(t_off[-1])) * 1e-12
         arange_n = np.arange(n, dtype=np.int64)
-        lo = np.searchsorted(t_off, t_off - max_gap - slack, side="left")
+        lo = np.searchsorted(t_off, t_off - window - slack, side="left")
 
         # Expand windows to forward (tail a < released b) pairs only —
         # a ranges over [lo, b), so self-pairs and reversed pairs never
         # materialize.  Every window pair shares one candidate by
-        # construction: candidates sit ≥ ρ + 2 apart on the t_off axis
-        # (stride is the max span plus ρ + 2, slack is microseconds), so
-        # the ρ-window can never reach a neighbour.  The exact predicate
-        # is the object path's subtraction form; the window is only its
-        # (slack-widened) superset.
+        # construction: candidates sit ≥ window + 2 apart on the t_off
+        # axis (stride is the max span plus window + 2, slack is
+        # microseconds), so the window can never reach a neighbour.  The
+        # exact predicate is the object path's subtraction form; the
+        # window is only its (slack-widened) superset.
         counts = arange_n - lo
         total = int(counts.sum())
         b_idx = np.repeat(arange_n, counts)
@@ -761,111 +663,6 @@ class ColumnarPlane:
                              int(leaf_ids.size))
         return PlaneResult(offsets, flat, user_counts)
 
-    # -- phase 2, stdlib fallback -----------------------------------------
-
-    def _phase2_fallback(self, batch: ColumnBatch, starts) -> PlaneResult:
-        t = batch.times
-        p = batch.pages
-        n = len(t)
-        if n == 0:
-            return PlaneResult([0], [], [0] * len(batch.users))
-        max_gap = self.max_gap
-        pred_sets = self.pred_id_sets
-        n_topo = self.n_topology
-
-        wave = [0] * n
-        fwd_edges: list[tuple[int, int]] = []
-        rev_pairs: list[tuple[int, int]] = []
-        bounds = list(starts) + [n]
-        for c in range(len(starts)):
-            lo, hi = bounds[c], bounds[c + 1]
-            for b in range(lo, hi):
-                pb = p[b]
-                preds = pred_sets[pb] if 0 <= pb < n_topo else None
-                tb = t[b]
-                depth = 0
-                if preds:
-                    # Backward ρ-window scan, the object path's exact form.
-                    for a in range(b - 1, lo - 1, -1):
-                        if tb - t[a] > max_gap:
-                            break
-                        if p[a] in preds:
-                            fwd_edges.append((a, b))
-                            if wave[a] + 1 > depth:
-                                depth = wave[a] + 1
-                    # Reversed extenders: equal-time tails after b.
-                    a = b + 1
-                    while a < hi and t[a] == tb:
-                        if p[a] in preds:
-                            rev_pairs.append((a, b))
-                        a += 1
-                wave[b] = depth
-
-        edges = fwd_edges + [(a, b) for a, b in rev_pairs
-                             if wave[a] < wave[b]]
-        first_wave = [n + 1] * n
-        for a, b in edges:
-            if wave[b] < first_wave[a]:
-                first_wave[a] = wave[b]
-        succ: list[list[int]] = [[] for __ in range(n)]
-        for a, b in edges:
-            if wave[b] == first_wave[a]:
-                succ[a].append(b)
-        for children in succ:
-            children.sort()
-
-        if self.rescue_orphans:
-            placed = [False] * n
-            for a, b in edges:
-                if wave[b] == first_wave[a]:
-                    placed[b] = True
-            roots = [i for i in range(n) if wave[i] == 0 or not placed[i]]
-        else:
-            roots = [i for i in range(n) if wave[i] == 0]
-
-        # Breadth-first trie — same traversal (and thus emission order)
-        # as the vectorized version.
-        trie_req: list[int] = list(roots)
-        trie_parent: list[int] = [-1] * len(roots)
-        frontier = list(range(len(roots)))
-        leaves: list[int] = []
-        leaf_lengths: list[int] = []
-        reached: set[int] = set()
-        depth = 0
-        while frontier:
-            grown: list[int] = []
-            for trie_id in frontier:
-                children = succ[trie_req[trie_id]]
-                if not children:
-                    leaves.append(trie_id)
-                    leaf_lengths.append(depth + 1)
-                    continue
-                for child in children:
-                    grown.append(len(trie_req))
-                    trie_req.append(child)
-                    trie_parent.append(trie_id)
-                    reached.add(child)
-            frontier = grown
-            depth += 1
-
-        offsets = [0]
-        flat: list[int] = []
-        for trie_id, length in zip(leaves, leaf_lengths):
-            segment = [0] * length
-            cursor = trie_id
-            for slot in range(length - 1, -1, -1):
-                segment[slot] = trie_req[cursor]
-                cursor = trie_parent[cursor]
-            flat.extend(segment)
-            offsets.append(len(flat))
-
-        released = sum(1 for w in wave if w > 0)
-        hits = len(reached)
-        self._publish_phase2(len(starts), hits, released - hits,
-                             len(leaves))
-        return _regroup_by_user_fallback(batch, offsets, flat)
-
-
 # -- phase 1 ---------------------------------------------------------------
 
 def _split_numpy(times, user_starts, max_gap: float, max_duration: float):
@@ -877,7 +674,6 @@ def _split_numpy(times, user_starts, max_gap: float, max_duration: float):
     subtraction-form adjustment so boundaries agree with the object path
     bit for bit.
     """
-    np = _np
     n = times.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
@@ -942,78 +738,18 @@ def _split_numpy(times, user_starts, max_gap: float, max_duration: float):
     return np.unique(np.concatenate([seg_starts] + cuts))
 
 
-def _split_fallback(times, user_starts, max_gap: float,
-                    max_duration: float) -> list[int]:
-    """Candidate start offsets over a batch (stdlib) — the object loop."""
-    starts: list[int] = []
-    for u in range(len(user_starts) - 1):
-        lo, hi = user_starts[u], user_starts[u + 1]
-        if lo == hi:
-            continue
-        starts.append(lo)
-        first = lo
-        previous = times[lo]
-        for i in range(lo + 1, hi):
-            current = times[i]
-            if current < previous:
-                raise ReconstructionError(
-                    "request stream not sorted by timestamp: "
-                    f"{previous} then {current}")
-            if (current - previous > max_gap
-                    or current - times[first] > max_duration):
-                starts.append(i)
-                first = i
-            previous = current
-    return starts
-
-
 def _sizes_numpy(starts, n: int):
-    return _np.diff(_np.append(starts, n)).tolist()
-
-
-def _sizes_fallback(starts: list[int], n: int) -> list[int]:
-    bounds = starts + [n]
-    return [bounds[i + 1] - bounds[i] for i in range(len(starts))]
+    return np.diff(np.append(starts, n)).tolist()
 
 
 # -- result shaping --------------------------------------------------------
 
 def _candidates_as_result_numpy(batch: ColumnBatch, starts) -> PlaneResult:
-    np = _np
     n = len(batch)
     offsets = np.append(starts, n)
     counts = np.diff(np.searchsorted(starts, batch.user_starts))
     return PlaneResult(offsets if n else np.zeros(1, dtype=np.int64),
                        np.arange(n, dtype=np.int64), counts)
-
-
-def _candidates_as_result_fallback(batch: ColumnBatch,
-                                   starts: list[int]) -> PlaneResult:
-    n = len(batch)
-    user_starts = batch.user_starts
-    counts = []
-    for u in range(len(batch.users)):
-        counts.append(bisect_right(starts, user_starts[u + 1] - 1)
-                      - bisect_right(starts, user_starts[u] - 1))
-    return PlaneResult(starts + [n] if n else [0], list(range(n)), counts)
-
-
-def _regroup_by_user_fallback(batch: ColumnBatch, offsets: list[int],
-                              flat: list[int]) -> PlaneResult:
-    n_sessions = len(offsets) - 1
-    user_starts = batch.user_starts
-    user_of = [bisect_right(user_starts, flat[offsets[i]]) - 1
-               for i in range(n_sessions)]
-    order = sorted(range(n_sessions), key=user_of.__getitem__)
-    offsets2 = [0]
-    flat2: list[int] = []
-    for i in order:
-        flat2.extend(flat[offsets[i]:offsets[i + 1]])
-        offsets2.append(len(flat2))
-    counts = [0] * len(batch.users)
-    for u in user_of:
-        counts[u] += 1
-    return PlaneResult(offsets2, flat2, counts)
 
 
 # -- materialization & drivers --------------------------------------------
@@ -1027,8 +763,8 @@ def materialize_sessions(items, result: PlaneResult) -> list[Session]:
     C-level gather picks every referenced request; each session is then a
     tuple slice, so the per-session Python cost is one constructor call.
     """
-    offsets = _tolist(result.session_offsets)
-    flat = _tolist(result.session_flat)
+    offsets = result.session_offsets.tolist()
+    flat = result.session_flat.tolist()
     pool: list[Request] = []
     for __, requests in items:
         pool.extend(requests)
@@ -1038,16 +774,10 @@ def materialize_sessions(items, result: PlaneResult) -> list[Session]:
             for lo, hi in zip(offsets, offsets[1:])]
 
 
-def _tolist(column):
-    return column.tolist() if hasattr(column, "tolist") else column
-
-
-def reconstruct_serial(plane: ColumnarPlane, per_user,
-                       backend: str | None = None) -> list[Session]:
+def reconstruct_serial(plane: ColumnarPlane, per_user) -> list[Session]:
     """One batched plane pass over every user, then materialize."""
     items = list(per_user.items())
-    batch = ColumnBatch.from_user_requests(items, plane.symbols,
-                                           backend=backend)
+    batch = ColumnBatch.from_user_requests(items, plane.symbols)
     result = plane.run_batch(batch)
     return materialize_sessions(items, result)
 
@@ -1063,29 +793,14 @@ def _run_block(block: Sequence[UserColumns], plane: ColumnarPlane):
     """
     batch = ColumnBatch.from_user_columns(block)
     result = plane.run_batch(batch)
-    offsets = _tolist(result.session_offsets)
-    counts = _tolist(result.user_session_counts)
-    if batch.backend == "numpy":
-        np = _np
-        lengths = np.diff(result.session_offsets)
-        user_of = np.repeat(
-            np.arange(len(batch.users), dtype=np.int64),
-            result.user_session_counts)
-        base = np.repeat(batch.user_starts[user_of], lengths)
-        local = array("q")
-        local.frombytes((result.session_flat - base).tobytes())
-    else:
-        flat = result.session_flat
-        user_starts = batch.user_starts
-        local = array("q")
-        cursor = 0
-        for u in range(len(batch.users)):
-            base = user_starts[u]
-            for __ in range(counts[u]):
-                lo, hi = offsets[cursor], offsets[cursor + 1]
-                cursor += 1
-                local.extend(flat[j] - base for j in range(lo, hi))
-    return (list(batch.users), counts, offsets, local)
+    lengths = np.diff(result.session_offsets)
+    user_of = np.repeat(np.arange(len(batch.users), dtype=np.int64),
+                        result.user_session_counts)
+    base = np.repeat(batch.user_starts[user_of], lengths)
+    local = array("q")
+    local.frombytes((result.session_flat - base).tobytes())
+    return (list(batch.users), result.user_session_counts.tolist(),
+            result.session_offsets.tolist(), local)
 
 
 def reconstruct_parallel(plane: ColumnarPlane, per_user, *,

@@ -39,10 +39,12 @@ class SmartSRAConfig:
     rescue_orphans: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_duration <= 0:
+        # ``not (x > 0)`` rather than ``x <= 0``: NaN fails every
+        # comparison, so only this form rejects it.
+        if not (self.max_duration > 0):
             raise ConfigurationError(
                 f"max_duration must be positive, got {self.max_duration}")
-        if self.max_gap <= 0:
+        if not (self.max_gap > 0):
             raise ConfigurationError(
                 f"max_gap must be positive, got {self.max_gap}")
         if self.max_gap > self.max_duration:

@@ -86,9 +86,8 @@ def _columnar(ctx: EngineContext) -> SessionSet:
     Same heuristic, entirely different execution substrate — interned
     int columns, batched array passes, a DAG reformulation of the
     Phase-2 wave loop — so canonical equivalence here is the correctness
-    contract gating every columnar optimization.  Honors the
-    ``REPRO_COLUMNAR_FALLBACK`` environment variable, so one diffcheck
-    run covers whichever backend the environment selects.
+    contract gating every columnar optimization.  The plane has one
+    backend (numpy), so this leg is its whole coverage.
     """
     return SmartSRA(ctx.topology, ctx.config).reconstruct(
         ctx.requests, engine="columnar")

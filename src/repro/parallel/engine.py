@@ -380,8 +380,8 @@ def shard_by_user(requests: Iterable[Request]) -> list[list[Request]]:
 
 
 def shard_by_user_columns(items: Sequence[tuple[str, Sequence[Request]]],
-                          symbols, shards: int | None = None,
-                          backend: str | None = None) -> list[list[Any]]:
+                          symbols, shards: int | None = None
+                          ) -> list[list[Any]]:
     """Shard users into blocks of interned column buffers.
 
     The columnar analogue of :func:`shard_by_user` — and the fix for the
@@ -399,7 +399,6 @@ def shard_by_user_columns(items: Sequence[tuple[str, Sequence[Request]]],
             (page ids are interned into it as a side effect).
         shards: target block count; defaults to
             :data:`CHUNKS_PER_WORKER` blocks per usable CPU.
-        backend: columnar backend override (``None`` = auto).
 
     Returns:
         Contiguous user blocks, balanced by request count — concatenating
@@ -407,8 +406,7 @@ def shard_by_user_columns(items: Sequence[tuple[str, Sequence[Request]]],
     """
     from repro.core.columnar import UserColumns
 
-    columns = [UserColumns.from_requests(user_id, requests, symbols,
-                                         backend=backend)
+    columns = [UserColumns.from_requests(user_id, requests, symbols)
                for user_id, requests in items]
     if shards is None:
         shards = available_cpus() * CHUNKS_PER_WORKER

@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 
 try:                                    # optional: only the statistical
-    from scipy import stats             # validation layer needs scipy
-except ImportError:                     # (numpy-less installs run the
-    stats = None                        # columnar fallback without it)
+    from scipy import stats             # validation layer needs scipy,
+except ImportError:                     # which is not a declared
+    stats = None                        # dependency
 
 from repro.exceptions import SimulationError
 from repro.simulator.population import SimulationResult

@@ -47,23 +47,6 @@ def test_corpus_covers_columnar_edge_cases(golden_cases):
             "chunk-spanning-users"} <= names
 
 
-def test_columnar_engines_agree_in_fallback_mode(golden_cases, monkeypatch):
-    """The stdlib fallback leg: with numpy vetoed, both columnar engines
-    must still match the serial baseline and the pinned golden digests
-    byte for byte."""
-    from repro.core.columnar import COLUMNAR_FALLBACK_ENV, active_backend
-
-    monkeypatch.setenv(COLUMNAR_FALLBACK_ENV, "1")
-    assert active_backend() == "fallback"
-    report = run_diffcheck(golden_cases,
-                           engines="serial,columnar,columnar-parallel")
-    assert set(report.engines) == {"serial", "columnar",
-                                   "columnar-parallel"}
-    assert report.ok, report.render()
-    assert report.total_divergences == 0
-    assert report.total_violations == 0
-
-
 def test_golden_digests_still_pinned(golden_cases):
     # every committed case carries its expected canonical output, and the
     # harness checks engines against it (baseline "golden" in a report).

@@ -1,25 +1,23 @@
 """Property tests: the columnar plane equals the object path everywhere.
 
-Three equivalences, each over hypothesis-generated multi-user streams with
+Two equivalences, each over hypothesis-generated multi-user streams with
 equal-timestamp ties and δ/ρ-boundary gaps:
 
 * Phase-1 split boundaries (``Phase1Only``) are identical to the object
-  path's — in the numpy backend *and* the stdlib fallback;
+  path's;
 * the full Smart-SRA columnar engine reconstructs the same canonical
-  session set as the object engine;
-* the fallback backend's output is *exactly* (order included) the numpy
-  backend's.
+  session set as the object engine — under the paper's bounds and with
+  ρ and/or δ unbounded.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.columnar import COLUMNAR_FALLBACK_ENV, numpy_available
+from repro.core.config import SmartSRAConfig
 from repro.core.smart_sra import Phase1Only, SmartSRA
 from repro.sessions.model import Request
 from repro.topology.generators import random_site
@@ -60,19 +58,6 @@ def _canonical(sessions):
                   for session in sessions)
 
 
-@contextlib.contextmanager
-def _forced_fallback():
-    previous = os.environ.get(COLUMNAR_FALLBACK_ENV)
-    os.environ[COLUMNAR_FALLBACK_ENV] = "1"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(COLUMNAR_FALLBACK_ENV, None)
-        else:
-            os.environ[COLUMNAR_FALLBACK_ENV] = previous
-
-
 def _boundaries(sessions):
     """Phase-1 split boundaries as (user, first-ts, length) triples."""
     return sorted((s.requests[0].user_id, s.requests[0].timestamp, len(s))
@@ -90,38 +75,21 @@ def test_phase1_split_boundaries_match_object_path(data):
     assert _canonical(columnar_sessions) == _canonical(object_sessions)
 
 
-@settings(max_examples=60, deadline=None)
-@given(multi_user_stream())
-def test_phase1_split_boundaries_match_in_fallback(data):
-    graph, requests = data
-    object_sessions = Phase1Only().reconstruct(requests)
-    with _forced_fallback():
-        fallback_sessions = Phase1Only().reconstruct(requests,
-                                                     engine="columnar")
-    assert _boundaries(fallback_sessions) == _boundaries(object_sessions)
+#: the paper's bounds, both unbounded, and ρ bounded under unbounded δ —
+#: the unbounded cases exercise the Phase-2 window cap (ρ = ∞ must not
+#: reach the candidate stride).
+CONFIGS = (SmartSRAConfig(),
+           SmartSRAConfig(max_gap=math.inf, max_duration=math.inf),
+           SmartSRAConfig(max_gap=RHO, max_duration=math.inf))
 
 
 @settings(max_examples=60, deadline=None)
-@given(multi_user_stream())
-def test_smart_sra_columnar_equals_object_canonically(data):
+@given(multi_user_stream(), st.sampled_from(CONFIGS))
+def test_smart_sra_columnar_equals_object_canonically(data, config):
     graph, requests = data
-    smart = SmartSRA(graph)
+    smart = SmartSRA(graph, config)
     assert (_canonical(smart.reconstruct(requests, engine="columnar"))
             == _canonical(smart.reconstruct(requests)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(multi_user_stream())
-def test_fallback_backend_exactly_equals_numpy(data):
-    if not numpy_available():
-        return  # the whole suite already runs on the fallback
-    graph, requests = data
-    numpy_sessions = SmartSRA(graph).reconstruct(requests,
-                                                 engine="columnar")
-    with _forced_fallback():
-        fallback_sessions = SmartSRA(graph).reconstruct(requests,
-                                                        engine="columnar")
-    assert list(fallback_sessions) == list(numpy_sessions)
 
 
 @st.composite
@@ -154,14 +122,10 @@ def cyclic_walk_stream(draw):
 @settings(max_examples=80, deadline=None)
 @given(cyclic_walk_stream())
 def test_cyclic_revisits_columnar_equals_object(data):
-    """Satellite audit: repeated pages inside one session (2-cycle pong,
-    ring laps) reconstruct identically on the object and columnar
-    Phase-2 planes, numpy and fallback alike."""
+    """Repeated pages inside one session (2-cycle pong, ring laps)
+    reconstruct identically on the object and columnar Phase-2 planes."""
     graph, requests = data
     smart = SmartSRA(graph)
     object_sessions = smart.reconstruct(requests)
     columnar_sessions = smart.reconstruct(requests, engine="columnar")
     assert _canonical(columnar_sessions) == _canonical(object_sessions)
-    with _forced_fallback():
-        fallback_sessions = smart.reconstruct(requests, engine="columnar")
-    assert _canonical(fallback_sessions) == _canonical(object_sessions)

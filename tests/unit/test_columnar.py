@@ -1,6 +1,6 @@
 """Unit tests for the columnar data plane (:mod:`repro.core.columnar`).
 
-Covers the symbol table, backend selection, column ingest, the
+Covers the symbol table, column ingest, the
 materialization boundary, engine selection on the reconstructor facade,
 parallel payload compaction (the A17 fix) and metric-counter parity
 between the object and columnar engines.
@@ -12,14 +12,7 @@ import pickle
 
 import pytest
 
-from repro.core.columnar import (
-    COLUMNAR_FALLBACK_ENV,
-    ColumnBatch,
-    SymbolTable,
-    UserColumns,
-    active_backend,
-    numpy_available,
-)
+from repro.core.columnar import ColumnBatch, SymbolTable, UserColumns
 from repro.core.smart_sra import SmartSRA
 from repro.exceptions import ConfigurationError, ReconstructionError
 from repro.obs import Registry, use_local_registry
@@ -79,20 +72,6 @@ class TestSymbolTable:
         assert table.n_topology == len(index.pages)
 
 
-class TestBackendSelection:
-    def test_env_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv(COLUMNAR_FALLBACK_ENV, "1")
-        assert active_backend() == "fallback"
-        monkeypatch.setenv(COLUMNAR_FALLBACK_ENV, "0")
-        assert active_backend() == ("numpy" if numpy_available()
-                                    else "fallback")
-
-    def test_explicit_backend_names(self):
-        assert active_backend("fallback") == "fallback"
-        with pytest.raises(ConfigurationError):
-            active_backend("cupy")
-
-
 class TestIngest:
     def test_off_topology_pages_interned_on_first_sight(self, site):
         table = SymbolTable.for_topology(site)
@@ -104,24 +83,6 @@ class TestIngest:
         assert set(ids) == {bound, bound + 1}
         assert table.resolve(bound) == "/external/0"
         assert table.resolve(bound + 1) == "/external/1"
-
-    def test_fallback_columns_match_numpy(self, site):
-        if not numpy_available():
-            pytest.skip("numpy backend unavailable")
-        requests = _stream(site)
-        per_user: dict[str, list[Request]] = {}
-        for request in requests:
-            per_user.setdefault(request.user_id, []).append(request)
-        items = list(per_user.items())
-        a = ColumnBatch.from_user_requests(items, SymbolTable.for_topology(
-            site), backend="numpy")
-        b = ColumnBatch.from_user_requests(items, SymbolTable.for_topology(
-            site), backend="fallback")
-        assert a.backend == "numpy" and b.backend == "fallback"
-        assert list(a.times) == list(b.times)
-        assert list(a.pages) == list(b.pages)
-        assert list(a.user_starts) == list(b.user_starts)
-        assert a.users == b.users
 
 
 class TestUserColumnsPayload:
@@ -190,14 +151,6 @@ class TestEngineSelection:
         obj = heuristic.reconstruct(requests)
         col = heuristic.reconstruct(requests, engine="columnar")
         assert list(obj) == list(col)
-
-    def test_fallback_backend_identical_output(self, site, monkeypatch):
-        requests = _stream(site)
-        smart = SmartSRA(site)
-        reference = smart.reconstruct(requests, engine="columnar")
-        monkeypatch.setenv(COLUMNAR_FALLBACK_ENV, "1")
-        forced = SmartSRA(site).reconstruct(requests, engine="columnar")
-        assert list(reference) == list(forced)
 
 
 class TestMaterialization:

@@ -7,6 +7,8 @@ Table 4.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.config import SmartSRAConfig
@@ -31,6 +33,8 @@ class TestConfig:
         {"max_duration": 0.0},
         {"max_gap": -5.0},
         {"max_duration": 100.0, "max_gap": 200.0},
+        {"max_gap": math.nan},
+        {"max_duration": math.nan},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
