@@ -54,15 +54,16 @@ from __future__ import annotations
 
 import heapq
 import os
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, ClassVar
 
-from repro.exceptions import ConfigurationError, OverloadError
+from repro.exceptions import ConfigurationError, ExecutionError, OverloadError
 from repro.obs import snapshot_digest
 from repro.parallel.checkpoint import atomic_write_json
 from repro.sessions.model import Request, Session
-from repro.streaming.pipeline import StreamingReconstructor, StreamingStats
+from repro.streaming.pipeline import (StreamingReconstructor, StreamingStats,
+                                     _apply_fields, _capture_fields)
 
 __all__ = [
     "OVERLOAD_POLICIES",
@@ -383,6 +384,20 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
     exercises degradation deterministically.
     """
 
+    #: the replay state this class adds to the base pipeline's (see
+    #: :meth:`state`); the idle heap is derived from ``user_last``, and
+    #: spilled users must be absent.
+    STATE_FIELDS: ClassVar[dict[str, str]] = {
+        "quarantine": "requests",
+        **dict.fromkeys(
+            ("quarantine_bytes", "user_bytes", "user_last", "cap_strikes",
+             "evict_watermarks", "tracked", "peak_tracked", "evictions",
+             "evicted_requests", "evicted_via_finish", "shed",
+             "spill_writes", "spill_restores", "spill_lost",
+             "quarantine_flushes", "cap_strikes_total", "feed_ordinal"),
+            "plain"),
+    }
+
     def __init__(self, finisher, config=None, *,
                  governor: GovernorConfig | None = None,
                  **options: Any) -> None:
@@ -392,8 +407,9 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
                              if self.governor.spill_dir is not None else None)
         self._user_bytes: dict[str, int] = {}
         self._user_last: dict[str, float] = {}
-        self._idle_heap: list[tuple[float, int, str]] = []
-        self._heap_seq = 0
+        # (last timestamp, user): ties break by user id, so the victim
+        # order is a function of ``_user_last`` alone and survives restore.
+        self._idle_heap: list[tuple[float, str]] = []
         self._tracked = 0
         self._peak_tracked = 0
         self._evictions = 0
@@ -518,7 +534,8 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
         if user in self._spilled:
             # Make room *before* the cold buffer re-enters tracked state,
             # or the restore itself would spike memory over the budget.
-            emitted.extend(self._make_room(self._spilled[user][1]))
+            emitted.extend(self._rebalance(self._effective_budget(),
+                                           demand=self._spilled[user][1]))
             self._restore_user(user)
         fed_before = self._fed
         emitted.extend(super()._accept(request))
@@ -530,9 +547,7 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
         if self._tracked > self._peak_tracked:
             self._peak_tracked = self._tracked
         self._user_last[user] = request.timestamp
-        self._heap_seq += 1
-        heapq.heappush(self._idle_heap,
-                       (request.timestamp, self._heap_seq, user))
+        heapq.heappush(self._idle_heap, (request.timestamp, user))
         buffer = self._buffers.get(user)
         if buffer is not None and len(buffer) >= self.governor.per_user_cap:
             emitted.extend(self._strike(user))
@@ -540,53 +555,20 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
 
     # -- degradation modes -------------------------------------------------
 
-    def _rebalance(self, budget: int, *, hot_user: str) -> list[Session]:
-        """Bring tracked state back under the watermarks.
+    def _rebalance(self, budget: int, *, demand: int = 0,
+                   hot_user: str | None = None) -> list[Session]:
+        """Bring tracked state plus ``demand`` incoming bytes (a spill
+        restore) back under the watermarks.
 
         Crossing ``high_watermark * budget`` triggers draining down to
         the low watermark: ``block`` spills cold buffers first (never
         the hot user's — that would thrash) and force-finishes only what
         spilling cannot shed; ``evict`` force-finishes directly.  If
         open candidates alone cannot reach the floor, quarantine
-        channels are flushed, largest first.
+        channels are flushed, largest first.  Sizing against the demand
+        lets a restore land under the high watermark instead of blowing
+        through it.
         """
-        high = budget * self.governor.high_watermark
-        if self._tracked <= high:
-            return []
-        low = budget * self.governor.low_watermark
-        emitted: list[Session] = []
-        floor = low
-        if self._spill_store is not None:
-            while self._tracked > low:
-                victim = self._oldest_idle_user()
-                if victim is None or victim == hot_user:
-                    break
-                self._spill_user(victim)
-            floor = high   # forced eviction only if spilling fell short
-        while self._tracked > floor:
-            victim = self._oldest_idle_user()
-            if victim is None:
-                break
-            emitted.extend(self._evict_user(victim))
-        if self._tracked > floor and self._quarantine:
-            for user in sorted(
-                    self._quarantine,
-                    key=lambda u: (-len(self._quarantine[u]), u)):
-                if self._tracked <= floor:
-                    break
-                emitted.extend(
-                    self._flush_quarantine_channel(user, reopen=True))
-        return emitted
-
-    def _make_room(self, demand: int) -> list[Session]:
-        """Free budget for ``demand`` incoming bytes (a restore).
-
-        Same drain order as :meth:`_rebalance` — spill cold buffers
-        when the store exists, force-finish otherwise — but sized
-        against ``tracked + demand`` so the subsequent restore lands
-        under the high watermark instead of blowing through it.
-        """
-        budget = self._effective_budget()
         high = budget * self.governor.high_watermark
         if self._tracked + demand <= high:
             return []
@@ -596,21 +578,26 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
         if self._spill_store is not None:
             while self._tracked + demand > low:
                 victim = self._oldest_idle_user()
-                if victim is None:
+                if victim is None or victim == hot_user:
                     break
                 self._spill_user(victim)
-            floor = high
+            floor = high   # forced eviction only if spilling fell short
         while self._tracked + demand > floor:
             victim = self._oldest_idle_user()
             if victim is None:
                 break
             emitted.extend(self._evict_user(victim))
+        for user in sorted(self._quarantine,
+                           key=lambda u: (-len(self._quarantine[u]), u)):
+            if self._tracked + demand <= floor:
+                break
+            emitted.extend(self._flush_quarantine_channel(user, reopen=True))
         return emitted
 
     def _oldest_idle_user(self) -> str | None:
         """The buffered user idle the longest (lazy-heap selection)."""
         while self._idle_heap:
-            timestamp, _, user = self._idle_heap[0]
+            timestamp, user = self._idle_heap[0]
             if (self._user_last.get(user) == timestamp
                     and user in self._buffers):
                 return user
@@ -733,30 +720,35 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
         self._g_users.set(len(self._buffers))
         self._g_tracked.set(self._tracked)
 
-    def _restore_user(self, user: str) -> None:
-        """Bring ``user``'s spilled buffer back before its next request."""
-        count, cost, last_ts = self._spilled.pop(user)
+    def _unspill(self, user: str) -> tuple[Request, ...] | None:
+        """Take ``user``'s buffer back from the spill store; ``None`` when
+        its integrity check failed: the loss is counted and the user sealed
+        at its last known timestamp so ordering semantics survive."""
+        count, _, last_ts = self._spilled.pop(user)
         self._g_spilled_users.set(len(self._spilled))
-        requests = (self._spill_store.restore(user)
-                    if self._spill_store is not None else None)
+        requests = self._spill_store.restore(user)
         if requests is None:
-            # Integrity failure: the cold buffer is gone.  Count the loss
-            # and seal the user at its last known timestamp so ordering
-            # semantics survive the damage.
             self._spill_lost += count
             self._c_spill_lost.inc(count)
             self._evict_watermarks[user] = last_ts
+        else:
+            self._spill_restores += 1
+            self._c_restores.inc()
+        return requests
+
+    def _restore_user(self, user: str) -> None:
+        """Bring ``user``'s spilled buffer back before its next request."""
+        _, cost, last_ts = self._spilled[user]
+        requests = self._unspill(user)
+        if requests is None:
             return
-        self._spill_restores += 1
-        self._c_restores.inc()
         self._buffers[user] = list(requests)
         self._user_bytes[user] = cost
         self._tracked += cost
         if self._tracked > self._peak_tracked:
             self._peak_tracked = self._tracked
         self._user_last[user] = last_ts
-        self._heap_seq += 1
-        heapq.heappush(self._idle_heap, (last_ts, self._heap_seq, user))
+        heapq.heappush(self._idle_heap, (last_ts, user))
         self._g_buffered.inc(len(requests))
         self._g_users.set(len(self._buffers))
         self._g_tracked.set(self._tracked)
@@ -770,18 +762,11 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
         cold buffers back into memory just to finish them would spike
         usage over the budget at the exact moment it claims to bound.
         """
-        count, _, last_ts = self._spilled.pop(user)
-        self._g_spilled_users.set(len(self._spilled))
-        requests = self._spill_store.restore(user)
+        requests = self._unspill(user)
         if requests is None:
-            self._spill_lost += count
-            self._c_spill_lost.inc(count)
-            self._evict_watermarks[user] = last_ts
             return []
-        self._spill_restores += 1
-        self._c_restores.inc()
         sessions = self._finisher(list(requests))
-        self._closed += count
+        self._closed += len(requests)
         self._emitted += len(sessions)
         self._m_emitted.inc(len(sessions))
         return sessions
@@ -816,6 +801,32 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
         sessions = super()._finish(user_id)
         self._tracked -= freed
         return sessions
+
+    # -- replay state ------------------------------------------------------
+
+    def state(self) -> dict[str, Any]:
+        """The base pipeline's state plus the governor's ledger, per-user
+        accounting and quarantine channels.
+
+        Raises:
+            ExecutionError: as the base pipeline, and when users are
+                spilled (their cold buffers live outside the state).
+        """
+        if self._spilled:
+            raise ExecutionError("cannot capture a pipeline with spilled "
+                                 "users")
+        state = super().state()
+        state.update(_capture_fields(
+            self, GovernedStreamingReconstructor.STATE_FIELDS))
+        return state
+
+    def restore(self, state: Mapping[str, Any]) -> None:
+        """Replace the reconstruction state and rebuild the idle heap."""
+        super().restore(state)
+        _apply_fields(self, GovernedStreamingReconstructor.STATE_FIELDS,
+                      state)
+        self._idle_heap = sorted((last, user) for user, last
+                                 in self._user_last.items())
 
     # -- introspection -----------------------------------------------------
 

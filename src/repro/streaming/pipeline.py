@@ -41,13 +41,15 @@ Example::
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import Any, ClassVar
 
 from repro.core.config import SmartSRAConfig
 from repro.core.phase2 import maximal_sessions_fast
 from repro.exceptions import (
     ConfigurationError,
+    ExecutionError,
     LateEventError,
     ReconstructionError,
 )
@@ -65,6 +67,44 @@ __all__ = [
 
 #: turns one closed Phase-1 candidate into finished sessions.
 Finisher = Callable[[Sequence[Request]], list[Session]]
+
+
+def _capture_fields(owner: object,
+                    fields: Mapping[str, str]) -> dict[str, Any]:
+    """Encode ``owner``'s declared state fields (``key`` names attribute
+    ``_key``) as a JSON-ready dict sharing no mutable object with it.
+
+    Codecs: ``"requests"`` turns per-user request lists into
+    ``[timestamp, page, referrer, synthetic]`` rows; ``"plain"`` copies a
+    scalar or a str-keyed dict of scalars.
+    """
+    state: dict[str, Any] = {}
+    for key, codec in fields.items():
+        value = getattr(owner, "_" + key)
+        if codec == "requests":
+            value = {user: [[r.timestamp, r.page, r.referrer, r.synthetic]
+                            for r in requests]
+                     for user, requests in value.items()}
+        elif isinstance(value, dict):
+            value = value.copy()
+        state[key] = value
+    return state
+
+
+def _apply_fields(owner: object, fields: Mapping[str, str],
+                  state: Mapping[str, Any]) -> None:
+    """The inverse of :func:`_capture_fields`, copying as it goes."""
+    for key, codec in fields.items():
+        value = state[key]
+        if codec == "requests":
+            value = {user: [Request(float(timestamp), user, page,
+                                    bool(synthetic), referrer)
+                            for timestamp, page, referrer, synthetic
+                            in encoded]
+                     for user, encoded in value.items()}
+        elif isinstance(value, dict):
+            value = value.copy()
+        setattr(owner, "_" + key, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,6 +182,16 @@ class StreamingReconstructor:
         ConfigurationError: for an unknown ``late_policy`` or a negative
             ``reorder_window``.
     """
+
+    #: the replay state this class owns, key -> codec (see
+    #: :func:`_capture_fields`): every attribute that changes as events
+    #: flow, except the reorder buffer, which :meth:`state` requires empty.
+    STATE_FIELDS: ClassVar[dict[str, str]] = {
+        "buffers": "requests",
+        **dict.fromkeys(("max_seen", "flush_watermark", "emitted", "fed",
+                         "closed", "late_dropped", "duplicates_dropped"),
+                        "plain"),
+    }
 
     def __init__(self, finisher: Finisher,
                  config: SmartSRAConfig | None = None, *,
@@ -335,6 +385,28 @@ class StreamingReconstructor:
         self._g_buffered.dec(len(candidate))
         self._g_users.set(len(self._buffers))
         return sessions
+
+    # -- replay state ------------------------------------------------------
+
+    def state(self) -> dict[str, Any]:
+        """The complete reconstruction state, as a JSON-ready dict.
+
+        A pure function of the events fed so far: :meth:`restore` it into
+        a fresh pipeline built with the same arguments, feed the same
+        remaining events, and the output and :meth:`stats` are identical.
+        Metrics are not state; the registry's owner snapshots them.
+
+        Raises:
+            ExecutionError: when the reorder buffer holds requests.
+        """
+        if self._reorder:
+            raise ExecutionError("cannot capture a pipeline with a "
+                                 "non-empty reorder buffer")
+        return _capture_fields(self, StreamingReconstructor.STATE_FIELDS)
+
+    def restore(self, state: Mapping[str, Any]) -> None:
+        """Replace this pipeline's reconstruction state with ``state``."""
+        _apply_fields(self, StreamingReconstructor.STATE_FIELDS, state)
 
     # -- introspection -------------------------------------------------------
 

@@ -19,10 +19,11 @@ supervises liveness; workers are otherwise autonomous.
 Crash safety rests on three pieces:
 
 * **Acked capsules.**  Every ``ack_interval`` events (and after every
-  watermark flush) a worker captures its *entire* reconstruction state —
-  open candidate buffers, per-user cap strikes, quarantine channels,
-  eviction watermarks, ledger counters — as a capsule that is a pure
-  function of the events processed so far, and ships it inside its ACK.
+  watermark flush) a worker ships a capsule inside its ACK: the schema
+  stamp, the pipeline's own ``state()`` (its declared replay state — a
+  pure function of the events processed so far) and the worker
+  registry's ``snapshot()``, so a respawned worker resumes both its
+  sessions and its metrics exactly where the ACK left them.
   Because the pipe is FIFO, an ACK for event ``k`` proves the
   coordinator already holds every session emitted by events ``<= k``;
   those sessions become *durable* and the events are trimmed from the
@@ -60,12 +61,16 @@ the ledger), ``raise`` turns the first worker loss into
 Byte-identity scope
 -------------------
 
-Per-user degradation (caps, strikes, quarantine) depends only on that
-user's own substream, so it shards transparently.  *Global*-budget
-eviction depends on every user's interleaving and is therefore not
-byte-stable across shard counts — run byte-exact comparisons with a
-budget generous enough that global eviction never fires (the default
-here), exactly as :func:`repro.faults.execution.run_shard_selftest`
+Failover is exact at a fixed shard count under any budget: eviction
+victims are chosen from the captured state alone, so a killed run seals
+the same sessions, ledger and merged metrics as an unkilled run with the
+same number of shards.  Across shard counts, per-user degradation (caps,
+strikes, quarantine) still shards transparently, because it depends only
+on that user's own substream.  *Global*-budget eviction depends on every
+user's interleaving and is therefore not byte-stable across shard
+counts — compare different shard counts (or sharded against serial)
+with a budget generous enough that global eviction never fires (the
+default here), exactly as :func:`repro.faults.execution.run_shard_selftest`
 does.
 """
 
@@ -115,7 +120,7 @@ __all__ = [
 SHARD_FAILURE_POLICIES = ("failover", "shed-shard", "raise")
 
 #: schema version of capsules and persisted replay logs.
-REPLAY_SCHEMA = 1
+REPLAY_SCHEMA = 2
 
 #: bytes read from a pipe per syscall.
 _READ_CHUNK = 1 << 16
@@ -421,65 +426,15 @@ class ReplayLog:
 # worker state capsules
 
 
-def _encode_request(request: Request) -> list[Any]:
-    return [request.timestamp, request.page, request.referrer,
-            request.synthetic]
-
-
-def _decode_request(user: str, parts: list[Any]) -> Request:
-    return Request(float(parts[0]), user, parts[1], bool(parts[3]), parts[2])
-
-
 def capsule_from(pipeline: Any) -> dict[str, Any]:
-    """Capture a governed pipeline's complete reconstruction state.
+    """The schema stamp plus the pipeline's replay ``state()``.
 
-    The capsule is a pure function of the events fed so far, which is
-    what makes replay deterministic: restore it into a fresh pipeline,
-    feed the same remaining events, and the emitted sessions and final
-    stats are identical.  Two preconditions keep that true — the reorder
-    buffer must be empty (shard workers run with ``reorder_window=0``;
-    the coordinator reorders *before* routing) and no user may be
-    spilled to disk (spill files die with the worker, so workers skip
-    capsule refreshes while any cold buffer is on disk).
+    ``state()`` needs an empty reorder buffer and no spilled users: shard
+    workers run with ``reorder_window=0`` (the coordinator reorders
+    *before* routing) and skip capsule refreshes while any cold buffer is
+    on disk (spill files die with the worker).
     """
-    if getattr(pipeline, "_spilled", None):
-        raise ExecutionError("cannot capsule a pipeline with spilled users")
-    if pipeline._reorder:
-        raise ExecutionError("cannot capsule a pipeline with a non-empty "
-                             "reorder buffer")
-    return {
-        "schema": REPLAY_SCHEMA,
-        "buffers": {user: [_encode_request(r) for r in requests]
-                    for user, requests in pipeline._buffers.items()},
-        "quarantine": {user: [_encode_request(r) for r in requests]
-                       for user, requests in pipeline._quarantine.items()},
-        "evict_watermarks": dict(pipeline._evict_watermarks),
-        "cap_strikes": dict(pipeline._cap_strikes),
-        "user_bytes": dict(pipeline._user_bytes),
-        "user_last": dict(pipeline._user_last),
-        "flush_watermark": pipeline._flush_watermark,
-        "max_seen": pipeline._max_seen,
-        "counters": {
-            "fed": pipeline._fed,
-            "closed": pipeline._closed,
-            "emitted": pipeline._emitted,
-            "late_dropped": pipeline._late_dropped,
-            "duplicates_dropped": pipeline._duplicates_dropped,
-            "evictions": pipeline._evictions,
-            "evicted_requests": pipeline._evicted_requests,
-            "evicted_via_finish": pipeline._evicted_via_finish,
-            "shed": pipeline._shed,
-            "spill_writes": pipeline._spill_writes,
-            "spill_restores": pipeline._spill_restores,
-            "spill_lost": pipeline._spill_lost,
-            "quarantine_bytes": dict(pipeline._quarantine_bytes),
-            "quarantine_flushes": pipeline._quarantine_flushes,
-            "cap_strikes_total": pipeline._cap_strikes_total,
-            "tracked": pipeline._tracked,
-            "peak_tracked": pipeline._peak_tracked,
-            "feed_ordinal": pipeline._feed_ordinal,
-        },
-    }
+    return {"schema": REPLAY_SCHEMA, "state": pipeline.state()}
 
 
 def restore_capsule(pipeline: Any, capsule: dict[str, Any]) -> None:
@@ -487,52 +442,7 @@ def restore_capsule(pipeline: Any, capsule: dict[str, Any]) -> None:
     if capsule.get("schema") != REPLAY_SCHEMA:
         raise ExecutionError(
             f"capsule schema {capsule.get('schema')!r} != {REPLAY_SCHEMA}")
-    pipeline._buffers = {
-        user: [_decode_request(user, parts) for parts in encoded]
-        for user, encoded in capsule["buffers"].items()}
-    pipeline._quarantine = {
-        user: [_decode_request(user, parts) for parts in encoded]
-        for user, encoded in capsule["quarantine"].items()}
-    pipeline._evict_watermarks = {
-        user: float(value)
-        for user, value in capsule["evict_watermarks"].items()}
-    pipeline._cap_strikes = {user: int(value) for user, value
-                             in capsule["cap_strikes"].items()}
-    pipeline._user_bytes = {user: int(value) for user, value
-                            in capsule["user_bytes"].items()}
-    pipeline._user_last = {user: float(value) for user, value
-                           in capsule["user_last"].items()}
-    # the idle heap is rebuilt in (timestamp, user) order with fresh
-    # sequence numbers; exact tie order only matters once global-budget
-    # eviction fires, which is outside the byte-identity scope anyway.
-    rebuilt = sorted((last, user)
-                     for user, last in pipeline._user_last.items())
-    pipeline._idle_heap = [(last, seq, user)
-                           for seq, (last, user) in enumerate(rebuilt)]
-    pipeline._heap_seq = len(rebuilt)
-    pipeline._flush_watermark = float(capsule["flush_watermark"])
-    pipeline._max_seen = float(capsule["max_seen"])
-    counters = capsule["counters"]
-    pipeline._fed = int(counters["fed"])
-    pipeline._closed = int(counters["closed"])
-    pipeline._emitted = int(counters["emitted"])
-    pipeline._late_dropped = int(counters["late_dropped"])
-    pipeline._duplicates_dropped = int(counters["duplicates_dropped"])
-    pipeline._evictions = int(counters["evictions"])
-    pipeline._evicted_requests = int(counters["evicted_requests"])
-    pipeline._evicted_via_finish = int(counters["evicted_via_finish"])
-    pipeline._shed = int(counters["shed"])
-    pipeline._spill_writes = int(counters["spill_writes"])
-    pipeline._spill_restores = int(counters["spill_restores"])
-    pipeline._spill_lost = int(counters["spill_lost"])
-    pipeline._quarantine_bytes = {
-        user: int(value)
-        for user, value in counters["quarantine_bytes"].items()}
-    pipeline._quarantine_flushes = int(counters["quarantine_flushes"])
-    pipeline._cap_strikes_total = int(counters["cap_strikes_total"])
-    pipeline._tracked = int(counters["tracked"])
-    pipeline._peak_tracked = int(counters["peak_tracked"])
-    pipeline._feed_ordinal = int(counters["feed_ordinal"])
+    pipeline.restore(capsule["state"])
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +485,10 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
         if getattr(pipeline, "_spilled", None):
             return
         document = progress_document()
+        # the registry rides along, so a respawned worker's metrics
+        # resume where this incarnation's stood at the ACK.
         document["capsule"] = capsule_from(pipeline)
+        document["capsule"]["metrics"] = registry.snapshot()
         out += wire.json_frame(wire.ACK, document)
 
     try:
@@ -591,6 +504,7 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
                 if kind == wire.CAP:
                     capsule = wire.decode_json(payload)
                     restore_capsule(pipeline, capsule)
+                    registry.merge_snapshot(capsule["metrics"])
                     ordinal = int(capsule["ordinal"])
                     wm_index = int(capsule["wm_index"])
                     continue

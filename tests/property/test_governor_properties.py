@@ -1,15 +1,17 @@
 """Property tests: the governor's ledger always reconciles, its budget
-always binds, and an unpressured governor never changes output."""
+always binds, an unpressured governor never changes output, and a
+``state()`` -> ``restore()`` round trip never changes it either."""
 
 from __future__ import annotations
 
+import json
 import random
 import tempfile
 
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import OverloadError
-from repro.sessions.model import Request
+from repro.sessions.model import Request, SessionSet
 from repro.streaming.governor import GovernorConfig, request_cost
 from repro.streaming.pipeline import streaming_phase1, streaming_smart_sra
 from repro.topology.generators import random_site
@@ -147,3 +149,45 @@ def test_request_cost_covers_every_admitted_request(requests):
     expected = sum(request_cost(r) for buffer
                    in pipeline._buffers.values() for r in buffer)
     assert stats.tracked_bytes == expected
+
+
+@st.composite
+def tied_stream(draw):
+    """Several users per timestamp, so eviction victims tie on idle
+    time and the tie-break decides who is force-finished."""
+    rng = random.Random(draw(st.integers(0, 5000)))
+    clock = 0.0
+    requests = []
+    for _ in range(draw(st.integers(0, 120))):
+        if rng.random() < 0.3:
+            clock += rng.choice((1.0, 10.0, 400.0))
+        requests.append(Request(clock, f"u{rng.randrange(8)}",
+                                f"P{rng.randrange(5)}"))
+    return requests
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_stream(), st.integers(600, 1500), st.data())
+def test_restore_matches_the_uninterrupted_run_under_eviction(
+        requests, budget, data):
+    """Capture at a random split point, restore (through JSON, as the
+    sharded runtime ships it) into a fresh pipeline, and finish: output
+    and ledger equal the uninterrupted run's, eviction included."""
+    split = data.draw(st.integers(0, len(requests)))
+    governor = GovernorConfig(memory_budget=budget, per_user_cap=16,
+                              quarantine_after=2, quarantine_cap=16)
+
+    def fresh():
+        return streaming_phase1(governor=governor, late_policy="drop",
+                                dedup=True)
+
+    reference = fresh()
+    expected = reference.feed_many(requests) + reference.flush()
+    first = fresh()
+    resumed = first.feed_many(requests[:split])
+    second = fresh()
+    second.restore(json.loads(json.dumps(first.state())))
+    resumed += second.feed_many(requests[split:]) + second.flush()
+    assert (SessionSet(resumed).canonical_digest()
+            == SessionSet(expected).canonical_digest())
+    assert second.stats() == reference.stats()

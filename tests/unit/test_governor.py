@@ -9,10 +9,12 @@ import pytest
 
 from repro.exceptions import (
     ConfigurationError,
+    ExecutionError,
     LateEventError,
     OverloadError,
 )
-from repro.sessions.model import Request
+from repro.obs import Registry
+from repro.sessions.model import Request, Session
 from repro.simulator.adversarial import adversarial_workload
 from repro.streaming import streaming_phase1, streaming_smart_sra
 from repro.streaming.governor import (
@@ -325,6 +327,26 @@ class TestBlockPolicy:
         assert stats.spill_lost > 0
         assert stats.reconciles()            # the loss is accounted
 
+    def test_restore_flushes_quarantine_to_stay_in_budget(self, tmp_path):
+        # two quarantined crawlers fill their side channels while "c" is
+        # cold on disk; making room for c's restore must flush a channel
+        # when no open candidate is left to spill or evict.
+        governor = GovernorConfig(
+            memory_budget=2048, per_user_cap=8, quarantine_after=2,
+            quarantine_cap=16, overload_policy="block",
+            spill_dir=str(tmp_path / "spill"))
+        pipeline = streaming_phase1(governor=governor, registry=Registry())
+        stream = [Request(0.0, "c", f"P{i}") for i in range(7)]
+        for user in ("q1", "q2"):
+            stream += [Request(0.0, user, f"P{i % 6}") for i in range(27)]
+        stream.append(Request(0.0, "c", "P7"))
+        pipeline.feed_many(stream)
+        stats = pipeline.stats()
+        assert stats.spill_restores == 1 and stats.quarantined_users == 2
+        assert stats.quarantine_flushes >= 1
+        assert stats.peak_tracked_bytes <= 2048
+        assert stats.reconciles()
+
 
 # -- quarantine --------------------------------------------------------------
 
@@ -397,6 +419,78 @@ class TestQuarantine:
         # behind the eviction watermark itself is late too, earlier check.
         with pytest.raises(LateEventError, match="force-finished"):
             pipeline.feed(Request(6.0, "bot", "B"))
+
+
+# -- replay state ------------------------------------------------------------
+
+
+class TestReplayState:
+    """``state()`` must cover every attribute that events can change."""
+
+    def _drive(self, pipeline):
+        stream = []
+        for step in range(40):               # a never-idle crawler
+            stream.append(Request(step * 2.0, "crawler", f"P{step % 7}"))
+        for step in range(60):               # many users, tight budget
+            stream.append(Request(100.0 + step, f"u{step % 15}",
+                                  f"P{step % 5}"))
+        stream.append(Request(200.0, "u0", "P9"))
+        stream.append(Request(200.0, "u0", "P9"))      # duplicate
+        stream.append(Request(199.0, "u0", "P1"))      # late for u0
+        for request in stream:
+            pipeline.feed(request)
+
+    def test_every_changed_attribute_is_declared_state(self):
+        registry = Registry()
+
+        def finisher(candidate):
+            return [Session(candidate)]
+
+        def build():
+            return GovernedStreamingReconstructor(
+                finisher, governor=GovernorConfig(
+                    memory_budget=1500, per_user_cap=8, quarantine_after=2,
+                    quarantine_cap=64),
+                late_policy="drop", dedup=True, registry=registry)
+
+        fresh, driven = build(), build()
+        self._drive(driven)
+        stats = driven.stats()
+        assert stats.late_dropped and stats.duplicates_dropped
+        assert stats.quarantined_users and stats.quarantine_buffered
+        assert stats.evictions > stats.cap_strikes > 0   # global eviction
+        before, after = vars(fresh), vars(driven)
+        assert before.keys() == after.keys()
+        changed = {name for name in after if after[name] != before[name]}
+        declared = {"_" + key for key in driven.state()}
+        # the idle heap is derived from _user_last on restore; _reorder
+        # and _spilled are empty by state()'s precondition.
+        assert changed - declared == {"_idle_heap"}
+        assert not driven._reorder and not driven._spilled
+
+    def test_state_shares_no_object_with_the_pipeline(self):
+        pipeline = streaming_phase1(governor=GovernorConfig(),
+                                    registry=Registry())
+        pipeline.feed(Request(0.0, "u", "P1"))
+        state = pipeline.state()
+        state["buffers"]["u"][0][1] = "mutated"
+        state["user_last"]["u"] = 99.0
+        assert pipeline.state() != state
+        restored = streaming_phase1(governor=GovernorConfig(),
+                                    registry=Registry())
+        restored.restore(state)
+        state["buffers"]["u"].clear()
+        assert restored.state()["buffers"]["u"][0][1] == "mutated"
+
+    def test_state_refuses_spilled_users(self, tmp_path):
+        pipeline = streaming_phase1(governor=GovernorConfig(
+            memory_budget=600, overload_policy="block",
+            spill_dir=str(tmp_path)), registry=Registry())
+        for step in range(12):
+            pipeline.feed(Request(float(step), f"u{step}", "P1"))
+        assert pipeline.stats().spilled_requests
+        with pytest.raises(ExecutionError, match="spilled"):
+            pipeline.state()
 
 
 # -- mem-pressure fault ------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SmartSRAConfig
-from repro.exceptions import ReconstructionError
+from repro.exceptions import ExecutionError, ReconstructionError
 from repro.sessions.model import Request
 from repro.streaming.pipeline import (
     StreamingReconstructor,
@@ -122,6 +122,32 @@ class TestEquivalenceWithBatch:
         streamed.extend(pipeline.flush())
         assert sorted((s.user_id, s.pages) for s in batch) == sorted(
             (s.user_id, s.pages) for s in streamed)
+
+
+class TestReplayState:
+    def test_restored_pipeline_continues_identically(self, chain_site):
+        stream = [Request(0.0, "u", "A"), Request(MIN, "v", "A"),
+                  Request(2 * MIN, "u", "B"), Request(3 * MIN, "u", "B"),
+                  Request(40 * MIN, "v", "B"), Request(41 * MIN, "u", "C")]
+        reference, first, second = (
+            streaming_smart_sra(chain_site, dedup=True) for _ in range(3))
+        head = first.feed_many(stream[:4]) + first.flush(15 * MIN)
+        assert head                          # the watermark closed some
+        second.restore(first.state())
+        expected = (reference.feed_many(stream[:4])
+                    + reference.flush(15 * MIN)
+                    + reference.feed_many(stream[4:]) + reference.flush())
+        assert (head + second.feed_many(stream[4:]) + second.flush()
+                == expected)
+        assert second.stats() == reference.stats()
+
+    def test_state_refuses_a_non_empty_reorder_buffer(self, chain_site):
+        pipeline = streaming_smart_sra(chain_site, reorder_window=MIN)
+        pipeline.feed(Request(0.0, "u", "A"))
+        with pytest.raises(ExecutionError, match="reorder buffer"):
+            pipeline.state()
+        pipeline.flush()
+        assert pipeline.state()["emitted"] == 1
 
 
 class TestCustomFinisher:
