@@ -62,8 +62,7 @@ from repro.exceptions import ConfigurationError, ExecutionError, OverloadError
 from repro.obs import snapshot_digest
 from repro.parallel.checkpoint import atomic_write_json
 from repro.sessions.model import Request, Session
-from repro.streaming.pipeline import (StreamingReconstructor, StreamingStats,
-                                     _apply_fields, _capture_fields)
+from repro.streaming.pipeline import StreamingReconstructor, StreamingStats
 
 __all__ = [
     "OVERLOAD_POLICIES",
@@ -386,7 +385,9 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
 
     #: the replay state this class adds to the base pipeline's (see
     #: :meth:`state`); the idle heap is derived from ``user_last``, and
-    #: spilled users must be absent.
+    #: spilled users must be absent.  Every dict is keyed by user id, and
+    #: each code path that changes a user's entries marks the user in
+    #: ``_touched`` (see :meth:`delta`).
     STATE_FIELDS: ClassVar[dict[str, str]] = {
         "quarantine": "requests",
         **dict.fromkeys(
@@ -645,6 +646,8 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
                 f"out-of-order request for quarantined user {user!r}: "
                 f"{request.timestamp} after {channel[-1].timestamp}")
         channel.append(request)
+        if self._touched is not None:
+            self._touched.add(user)
         self._fed += 1
         self._m_fed.inc()
         cost = request_cost(request)
@@ -670,6 +673,8 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
         cap is precisely the bound the governor already promises.
         """
         channel = self._quarantine[user]
+        if self._touched is not None:
+            self._touched.add(user)
         if reopen:
             self._quarantine[user] = []
             self._quarantine_bytes[user] = 0
@@ -708,6 +713,8 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
     def _spill_user(self, user: str) -> None:
         """Move ``user``'s cold buffer to disk (no sessions emitted)."""
         buffer = self._buffers.pop(user)
+        if self._touched is not None:
+            self._touched.add(user)
         self._spill_store.spill(user, buffer)
         freed = self._user_bytes.pop(user, 0)
         self._tracked -= freed
@@ -804,29 +811,24 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
 
     # -- replay state ------------------------------------------------------
 
-    def state(self) -> dict[str, Any]:
-        """The base pipeline's state plus the governor's ledger, per-user
-        accounting and quarantine channels.
-
-        Raises:
-            ExecutionError: as the base pipeline, and when users are
-                spilled (their cold buffers live outside the state).
-        """
+    def _require_capturable(self) -> None:
+        """As the base pipeline, and no user may be spilled: cold buffers
+        live outside the state."""
+        super()._require_capturable()
         if self._spilled:
             raise ExecutionError("cannot capture a pipeline with spilled "
                                  "users")
-        state = super().state()
-        state.update(_capture_fields(
-            self, GovernedStreamingReconstructor.STATE_FIELDS))
-        return state
 
     def restore(self, state: Mapping[str, Any]) -> None:
         """Replace the reconstruction state and rebuild the idle heap."""
         super().restore(state)
-        _apply_fields(self, GovernedStreamingReconstructor.STATE_FIELDS,
-                      state)
         self._idle_heap = sorted((last, user) for user, last
                                  in self._user_last.items())
+
+    @property
+    def has_spilled(self) -> bool:
+        """Whether user buffers are spilled to disk right now."""
+        return bool(self._spilled)
 
     # -- introspection -----------------------------------------------------
 

@@ -18,12 +18,17 @@ supervises liveness; workers are otherwise autonomous.
 
 Crash safety rests on three pieces:
 
-* **Acked capsules.**  Every ``ack_interval`` events (and after every
-  watermark flush) a worker ships a capsule inside its ACK: the schema
-  stamp, the pipeline's own ``state()`` (its declared replay state — a
-  pure function of the events processed so far) and the worker
-  registry's ``snapshot()``, so a respawned worker resumes both its
-  sessions and its metrics exactly where the ACK left them.
+* **Acked capsules.**  The coordinator keeps, per shard, the last acked
+  capsule: the schema stamp, the pipeline's own ``state()`` (its
+  declared replay state — a pure function of the events processed so
+  far) and the worker registry's ``snapshot()``, so a respawned worker
+  resumes both its sessions and its metrics exactly where the ACK left
+  them.  Every ``ack_interval`` events (and after every watermark flush)
+  a worker ships only a capsule *delta* inside its ACK: the pipeline's
+  ``delta()`` since the last capsule it sent (or the CAP it was restored
+  from), plus the registry snapshot.  :func:`fold_capsule`, called by
+  :meth:`ReplayLog.ack`, folds it into the full capsule, so an ACK costs
+  the events since the previous one, not the buffered state.
   Because the pipe is FIFO, an ACK for event ``k`` proves the
   coordinator already holds every session emitted by events ``<= k``;
   those sessions become *durable* and the events are trimmed from the
@@ -98,7 +103,8 @@ from repro.parallel.checkpoint import atomic_write_json, load_verified_json
 from repro.parallel.supervisor import RetryPolicy
 from repro.sessions.model import Request, Session, SessionSet
 from repro.streaming import wire
-from repro.streaming.governor import GovernorConfig
+from repro.streaming.governor import (GovernedStreamingReconstructor,
+                                      GovernorConfig)
 from repro.streaming.pipeline import streaming_phase1, streaming_smart_sra
 
 __all__ = [
@@ -114,6 +120,7 @@ __all__ = [
     "shard_for",
     "capsule_from",
     "restore_capsule",
+    "fold_capsule",
 ]
 
 #: what to do when a shard worker dies or wedges.
@@ -284,7 +291,8 @@ class ReplayLog:
     """Bounded per-shard log of unacked events and watermark marks.
 
     The in-memory deque is authoritative; when ``directory`` is set,
-    every ack also persists the log (capsule, base ordinals, entries)
+    every ack also persists the log (the full folded capsule, base
+    ordinals, entries)
     with the atomic, digest-sealed JSON idiom of
     :mod:`repro.parallel.checkpoint`, and :meth:`recover` prefers the
     verified disk copy — falling back to memory and counting an
@@ -344,8 +352,9 @@ class ReplayLog:
         self._events = 0
 
     def ack(self, ordinal: int, wm_index: int,
-            capsule: dict[str, Any] | None) -> int:
-        """Trim entries covered by an ACK; returns trimmed event count."""
+            delta: dict[str, Any] | None = None) -> int:
+        """Trim entries covered by an ACK and fold its capsule ``delta``
+        (see :func:`fold_capsule`); returns the trimmed event count."""
         trimmed = 0
         entries = self.entries
         while entries:
@@ -360,8 +369,9 @@ class ReplayLog:
                 break
         self.base_ordinal = max(self.base_ordinal, ordinal)
         self.base_wm = max(self.base_wm, wm_index)
-        if capsule is not None:
-            self.capsule = capsule
+        if delta is not None:
+            self.capsule = fold_capsule(self.capsule, delta, ordinal,
+                                        wm_index)
         if self.directory is not None:
             self.persist()
         return trimmed
@@ -398,6 +408,9 @@ class ReplayLog:
     def recover(self) -> tuple[dict[str, Any] | None, list[list[Any]]]:
         """State to rebuild a worker from: ``(capsule, entries)``.
 
+        The returned capsule becomes the log's own, the base the respawned
+        worker's next delta folds into; do not mutate it.
+
         The in-memory log is authoritative while this coordinator is
         alive — events routed since the last ack exist *only* in memory,
         because persistence happens at ack boundaries.  The
@@ -418,7 +431,8 @@ class ReplayLog:
                 memory_last = self._last_ordinal(self.base_ordinal,
                                                  list(self.entries))
                 if disk_last >= memory_last:
-                    return document.get("capsule"), list(document["entries"])
+                    self.capsule = document.get("capsule")
+                    return self.capsule, list(document["entries"])
         return self.capsule, [list(entry) for entry in self.entries]
 
 
@@ -431,8 +445,8 @@ def capsule_from(pipeline: Any) -> dict[str, Any]:
 
     ``state()`` needs an empty reorder buffer and no spilled users: shard
     workers run with ``reorder_window=0`` (the coordinator reorders
-    *before* routing) and skip capsule refreshes while any cold buffer is
-    on disk (spill files die with the worker).
+    *before* routing) and skip ACKs while any cold buffer is on disk
+    (spill files die with the worker).
     """
     return {"schema": REPLAY_SCHEMA, "state": pipeline.state()}
 
@@ -443,6 +457,35 @@ def restore_capsule(pipeline: Any, capsule: dict[str, Any]) -> None:
         raise ExecutionError(
             f"capsule schema {capsule.get('schema')!r} != {REPLAY_SCHEMA}")
     pipeline.restore(capsule["state"])
+
+
+def fold_capsule(capsule: dict[str, Any] | None, delta: dict[str, Any],
+                 ordinal: int, wm_index: int) -> dict[str, Any]:
+    """Fold an ACK's capsule delta into the acked ``capsule``, in place.
+
+    ``delta`` holds the worker pipeline's ``delta()`` (``state``), its
+    registry ``snapshot()`` (``metrics``) and the ``[ordinal, wm_index]``
+    stamp of the capsule it extends (``base``; ``None`` for a fresh
+    worker, whose state folds from empty).  The result is the full
+    capsule at ``ordinal`` / ``wm_index``, as :func:`capsule_from` plus
+    those stamps would have cut it.
+
+    Raises:
+        ExecutionError: when ``base`` is not ``capsule``'s stamp.
+    """
+    stamp = (None if capsule is None
+             else [capsule["ordinal"], capsule["wm_index"]])
+    if delta["base"] != stamp:
+        raise ExecutionError(
+            f"capsule delta extends {delta['base']!r}, but the acked "
+            f"capsule is at {stamp!r}")
+    if capsule is None:
+        capsule = {"schema": REPLAY_SCHEMA, "state": {}}
+    GovernedStreamingReconstructor.fold(capsule["state"], delta["state"])
+    capsule["metrics"] = delta["metrics"]
+    capsule["ordinal"] = ordinal
+    capsule["wm_index"] = wm_index
+    return capsule
 
 
 # ---------------------------------------------------------------------------
@@ -471,24 +514,31 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
     encoder = wire.SymbolEncoder()
     registry = Registry()
     pipeline = builder(registry)
+    pipeline.track_changes()
     ordinal = 0
     wm_index = 0
+    # the stamp of the capsule the coordinator folds the next delta into:
+    # the last one sent, or the restored CAP (None: the empty state).
+    base: list[int] | None = None
 
     def progress_document() -> dict[str, Any]:
         return {"ordinal": ordinal, "wm_index": wm_index,
-                "watermark": pipeline._max_seen}
+                "watermark": pipeline.max_seen}
 
     def maybe_ack(out: bytearray) -> None:
+        nonlocal base
         # spilled cold buffers live in this process's temp dir and die
         # with it — a capsule taken now could not be replayed, so keep
-        # the previous one and let the log carry the extra events.
-        if getattr(pipeline, "_spilled", None):
+        # the previous one and let the log carry the extra events; the
+        # delta base stays put until the next ACK.
+        if pipeline.has_spilled:
             return
         document = progress_document()
         # the registry rides along, so a respawned worker's metrics
         # resume where this incarnation's stood at the ACK.
-        document["capsule"] = capsule_from(pipeline)
-        document["capsule"]["metrics"] = registry.snapshot()
+        document["delta"] = {"base": base, "state": pipeline.delta(),
+                             "metrics": registry.snapshot()}
+        base = [ordinal, wm_index]
         out += wire.json_frame(wire.ACK, document)
 
     try:
@@ -503,10 +553,12 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
                     continue
                 if kind == wire.CAP:
                     capsule = wire.decode_json(payload)
+                    # restore() also rebases the pipeline's deltas.
                     restore_capsule(pipeline, capsule)
                     registry.merge_snapshot(capsule["metrics"])
                     ordinal = int(capsule["ordinal"])
                     wm_index = int(capsule["wm_index"])
+                    base = [ordinal, wm_index]
                     continue
                 if kind == wire.EVT:
                     ts, user, page, referrer, synthetic = \
@@ -959,13 +1011,15 @@ class ShardedStreamingRuntime:
             handle.pending.extend(handle.decoder.decode_sessions(payload))
             return
         if kind == wire.ACK:
+            self._registry.counter("sharded.ack.bytes",
+                                   shard=str(handle.shard)).inc(len(payload))
             document = wire.decode_json(payload)
             self._absorb_progress(handle, document,
-                                  capsule=document.get("capsule"))
+                                  delta=document.get("delta"))
             return
         if kind == wire.DONE:
             document = wire.decode_json(payload)
-            self._absorb_progress(handle, document, capsule=None)
+            self._absorb_progress(handle, document, delta=None)
             handle.done = document
             handle.state = "done"
             handle.watermark = math.inf
@@ -985,14 +1039,10 @@ class ShardedStreamingRuntime:
 
     def _absorb_progress(self, handle: _ShardHandle,
                          document: dict[str, Any],
-                         capsule: dict[str, Any] | None) -> None:
-        if capsule is not None:
-            capsule = dict(capsule)
-            capsule["ordinal"] = document["ordinal"]
-            capsule["wm_index"] = document["wm_index"]
+                         delta: dict[str, Any] | None) -> None:
         log = self._logs[handle.shard]
         trimmed = log.ack(int(document["ordinal"]),
-                          int(document["wm_index"]), capsule)
+                          int(document["wm_index"]), delta)
         self._ledger.ack(handle.shard, trimmed)
         watermark = float(document["watermark"])
         if watermark > handle.watermark:

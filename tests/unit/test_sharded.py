@@ -21,10 +21,10 @@ from repro.obs import Registry
 from repro.sessions.model import Request, Session, SessionSet
 from repro.streaming import (ShardedConfig, ShardedStreamingRuntime,
                              audit_sharded_config, shard_for,
-                             streaming_smart_sra)
+                             streaming_phase1, streaming_smart_sra)
 from repro.streaming.governor import GovernorConfig
-from repro.streaming.sharded import (ReplayLog, ShardLedger, capsule_from,
-                                     restore_capsule)
+from repro.streaming.sharded import (REPLAY_SCHEMA, ReplayLog, ShardLedger,
+                                     capsule_from, restore_capsule)
 from repro.streaming import wire
 from repro.topology.generators import random_site
 
@@ -233,7 +233,22 @@ class TestShardLedger:
             ledger.ack(0, 2)
 
 
+def _wire(document):
+    """``document`` as the coordinator decodes it off the pipe."""
+    return wire.decode_json(json.dumps(document).encode("utf-8"))
+
+
 class TestReplayLog:
+
+    def _tracked(self):
+        pipeline = streaming_phase1(governor=GovernorConfig(per_user_cap=4),
+                                    registry=Registry())
+        pipeline.track_changes()
+        return pipeline
+
+    def _delta(self, pipeline, base):
+        return _wire({"base": base, "state": pipeline.delta(),
+                      "metrics": {}})
 
     def test_append_ack_trims_to_the_boundary(self):
         log = ReplayLog(0, capacity=8)
@@ -242,11 +257,61 @@ class TestReplayLog:
                                     None, False)
         log.append_watermark(1, 3.0)
         assert log.event_count == 5
-        trimmed = log.ack(3, 1, capsule={"schema": 1})
+        pipeline = self._tracked()
+        trimmed = log.ack(3, 1, self._delta(pipeline, None))
         assert trimmed == 3
         assert log.event_count == 2
         assert log.base_ordinal == 3 and log.base_wm == 1
-        assert log.capsule == {"schema": 1}
+        assert log.capsule == {"schema": REPLAY_SCHEMA,
+                               "state": _wire(pipeline.state()),
+                               "metrics": {},
+                               "ordinal": 3, "wm_index": 1}
+
+    def test_ack_folds_each_delta_into_the_full_capsule(self):
+        log = ReplayLog(0, capacity=64)
+        pipeline = self._tracked()
+        base = None
+        stream = [Request(float(t), f"u{t % 3}", f"P{t % 5}")
+                  for t in range(0, 4000, 97)]
+        for ordinal, request in enumerate(stream, start=1):
+            log.append_event(ordinal, request.timestamp, request.user_id,
+                             request.page, None, False)
+            pipeline.feed(request)
+            if ordinal % 5 == 0:
+                pipeline.flush(request.timestamp - 600.0)
+                log.ack(ordinal, 0, self._delta(pipeline, base))
+                base = [ordinal, 0]
+                assert log.capsule["state"] == _wire(pipeline.state())
+                assert log.capsule["ordinal"] == ordinal
+        assert pipeline.stats().cap_strikes and pipeline.stats().evictions
+
+    def test_recover_returns_the_folded_capsule(self):
+        log = ReplayLog(0, capacity=8)
+        pipeline = self._tracked()
+        pipeline.feed(Request(0.0, "u", "/p"))
+        log.append_event(1, 0.0, "u", "/p", None, False)
+        log.ack(1, 0, self._delta(pipeline, None))
+        pipeline.feed(Request(1.0, "u", "/q"))
+        log.append_event(2, 1.0, "u", "/q", None, False)
+        log.ack(2, 0, self._delta(pipeline, [1, 0]))
+        log.append_event(3, 2.0, "v", "/p", None, False)
+        capsule, entries = log.recover()
+        assert capsule["state"] == _wire(pipeline.state())
+        assert capsule["ordinal"] == 2
+        assert entries == [["evt", 3, 2.0, "v", "/p", None, False]]
+        restored = streaming_phase1(governor=GovernorConfig(per_user_cap=4),
+                                    registry=Registry())
+        restore_capsule(restored, capsule)
+        assert restored.state() == pipeline.state()
+
+    def test_a_delta_on_another_base_is_refused(self):
+        log = ReplayLog(0, capacity=8)
+        pipeline = self._tracked()
+        log.ack(0, 1, self._delta(pipeline, None))
+        with pytest.raises(ExecutionError, match="extends"):
+            log.ack(0, 2, self._delta(pipeline, [5, 0]))
+        with pytest.raises(ExecutionError, match="extends"):
+            ReplayLog(1, capacity=8).ack(0, 1, self._delta(pipeline, [0, 1]))
 
     def test_capacity_refuses_further_events(self):
         log = ReplayLog(0, capacity=2)
@@ -257,14 +322,28 @@ class TestReplayLog:
 
     def test_persist_and_recover_roundtrip(self, tmp_path):
         log = ReplayLog(3, capacity=8, directory=str(tmp_path))
+        pipeline = self._tracked()
+        pipeline.feed(Request(1.0, "u", "/p"))
         log.append_event(1, 1.0, "u", "/p", None, False)
-        log.ack(1, 0, capsule={"schema": 1, "ordinal": 1})
+        log.ack(1, 0, self._delta(pipeline, None))
         log.append_event(2, 2.0, "u", "/q", "/p", True)
         log.persist()
-        capsule, entries = log.recover()
-        assert capsule == {"schema": 1, "ordinal": 1}
+        # a fresh coordinator resumes from the digest-verified disk copy.
+        resumed = ReplayLog(3, capacity=8, directory=str(tmp_path))
+        capsule, entries = resumed.recover()
+        assert capsule == log.capsule
+        assert capsule["schema"] == REPLAY_SCHEMA
         assert entries == [["evt", 2, 2.0, "u", "/q", "/p", True]]
-        assert log.integrity_failures == 0
+        assert resumed.integrity_failures == 0
+        restored = streaming_phase1(governor=GovernorConfig(per_user_cap=4),
+                                    registry=Registry())
+        restore_capsule(restored, capsule)
+        assert restored.state() == pipeline.state()
+        # the next delta of the worker restored from it folds on.
+        restored.track_changes()
+        restored.feed(Request(2.0, "u", "/q", True, "/p"))
+        resumed.ack(2, 0, self._delta(restored, [1, 0]))
+        assert resumed.capsule["state"] == _wire(restored.state())
 
     def test_corrupt_disk_copy_falls_back_to_memory(self, tmp_path):
         log = ReplayLog(0, capacity=8, directory=str(tmp_path))
@@ -369,9 +448,10 @@ class TestShardedRuntime:
 
     def test_fault_free_run_matches_serial(self, sharded_world):
         topology, requests = sharded_world
+        registry = Registry()
         runtime = ShardedStreamingRuntime(
             topology, sharded=ShardedConfig(shards=2, ack_interval=16),
-            registry=Registry())
+            registry=registry)
         result = runtime.run(requests, flush_interval=300.0)
         assert result.stats.reconciles()
         assert result.stats.fed == len(requests)
@@ -379,6 +459,9 @@ class TestShardedRuntime:
         assert (result.sessions.canonical_digest()
                 == self._serial_digest(topology, requests))
         assert len(result.shard_stats) == 2
+        counters = registry.snapshot()["counters"]
+        assert all(counters[f"sharded.ack.bytes{{shard={shard}}}"] > 0
+                   for shard in (0, 1))
 
     def test_single_shard_degenerates_to_serial(self, sharded_world):
         topology, requests = sharded_world
