@@ -26,6 +26,7 @@ And two for the fault-tolerant *execution* layer (A18):
 
 from __future__ import annotations
 
+import platform
 import time
 
 import pytest
@@ -40,6 +41,7 @@ from repro.logs.ingest import IngestReport, ingest_lines
 from repro.logs.reader import records_to_requests
 from repro.logs.users import IdentityAddressMap
 from repro.logs.writer import requests_to_records
+from repro.parallel import available_cpus
 from repro.simulator.population import simulate_population
 
 _AGENTS = 300
@@ -120,6 +122,8 @@ def test_policy_throughput_overhead(workload, results_dir):
     emit(results_dir, "fault_tolerance_throughput",
          f"Extension A16 — ingestion throughput per error policy "
          f"[{len(dirty)} dirty lines, 5% all-models chaos]\n"
+         f"  host: {available_cpus()} CPU(s) visible, Python "
+         f"{platform.python_version()}; best of 9 passes per policy\n"
          "  (*strict measured on the clean stream — it raises on dirty)\n"
          + "\n".join(rows) + "\n")
 

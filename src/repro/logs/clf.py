@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+from repro._slots import slot_init
 from repro.exceptions import LogFormatError
 
 __all__ = [
@@ -39,16 +40,19 @@ _MONTH_NUMBER = {name: number for number, name in enumerate(_MONTHS) if name}
 
 #: the CLF body plus an optional Combined tail: a full match takes the tail
 #: exactly when the line is Combined (it ends in a quote, CLF in a size).
+#: The date (``dd/Mon/yyyy``) and the zone (``±hhmm``) are one group each,
+#: so :func:`_parse` can look both up in a cache keyed on the raw text.
 _LINE_PATTERN = re.compile(
     r'(?P<host>\S+) (?P<ident>\S+) (?P<authuser>\S+) '
-    r'\[(?P<day>\d{2})/(?P<month>[A-Za-z]{3})/(?P<year>\d{4}):'
+    r'\[(?P<date>\d{2}/[A-Za-z]{3}/\d{4}):'
     r'(?P<hour>\d{2}):(?P<minute>\d{2}):(?P<second>\d{2}) '
-    r'(?P<tz_sign>[+-])(?P<tz_hours>\d{2})(?P<tz_minutes>\d{2})\] '
+    r'(?P<tz>[+-]\d{4})\] '
     r'"(?P<method>[A-Z]+) (?P<url>\S+) (?P<protocol>[^"]+)" '
     r'(?P<status>\d{3}) (?P<bytes>\d+|-)'
     r'(?: "(?P<referrer>[^"]*)" "(?P<user_agent>[^"]*)")?')
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class CLFRecord:
     """One access-log entry (the paper's seven CLF attributes).
@@ -162,48 +166,58 @@ def _parse(line: str, line_number: int | None,
            combined: bool | None = None) -> CLFRecord:
     """Match once and build one record; ``combined`` restricts the format
     (``None``: either)."""
-    match = _LINE_PATTERN.fullmatch(line.rstrip("\n"))
+    end = len(line)
+    while end and line[end - 1] == "\n":    # every trailing newline
+        end -= 1
+    match = _LINE_PATTERN.fullmatch(line, 0, end)
     if match is None or (combined is not None and combined
                          != (match.group("referrer") is not None)):
         raise LogFormatError(
             "line does not match Combined Log Format" if combined
             else "line does not match Common Log Format",
             line_number=line_number, line=line)
-    (host, ident, authuser, day, month, year, hour, minute, second,
-     tz_sign, tz_hours, tz_minutes, method, url, protocol, status, size,
-     referrer, user_agent) = match.groups()
+    (host, ident, authuser, date, hour, minute, second, tz, method, url,
+     protocol, status, size, referrer, user_agent) = match.groups()
     hours, minutes, seconds = int(hour), int(minute), int(second)
     try:
         if hours < 24 and minutes < 60 and seconds < 60:
-            epoch = (_day_epoch(year, month, day)
+            epoch = (_day_epoch(date)
                      + hours * 3600 + minutes * 60 + seconds)
         else:   # datetime names the first out-of-range field
-            epoch = _epoch(year, month, day, hours, minutes, seconds)
+            epoch = _epoch(date, hours, minutes, seconds)
     except KeyError:
-        raise LogFormatError(f"unknown month abbreviation {month!r}",
+        raise LogFormatError(f"unknown month abbreviation {date[3:6]!r}",
                              line_number=line_number, line=line) from None
     except ValueError as exc:
         raise LogFormatError(f"invalid date/time: {exc}",
                              line_number=line_number, line=line) from exc
-    offset = int(tz_hours) * 3600 + int(tz_minutes) * 60
-    epoch = epoch - offset if tz_sign == "+" else epoch + offset
-    return CLFRecord(host, float(epoch), method, url, protocol, int(status),
+    return CLFRecord(host, float(epoch + _tz_offset(tz)), method, url,
+                     protocol, int(status),
                      None if size == "-" else int(size), ident, authuser,
                      None if referrer == "-" else referrer,
                      None if user_agent == "-" else user_agent)
 
 
-def _epoch(year: str, month: str, day: str, hours: int = 0,
-           minutes: int = 0, seconds: int = 0) -> int:
-    """UTC epoch of a CLF date and time; raises ``KeyError`` for an unknown
-    month and ``ValueError`` (datetime's message) for an impossible one."""
-    moment = datetime(int(year), _MONTH_NUMBER[month.capitalize()], int(day),
-                      hours, minutes, seconds)
+def _epoch(date: str, hours: int = 0, minutes: int = 0,
+           seconds: int = 0) -> int:
+    """UTC epoch of a CLF ``dd/Mon/yyyy`` date and a time; raises
+    ``KeyError`` for an unknown month and ``ValueError`` (datetime's
+    message) for an impossible date or time."""
+    moment = datetime(int(date[7:]), _MONTH_NUMBER[date[3:6].capitalize()],
+                      int(date[:2]), hours, minutes, seconds)
     return calendar.timegm(moment.timetuple())
 
 
-#: midnight of a CLF date, cached: a log spans few days.
+#: midnight of a CLF date, cached on the raw date text: a log spans few
+#: days (and spells each month one way).
 _day_epoch = functools.lru_cache(maxsize=1024)(_epoch)
+
+
+@functools.lru_cache(maxsize=256)
+def _tz_offset(tz: str) -> int:
+    """Seconds to add to a local ``±hhmm`` time to get UTC."""
+    offset = int(tz[1:3]) * 3600 + int(tz[3:5]) * 60
+    return -offset if tz[0] == "+" else offset
 
 
 def page_to_url(page: str) -> str:

@@ -311,12 +311,12 @@ def _ingest(lines: Iterable[str], policy: ErrorPolicy,
         if enabled:
             m_total.inc()
             m_bytes.inc(len(line))
-        if not line.strip():
+        if not line or line.isspace():
             report.blank += 1
             m_blank.inc()
             continue
         try:
-            yield parse_log_line(line, line_number=line_number)
+            yield parse_log_line(line, line_number)
             report.parsed += 1
             if enabled:
                 m_parsed.inc()

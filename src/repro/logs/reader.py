@@ -127,6 +127,7 @@ def iter_requests(records: Iterable[CLFRecord],
                 f"record from {record.host!r} at t={record.timestamp} "
                 f"predates the watermark {watermark}")
         if not page_views_only or record.is_page_view:
+            referrer = record.referrer
             yield Request(record.timestamp, record.host, page(record.url),
-                          referrer=(page(record.referrer)
-                                    if record.referrer is not None else None))
+                          False,
+                          None if referrer is None else page(referrer))

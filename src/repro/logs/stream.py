@@ -213,12 +213,12 @@ def follow_log(path: str, poll_interval: float = 0.5,
                 line_number += 1
                 stats.lines += 1
                 m_lines.inc()
-                if not line.strip():
+                if not line or line.isspace():
                     stats.blank += 1
                     m_blank.inc()
                     continue
                 try:
-                    yield parse_log_line(line, line_number=line_number)
+                    yield parse_log_line(line, line_number)
                     stats.parsed += 1
                     m_parsed.inc()
                 except LogFormatError as error:

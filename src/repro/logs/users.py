@@ -19,7 +19,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.exceptions import LogFormatError
-from repro.logs.clf import CLFRecord, url_to_page
+from repro.logs.clf import CLFRecord
+from repro.logs.reader import iter_requests
 from repro.sessions.model import Request
 
 __all__ = ["UserAddressMap", "IdentityAddressMap", "partition_by_user"]
@@ -113,16 +114,16 @@ def partition_by_user(records: Iterable[CLFRecord],
             already cleaned the log.
 
     Returns:
-        ``{ip: [Request, …]}`` with each list sorted by timestamp.  Request
-        ``user_id`` is the record's host IP and ``page`` the URL mapped
-        through :func:`~repro.logs.clf.url_to_page`.
+        ``{ip: [Request, …]}`` with each list sorted by timestamp.  Each
+        request is the record's projection by
+        :func:`~repro.logs.reader.iter_requests`: ``user_id`` is the host
+        IP, ``page`` the URL mapped through
+        :func:`~repro.logs.clf.url_to_page`, and a Combined referrer
+        survives as the ``referrer`` page.
     """
     streams: dict[str, list[Request]] = {}
-    for record in records:
-        if page_views_only and not record.is_page_view:
-            continue
-        streams.setdefault(record.host, []).append(
-            Request(record.timestamp, record.host, url_to_page(record.url)))
+    for request in iter_requests(records, page_views_only):
+        streams.setdefault(request.user_id, []).append(request)
     for stream in streams.values():
         stream.sort(key=lambda request: request.timestamp)
     return streams

@@ -28,11 +28,13 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
+from repro._slots import slot_init
 from repro.exceptions import ReconstructionError
 
 __all__ = ["Request", "Session", "SessionSet"]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True, order=True)
 class Request:
     """One page request by one user.

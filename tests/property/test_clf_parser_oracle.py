@@ -6,7 +6,7 @@ tries the Combined pattern, catches the failure and retries plain CLF,
 reading fields through ``groupdict()`` and one ``datetime`` per line.  Generated lines cover random hosts, ``±hhmm`` offsets, month
 names in any case, leap days and Feb 29 in non-leap years, hour 24 and
 second 60, ``-`` sizes / referrers / agents, spaces inside the protocol
-field, a trailing newline and truncated tails.
+field, zero to two trailing newlines and truncated tails.
 
 Valid lines must give equal records; invalid lines must raise the same
 exception type with the same message, ``line_number`` and ``line``.  The
@@ -204,7 +204,7 @@ _EDGE = {
 @st.composite
 def log_lines(draw):
     """A CLF or Combined line with up to two fields on or past an edge,
-    sometimes truncated, sometimes newline-terminated."""
+    sometimes truncated, ending in zero, one or two newlines."""
     edged = (draw(st.sets(st.sampled_from(sorted(_EDGE)), min_size=1,
                           max_size=2)) if draw(st.booleans()) else set())
 
@@ -224,9 +224,7 @@ def log_lines(draw):
         line += "".join(f' "{value}"' for value in tail if value is not None)
     if draw(st.integers(0, 3)) == 3:
         line = line[:draw(st.integers(0, len(line)))]     # truncated
-    if draw(st.booleans()):
-        line += "\n"
-    return line
+    return line + "\n" * draw(st.integers(0, 2))
 
 
 def _outcome(parse, line, line_number):
@@ -266,6 +264,12 @@ _HEAD = '10.0.0.1 - - [{date}:{clock} {offset}] "GET /P1.html HTTP/1.1" 200 -'
          3)
 @example(_HEAD.format(date="29/Feb/2000", clock="23:59:59", offset="-1230")
          + ' "-" "-"\n', 4)
+@example(_HEAD.format(date="31/Dec/1999", clock="24:00:00", offset="-0545")
+         + ' "/P0.html" "ua"', 5)
+@example(_HEAD.format(date="04/Jul/2026", clock="10:15:42", offset="+0200")
+         + "\n\n", 6)
+@example(_HEAD.format(date="04/jul/2026", clock="10:15:42", offset="+0200"),
+         8)
 def test_parse_log_line_matches_oracle(line, line_number):
     expected = _outcome(oracle_parse_log_line, line, line_number)
     combined = _outcome(oracle_parse_combined_line, line, line_number)
@@ -275,6 +279,18 @@ def test_parse_log_line_matches_oracle(line, line_number):
         assert expected[2] == ("line does not match Common Log Format",)
         expected = combined
     assert _outcome(parse_log_line, line, line_number) == expected
+
+
+def test_month_spellings_after_the_capitalised_date_match_oracle():
+    # the day-epoch cache is keyed on the raw date text: once the
+    # capitalised spelling is cached, every other spelling of that date
+    # must still give the oracle's record (or error).
+    for month in ("Mar", "mar", "MAR", "mAR", "Jul", "jul"):
+        for clock in ("10:15:42", "24:00:00"):
+            line = _HEAD.format(date=f"15/{month}/2031", clock=clock,
+                                offset="+0130")
+            assert (_outcome(parse_log_line, line, 9)
+                    == _outcome(oracle_parse_log_line, line, 9))
 
 
 @settings(max_examples=300, deadline=None)

@@ -148,3 +148,15 @@ class TestPartitionByUser:
         ]
         assert partition_by_user(records) == {}
         assert "ip1" in partition_by_user(records, page_views_only=False)
+
+    def test_keeps_combined_referrers(self):
+        # Request equality ignores the referrer, so compare it explicitly.
+        records = [
+            CLFRecord("ip1", 2.0, "GET", "/b.html", "HTTP/1.1", 200, 1,
+                      referrer="/a.html?q=1", user_agent="ua"),
+            CLFRecord("ip1", 1.0, "GET", "/a.html", "HTTP/1.1", 200, 1),
+        ]
+        streams = partition_by_user(records)
+        assert [r.referrer for r in streams["ip1"]] == [None, "a"]
+        assert ([r.referrer for r in streams["ip1"]]
+                == [r.referrer for r in sorted(records_to_requests(records))])
