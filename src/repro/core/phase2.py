@@ -139,11 +139,10 @@ def maximal_sessions_fast(candidate: Sequence[Request], topology: WebGraph,
     are gone).  Step III is also indexed: a released page can only extend
     sessions whose last page is one of its topology predecessors.
 
-    When it pays: long candidates over sparse topologies (4-5× measured on
-    600-request candidates at out-degree 2, where the reference's repeated
-    Step-I scans dominate).  On the paper's dense 300-page/out-degree-15
-    setting with short candidates, both implementations are Step-III-bound
-    and perform the same — see ``bench_phase2_implementations``.
+    It pays most on long candidates, where the reference's repeated Step-I
+    scans dominate, and on candidates that branch into dozens of sessions;
+    ``bench_phase2_implementations`` times both on three shapes and writes
+    ``benchmarks/results/phase2.txt``.
 
     The inner loops run on the topology's interned integer adjacency view
     (:meth:`~repro.topology.graph.WebGraph.adjacency_index`): page ids are
@@ -151,6 +150,13 @@ def maximal_sessions_fast(candidate: Sequence[Request], topology: WebGraph,
     sorted-page-name extension order without re-sorting per release, and
     the blocker scan walks backwards in time and stops at the ρ window
     instead of re-testing every earlier request.
+
+    Open sessions are leaves of a per-candidate parent-pointer trie, so
+    branching copies nothing, a wave touches only the sessions it scans
+    and extends, and each output session is built once at the end.  The
+    output list — order included — is the one the previous wave-list
+    kernel produced, which keeps saved session files byte-identical
+    (property-tested against that kernel, kept as a test oracle).
 
     Output may differ from the reference in *ordering* only; the session
     multiset is identical (property-tested).  :class:`~repro.core.smart_sra.
@@ -199,55 +205,82 @@ def maximal_sessions_fast(candidate: Sequence[Request], topology: WebGraph,
                 blocker_count[i] += 1
                 dependents[j].append(i)
 
-    wave = [i for i in range(n) if blocker_count[i] == 0]
-    open_sessions: list[Session] = []
-    by_last: dict[int, list[int]] = {}
-    first_wave = True
+    # Open sessions are the live leaves of a parent-pointer trie: node k
+    # is request ``node_request[k]`` appended to node ``node_parent[k]``
+    # (-1 for a root).  Each wave appends one block of nodes; a node that
+    # a later wave extends is consumed and leaves the open list.  Step
+    # III's list after wave k is (the nodes wave k created) + (the list
+    # after wave k-1, minus what wave k extended), so the open list is
+    # always the blocks newest first, each in creation order, without the
+    # consumed nodes.  ``by_last`` keeps one bucket per (last page id,
+    # wave), oldest wave first, so the scan below visits open sessions in
+    # exactly that list order without re-listing the ones no wave extends.
+    node_request: list[Request] = []
+    node_parent: list[int] = []
+    node_time: list[float] = []
+    consumed: set[int] = set()
+    block_starts: list[int] = []
+    by_last: dict[int, list[list[int]]] = {}
     hits = misses = 0
+    wave = [i for i in range(n) if blocker_count[i] == 0]
     while wave:
-        if first_wave:
-            open_sessions = [Session([requests[i]]) for i in wave]
-            for index_, i in enumerate(wave):
-                by_last.setdefault(ids[i], []).append(index_)
-            first_wave = False
+        fresh: dict[int, list[int]] = {}
+        block_starts.append(len(node_request))
+        if not node_request:
+            # Step III-a: the first wave's requests seed the trie's roots.
+            for i in wave:
+                fresh.setdefault(ids[i], []).append(len(node_request))
+                node_request.append(requests[i])
+                node_parent.append(-1)
+                node_time.append(times[i])
         else:
-            next_sessions: list[Session] = []
-            next_by_last: dict[int, list[int]] = {}
-            extended: set[int] = set()
-
-            def add(session: Session, last_id: int) -> None:
-                next_by_last.setdefault(last_id, []).append(
-                    len(next_sessions))
-                next_sessions.append(session)
-
+            extended: list[int] = []
             for i in wave:
                 request = requests[i]
                 pid = ids[i]
                 timestamp = times[i]
-                placed = False
+                first_node = len(node_request)
                 # numeric id order == sorted page-name order (ids are
                 # sorted ranks), pinning the extension order across
                 # processes without a per-release sort.
                 for predecessor in (pred_sorted_ids[pid] if pid >= 0
                                     else _EMPTY):
-                    for session_index in by_last.get(predecessor, ()):
-                        session = open_sessions[session_index]
-                        if (0 <= timestamp
-                                - session[-1].timestamp <= max_gap):
-                            add(session.extended(request), pid)
-                            extended.add(session_index)
-                            placed = True
-                if placed:
+                    buckets = by_last.get(predecessor)
+                    if buckets is None:
+                        continue
+                    for bucket in reversed(buckets):
+                        for node in bucket:
+                            parent_time = node_time[node]
+                            if (0 <= timestamp - parent_time <= max_gap
+                                    and node not in consumed):
+                                parent = node_request[node]
+                                if (timestamp < parent_time
+                                        or request.user_id
+                                        != parent.user_id):
+                                    # the edge fails Session's boundary
+                                    # checks, which raise its message
+                                    Session((parent, request))
+                                node_request.append(request)
+                                node_parent.append(node)
+                                node_time.append(timestamp)
+                                extended.append(node)
+                if len(node_request) > first_node:
                     hits += 1
                 else:
                     misses += 1
-                    if config.rescue_orphans:
-                        add(Session([request]), pid)
-            for session_index, session in enumerate(open_sessions):
-                if session_index not in extended:
-                    add(session, page_id.get(session[-1].page, -1))
-            open_sessions = next_sessions
-            by_last = next_by_last
+                    if not config.rescue_orphans:
+                        continue
+                    node_request.append(request)
+                    node_parent.append(-1)
+                    node_time.append(timestamp)
+                fresh.setdefault(pid, []).extend(
+                    range(first_node, len(node_request)))
+            consumed.update(extended)
+        # the block joins the index only now, so the scan above never
+        # sees sessions opened in its own wave.
+        for last_id, bucket in fresh.items():
+            if last_id >= 0:
+                by_last.setdefault(last_id, []).append(bucket)
 
         next_wave = []
         for i in wave:
@@ -258,8 +291,25 @@ def maximal_sessions_fast(candidate: Sequence[Request], topology: WebGraph,
         next_wave.sort()
         wave = next_wave
 
-    _publish_phase2(hits, misses, len(open_sessions))
-    return open_sessions
+    # Build each surviving leaf's session once, walking its parent chain
+    # iteratively (a candidate can be thousands of requests deep).
+    sessions: list[Session] = []
+    block_end = len(node_request)
+    for block_start in reversed(block_starts):
+        for leaf in range(block_start, block_end):
+            if leaf in consumed:
+                continue
+            chain: list[Request] = []
+            node = leaf
+            while node >= 0:
+                chain.append(node_request[node])
+                node = node_parent[node]
+            chain.reverse()
+            sessions.append(Session.from_trusted_parts(tuple(chain)))
+        block_end = block_start
+
+    _publish_phase2(hits, misses, len(sessions))
+    return sessions
 
 
 def _referrer_free(remaining: Sequence[Request], topology: WebGraph,

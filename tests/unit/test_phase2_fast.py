@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import repro
 from repro.core.config import SmartSRAConfig
 from repro.core.phase2 import maximal_sessions, maximal_sessions_fast
-from repro.sessions.model import Request
+from repro.exceptions import ReconstructionError
+from repro.sessions.model import Request, Session
 from repro.topology.graph import WebGraph
 
 MIN = 60.0
@@ -87,14 +91,62 @@ class TestFastPhase2:
             "for s in maximal_sessions_fast(cand, site):\n"
             "    print('|'.join(p for p in s.pages))\n",
             encoding="utf-8")
+        # the child imports the same repro package this test imported
+        package_root = str(pathlib.Path(repro.__file__).resolve().parent
+                           .parent)
         outputs = set()
         for hash_seed in ("1", "7", "42"):
             completed = subprocess.run(
                 [sys.executable, str(script)], capture_output=True,
                 text=True, env={"PYTHONHASHSEED": hash_seed,
-                                "PATH": "/usr/bin:/bin"},
+                                "PYTHONPATH": package_root,
+                                "PATH": os.environ.get("PATH", "")},
                 check=False)
-            if completed.returncode != 0:
-                pytest.skip(f"subprocess failed: {completed.stderr[:200]}")
+            assert completed.returncode == 0, completed.stderr
             outputs.add(completed.stdout)
         assert len(outputs) == 1
+        assert len(outputs.pop().splitlines()) > 1
+
+
+class TestTrieEdgeCases:
+    def test_link_across_users_raises_sessions_message(self):
+        graph = WebGraph([("A", "B")], start_pages=["A"])
+        candidate = [Request(0.0, "u1", "A"), Request(MIN, "u2", "B")]
+        with pytest.raises(ReconstructionError) as reference:
+            maximal_sessions(candidate, graph)
+        with pytest.raises(ReconstructionError) as fast:
+            maximal_sessions_fast(candidate, graph)
+        assert str(fast.value) == str(reference.value) \
+            == "a session may not mix users: 'u1' vs 'u2'"
+
+    def test_users_without_a_joining_link_stay_apart(self):
+        graph = WebGraph([("A", "B"), ("C", "D")], start_pages=["A", "C"])
+        a, c = Request(0.0, "u1", "A"), Request(30.0, "u2", "C")
+        b, d = Request(MIN, "u1", "B"), Request(2 * MIN, "u2", "D")
+        sessions = maximal_sessions_fast([a, c, b, d], graph)
+        # wave 1 opens [A] and [C]; wave 2 extends both, in release order
+        assert [s.requests for s in sessions] == [(a, b), (c, d)]
+        assert [s.user_id for s in sessions] == ["u1", "u2"]
+
+    def test_deep_chain_builds_without_recursion(self):
+        length = 3000
+        pages = [f"P{k:04d}" for k in range(length)]
+        graph = WebGraph(list(zip(pages, pages[1:])), start_pages=pages[:1])
+        # 400 s apart: each request's ρ window holds only its referrer
+        candidate = [Request(k * 400.0, "u", page)
+                     for k, page in enumerate(pages)]
+        sessions = maximal_sessions_fast(candidate, graph)
+        assert len(sessions) == 1
+        assert sessions[0].requests == tuple(candidate)
+
+    def test_sessions_match_constructed_sessions(self, fig1_topology,
+                                                 table3_stream):
+        sessions = maximal_sessions_fast(
+            table3_stream, fig1_topology,
+            SmartSRAConfig(rescue_orphans=True))
+        assert sessions
+        for session in sessions:
+            built = Session(session.requests)
+            assert session == built
+            assert hash(session) == hash(built)
+            assert session.pages == built.pages
