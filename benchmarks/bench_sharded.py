@@ -8,11 +8,12 @@ must seal output byte-identical (canonical digest) to the serial
 governed pipeline, and every ledger must reconcile; those are asserted,
 so the bench doubles as a correctness gate.
 
-Reading the numbers: this container has a single CPU core, so N worker
-processes time-slice rather than parallelize — the shard sweep measures
-the *coordination overhead* of the runtime (pipes, framing, capsule
-acks), not a speedup.  On a multi-core host the same sweep shows the
-scaling story; the recovery column is hardware-independent either way.
+Reading the numbers: the coordinator and the N workers share the
+visible cores (the results file records how many).  Where they number
+more than the cores they time-slice rather than parallelize, and the
+sweep point measures the *coordination overhead* of the runtime (pipes,
+framing, capsule acks), not a speedup.  The recovery column is
+hardware-independent either way.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ def test_sharded_scaling_and_failover(workload, results_dir,
         "Extension A21 — crash-safe sharded streaming runtime",
         f"  workload:        {len(requests)} requests, {_USERS} users, "
         f"seed {BENCH_SEED}, quick={'yes' if BENCH_QUICK else 'no'}",
-        f"  host cores:      {os.cpu_count() or 1} (single-core hosts "
-        f"time-slice: read krec/s as coordination overhead, not scaling)",
+        f"  host cores:      {os.cpu_count() or 1} (the coordinator plus "
+        f"N workers time-slice wherever they outnumber the cores)",
         f"  serial baseline: {serial_krec:7.1f} krec/s (in-process "
         f"governed pipeline)",
         "",

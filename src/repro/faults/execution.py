@@ -232,8 +232,9 @@ def inject_chunk_faults(chunk_index: int, attempt: int) -> None:
             os._exit(_CRASH_EXIT_STATUS)
 
 
-def inject_shard_fault(shard: int, ordinal: int,
-                       incarnation: int) -> str | None:
+def inject_shard_fault(shard: int, ordinal: int, incarnation: int,
+                       faults: tuple[ExecutionFault, ...] | None = None
+                       ) -> str | None:
     """Apply any armed shard-worker fault matching this processing point.
 
     Called by the sharded streaming worker just before processing the
@@ -249,9 +250,13 @@ def inject_shard_fault(shard: int, ordinal: int,
     belong to the caller — so it is *reported*: the function returns the
     string ``"drop-pipe"`` and the worker tears its transport down.
     Returns ``None`` when nothing fires.  Only ever fires inside a
-    worker process, like :func:`inject_chunk_faults`.
+    worker process, like :func:`inject_chunk_faults`.  ``faults`` is the
+    armed plan when the caller already read it (a worker reads it once,
+    since faults are armed before it forks); ``None`` reads the
+    environment.
     """
-    faults = active_exec_faults()
+    if faults is None:
+        faults = active_exec_faults()
     if not faults or not _in_worker_process():
         return None
     for fault in faults:

@@ -16,6 +16,16 @@ records, never per-chunk pickles (the A17 lesson).  The coordinator's
 single ``select`` loop routes events, drains emitted sessions, and
 supervises liveness; workers are otherwise autonomous.
 
+Events are handed over in batches, not one at a time: routing appends
+each event to its shard's replay log and to a pending batch, and the
+coordinator frames every pending batch as one multi-record ``EVT`` frame
+and pumps the ``select`` loop only when a batch reaches ``ack_interval``
+events, ``_PUMP_TIMEOUT`` seconds after the previous pump, before a
+watermark (which is pumped at once, so sealing is as prompt as before)
+and at EOF — so while the input is quiet, the events routed in its last
+``_PUMP_TIMEOUT`` wait for the next event, watermark or EOF.  A worker writes what one pipe read produced in one write,
+except that each ACK leaves as soon as it is cut.
+
 Crash safety rests on three pieces:
 
 * **Acked capsules.**  The coordinator keeps, per shard, the last acked
@@ -41,7 +51,10 @@ Crash safety rests on three pieces:
   expires.
 * **Lease supervision and replay.**  A shard with outstanding work that
   produces no frames within ``lease`` seconds is wedged; a pipe that
-  reaches EOF is dead.  Either way the coordinator discards the shard's
+  reaches EOF is dead.  The lease clock restarts whenever bytes reach
+  the worker, a frame comes back, or work is queued for a shard that
+  owed nothing — so a pause in the input, however long, is never read
+  as a wedge.  Either way the coordinator discards the shard's
   *pending* (post-ACK) sessions, respawns the worker after a
   :class:`~repro.parallel.supervisor.RetryPolicy` backoff, restores the
   last capsule, and replays the logged events in order.  The respawned
@@ -97,7 +110,8 @@ from typing import Any
 
 from repro.exceptions import (ConfigurationError, ExecutionError,
                               WireProtocolError)
-from repro.faults.execution import inject_shard_fault
+from repro.faults.execution import (active_exec_faults,
+                                    inject_shard_fault)
 from repro.obs import Registry, get_registry, snapshot_digest
 from repro.parallel.checkpoint import atomic_write_json, load_verified_json
 from repro.parallel.supervisor import RetryPolicy
@@ -540,18 +554,43 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
                              "metrics": registry.snapshot()}
         base = [ordinal, wm_index]
         out += wire.json_frame(wire.ACK, document)
+        # an ACK leaves as soon as it is cut, with the sessions it makes
+        # durable: a worker that fell a whole pipe chunk behind must not
+        # hold its progress (and the coordinator's replay trim) back for
+        # the rest of the chunk.
+        _write_all(up_fd, out)
+        out.clear()
 
+    # faults are armed before the fork, so the plan is fixed for this
+    # incarnation's lifetime.
+    faults = active_exec_faults()
     try:
         while True:
             data = os.read(down_fd, _READ_CHUNK)
             if not data:
                 os._exit(0)
+            # what this chunk's frames produce leaves in one write (plus
+            # one per ACK cut on the way).
+            out = bytearray()
             for kind, payload in reader.feed(data):
-                out = bytearray()
-                if kind == wire.SYM:
+                if kind == wire.EVT:
+                    for ts, user, page, referrer, synthetic in \
+                            decoder.decode_events(payload):
+                        ordinal += 1
+                        if faults and inject_shard_fault(
+                                shard, ordinal, incarnation,
+                                faults) == "drop-pipe":
+                            _write_all(up_fd, out)
+                            os.close(down_fd)
+                            os.close(up_fd)
+                            os._exit(0)
+                        encoder.encode_sessions(out, pipeline.feed(
+                            Request(ts, user, page, synthetic, referrer)))
+                        if ordinal % ack_interval == 0:
+                            maybe_ack(out)
+                elif kind == wire.SYM:
                     decoder.add_symbol(payload)
-                    continue
-                if kind == wire.CAP:
+                elif kind == wire.CAP:
                     capsule = wire.decode_json(payload)
                     # restore() also rebases the pipeline's deltas.
                     restore_capsule(pipeline, capsule)
@@ -559,20 +598,6 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
                     ordinal = int(capsule["ordinal"])
                     wm_index = int(capsule["wm_index"])
                     base = [ordinal, wm_index]
-                    continue
-                if kind == wire.EVT:
-                    ts, user, page, referrer, synthetic = \
-                        decoder.decode_event(payload)
-                    ordinal += 1
-                    action = inject_shard_fault(shard, ordinal, incarnation)
-                    if action == "drop-pipe":
-                        os.close(down_fd)
-                        os.close(up_fd)
-                        os._exit(0)
-                    encoder.encode_sessions(out, pipeline.feed(
-                        Request(ts, user, page, synthetic, referrer)))
-                    if ordinal % ack_interval == 0:
-                        maybe_ack(out)
                 elif kind == wire.WM:
                     watermark = wire.decode_watermark(payload)
                     wm_index += 1
@@ -587,8 +612,8 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
                     out += wire.json_frame(wire.DONE, document)
                     _write_all(up_fd, out)
                     os._exit(0)
-                if out:
-                    _write_all(up_fd, out)
+            if out:
+                _write_all(up_fd, out)
     except BaseException:  # noqa: BLE001 - must report, then die
         try:
             _write_all(up_fd, wire.frame(
@@ -657,9 +682,9 @@ class _ShardHandle:
     """Coordinator-side mutable state of one shard."""
 
     __slots__ = ("shard", "proc", "down_fd", "up_fd", "encoder", "decoder",
-                 "reader", "outbound", "pending", "watermark", "last_inbound",
-                 "last_sent", "incarnation", "state", "eof_sent",
-                 "events_sent", "wm_sent", "done", "failed_at")
+                 "reader", "outbound", "batch", "pending", "watermark",
+                 "last_inbound", "last_sent", "incarnation", "state",
+                 "eof_sent", "events_sent", "wm_sent", "done", "failed_at")
 
     def __init__(self, shard: int) -> None:
         self.shard = shard
@@ -670,6 +695,8 @@ class _ShardHandle:
         self.decoder = wire.SymbolDecoder()
         self.reader = wire.FrameReader()
         self.outbound = bytearray()
+        # routed events not yet framed into an EVT frame
+        self.batch: list[wire.Event] = []
         self.pending: list[Session] = []
         self.watermark = -math.inf
         self.last_inbound = 0.0
@@ -684,17 +711,28 @@ class _ShardHandle:
 
     @property
     def outstanding(self) -> bool:
-        """Does the worker owe us progress (events, EOF, or bytes)?"""
+        """Does the worker owe us progress (unwritten bytes or EOF)?"""
         return bool(self.outbound) or self.eof_sent
+
+    def send(self, data: bytes | bytearray, now: float) -> None:
+        """Queue ``data`` for the worker.
+
+        A worker that owed nothing starts its lease clock now: however
+        long the input paused before this, it cannot have been wedged on
+        work it did not have.
+        """
+        if not self.outstanding:
+            self.last_sent = now
+        self.outbound += data
 
     def quiet_for(self, now: float) -> float:
         """Seconds without *either* direction making progress.
 
-        The lease clock starts from whichever happened last — a frame
-        arriving or bytes leaving — so a worker that sat idle (nothing
-        owed) is not declared wedged the instant new work appears, and a
-        wedged worker whose 64 KiB of pipe slack keeps absorbing writes
-        is caught once the pipe jams.
+        The lease clock runs from whichever happened last — a frame
+        arriving, bytes leaving, or work queued for a worker that owed
+        nothing (:meth:`send`) — so neither an idle worker nor a pause in
+        the input reads as a wedge, and a wedged worker whose 64 KiB of
+        pipe slack keeps absorbing writes is caught once the pipe jams.
         """
         return now - max(self.last_inbound, self.last_sent)
 
@@ -754,6 +792,11 @@ class ShardedStreamingRuntime:
         self._wedged = 0
         self._worker_deaths = 0
         self._recoveries: list[float] = []
+        # the memoized router, events routed but not yet counted, and
+        # when the coordinator last pumped.
+        self._shard_of: dict[str, int] = {}
+        self._routed_unreported = 0
+        self._last_pump = 0.0
 
     # -- worker construction ------------------------------------------------
 
@@ -802,14 +845,23 @@ class ShardedStreamingRuntime:
         self._gauge("sharded.shard.alive", handle.shard).set(1)
         if capsule is not None:
             handle.outbound += wire.json_frame(wire.CAP, capsule)
+        # consecutive logged events travel in ACK-span EVT frames, exactly
+        # as they were first routed.
+        span = self.sharded.ack_interval
+        events: list[wire.Event] = []
         for entry in entries:
             if entry[0] == "evt":
                 _, _, ts, user, page, referrer, synthetic = entry
-                handle.encoder.encode_event(handle.outbound, float(ts),
-                                            user, page, referrer,
-                                            bool(synthetic))
+                events.append((float(ts), user, page, referrer,
+                               bool(synthetic)))
+                if len(events) == span:
+                    handle.encoder.encode_events(handle.outbound, events)
+                    events.clear()
             else:
+                handle.encoder.encode_events(handle.outbound, events)
+                events.clear()
                 handle.outbound += wire.watermark_frame(float(entry[2]))
+        handle.encoder.encode_events(handle.outbound, events)
         if handle.eof_sent:
             handle.outbound += wire.frame(wire.EOF)
 
@@ -888,9 +940,11 @@ class ShardedStreamingRuntime:
                 self._route(request)
                 last_flush = self._maybe_flush(request.timestamp, last_flush,
                                                flush_interval, 0.0)
+        self._frame_batches()
+        now = time.monotonic()
         for handle in self._handles:
-            if handle.state in ("running",):
-                handle.outbound += wire.frame(wire.EOF)
+            if handle.state == "running":
+                handle.send(wire.frame(wire.EOF), now)
             handle.eof_sent = True
 
     def _maybe_flush(self, released_ts: float, last_flush: float,
@@ -902,16 +956,25 @@ class ShardedStreamingRuntime:
         # the broadcast promise must not outrun events still held in the
         # coordinator's reorder buffer.
         watermark = released_ts - window
+        self._frame_batches()
+        now = time.monotonic()
         for handle in self._handles:
             if handle.state == "running":
                 handle.wm_sent += 1
                 self._logs[handle.shard].append_watermark(
                     handle.wm_sent, watermark)
-                handle.outbound += wire.watermark_frame(watermark)
+                handle.send(wire.watermark_frame(watermark), now)
+        # hand the watermark over now, so sealing is as prompt as when
+        # every event was pumped on its own.
+        self._pump(0.0)
         return released_ts
 
     def _route(self, request: Request) -> None:
-        shard = shard_for(request.user_id, self._ledger.shards)
+        user = request.user_id
+        shard = self._shard_of.get(user)
+        if shard is None:
+            shard = self._shard_of[user] = shard_for(user,
+                                                     self._ledger.shards)
         handle = self._handles[shard]
         log = self._logs[shard]
         # a full replay log is backpressure: wait for an ACK (or for the
@@ -924,23 +987,42 @@ class ShardedStreamingRuntime:
             self._count("sharded.events.shed")
             return
         handle.events_sent += 1
-        log.append_event(handle.events_sent, request.timestamp,
-                         request.user_id, request.page, request.referrer,
-                         request.synthetic)
-        handle.encoder.encode_event(
-            handle.outbound, request.timestamp, request.user_id,
-            request.page, request.referrer, request.synthetic)
-        self._count("sharded.events.routed")
-        if request.timestamp > self._head:
-            self._head = request.timestamp
-        self._gauge("sharded.replay.events", shard).set(log.event_count)
-        self._update_lag(handle)
-        self._pump(0.0)
+        timestamp = request.timestamp
+        log.append_event(handle.events_sent, timestamp, user, request.page,
+                         request.referrer, request.synthetic)
+        batch = handle.batch
+        batch.append((timestamp, user, request.page, request.referrer,
+                      request.synthetic))
+        self._routed_unreported += 1
+        if timestamp > self._head:
+            self._head = timestamp
+        # the worker gets its events an ACK span at a time, or after one
+        # pump interval, whichever comes first.
+        if (len(batch) >= self.sharded.ack_interval
+                or time.monotonic() - self._last_pump >= _PUMP_TIMEOUT):
+            self._pump(0.0)
+
+    def _frame_batches(self) -> None:
+        """Frame every shard's pending batch; report what was routed."""
+        now = time.monotonic()
+        for handle in self._handles:
+            if not handle.batch:
+                continue
+            out = bytearray()
+            handle.encoder.encode_events(out, handle.batch)
+            handle.batch.clear()
+            handle.send(out, now)
+            self._gauge("sharded.replay.events", handle.shard).set(
+                self._logs[handle.shard].event_count)
+            self._update_lag(handle)
+        self._count("sharded.events.routed", self._routed_unreported)
+        self._routed_unreported = 0
 
     # -- the select loop ----------------------------------------------------
 
     def _pump(self, timeout: float) -> None:
-        now = time.monotonic()
+        self._frame_batches()
+        now = self._last_pump = time.monotonic()
         for handle in self._handles:
             if (handle.state == "running" and handle.outstanding
                     and handle.quiet_for(now) > self.sharded.lease):
@@ -1097,6 +1179,9 @@ class ShardedStreamingRuntime:
         # sessions emitted after the last ACK are not durable — the
         # respawned worker will re-derive exactly these.
         handle.pending.clear()
+        # routed-but-unframed events are already replay-log entries: a
+        # respawn re-encodes them, a shed drops them with the log.
+        handle.batch.clear()
         if policy == "raise":
             handle.state = "shed"
             raise ExecutionError(

@@ -14,7 +14,10 @@ stream:
   so ids never appear on the wire at definition time;
 * an event is a fixed 21-byte record (float64 timestamp, three int32
   symbol ids — referrer ``-1`` meaning absent — and one synthetic flag
-  byte), independent of how long the user/page strings are;
+  byte), independent of how long the user/page strings are.  One ``EVT``
+  frame carries one or more consecutive records: the coordinator hands a
+  shard its events in batches of up to one ACK span, so neither side
+  pays a frame, a syscall and a wake-up per event;
 * emitted sessions travel as one binary ``OUT`` frame per emission
   batch (the sessions one feed, flush or EOF produced): a table of the
   batch's distinct requests as fixed 17-byte records (float64
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import json
 import struct
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import Any, Iterator
 
 from repro.exceptions import WireProtocolError
@@ -47,14 +50,14 @@ from repro.sessions.model import Request, Session
 
 __all__ = [
     "SYM", "EVT", "WM", "EOF", "CAP", "OUT", "ACK", "DONE", "ERR",
-    "FrameReader", "SymbolEncoder", "SymbolDecoder",
+    "Event", "FrameReader", "SymbolEncoder", "SymbolDecoder",
     "frame", "json_frame", "decode_json", "watermark_frame",
     "decode_watermark",
 ]
 
 # coordinator -> worker
 SYM = 1   #: intern the UTF-8 payload as the next symbol id
-EVT = 2   #: one request, fixed-width record
+EVT = 2   #: one or more requests, fixed-width records
 WM = 3    #: flush watermark (float64)
 EOF = 4   #: end of stream — flush everything and send DONE
 CAP = 5   #: state capsule (JSON), sent before replaying into a respawn
@@ -76,6 +79,9 @@ _INDEX = 4                           # bytes per uint32 length or index
 
 #: sentinel symbol id for "no referrer" in an event record.
 NO_SYMBOL = -1
+
+#: one event as it crosses the wire: ``(ts, user, page, referrer, syn)``.
+Event = tuple[float, str, str, str | None, bool]
 
 
 def frame(kind: int, payload: bytes = b"") -> bytes:
@@ -122,20 +128,29 @@ class FrameReader:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> Iterator[tuple[int, bytes]]:
-        """Absorb ``data``; yield every now-complete ``(kind, payload)``."""
-        self._buffer.extend(data)
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return
-            kind, length = _HEADER.unpack_from(self._buffer)
-            if kind not in _KINDS:
-                raise WireProtocolError(f"unknown frame kind {kind}")
-            end = _HEADER.size + length
-            if len(self._buffer) < end:
-                return
-            payload = bytes(self._buffer[_HEADER.size:end])
-            del self._buffer[:end]
-            yield kind, payload
+        """Absorb ``data``; yield every now-complete ``(kind, payload)``.
+
+        Frames are walked by offset and the consumed prefix is dropped
+        once, when the iterator finishes or is closed, so a chunk of many
+        small frames does not shift the buffer once per frame.
+        """
+        buffer = self._buffer
+        buffer += data
+        size = len(buffer)
+        offset = 0
+        try:
+            while size - offset >= _HEADER.size:
+                kind, length = _HEADER.unpack_from(buffer, offset)
+                if kind not in _KINDS:
+                    raise WireProtocolError(f"unknown frame kind {kind}")
+                start = offset + _HEADER.size
+                end = start + length
+                if end > size:
+                    return
+                offset = end
+                yield kind, bytes(buffer[start:end])
+        finally:
+            del buffer[:offset]
 
     @property
     def pending_bytes(self) -> int:
@@ -166,15 +181,28 @@ class SymbolEncoder:
             out += frame(SYM, text.encode("utf-8"))
         return symbol
 
+    def encode_events(self, out: bytearray, events: Iterable[Event]) -> None:
+        """Append the SYM frames (if any) and one EVT frame to ``out``.
+
+        ``events`` are ``(ts, user, page, referrer, synthetic)`` tuples;
+        their records travel in order in one frame.  No events appends
+        nothing.
+        """
+        intern = self._intern
+        records = [
+            _EVENT.pack(timestamp, intern(out, user), intern(out, page),
+                        NO_SYMBOL if referrer is None
+                        else intern(out, referrer), 1 if synthetic else 0)
+            for timestamp, user, page, referrer, synthetic in events]
+        if records:
+            out += frame(EVT, b"".join(records))
+
     def encode_event(self, out: bytearray, timestamp: float, user: str,
                      page: str, referrer: str | None,
                      synthetic: bool) -> None:
-        """Append the SYM frames (if any) and the EVT frame to ``out``."""
-        user_id = self._intern(out, user)
-        page_id = self._intern(out, page)
-        ref_id = NO_SYMBOL if referrer is None else self._intern(out, referrer)
-        out += frame(EVT, _EVENT.pack(timestamp, user_id, page_id, ref_id,
-                                      1 if synthetic else 0))
+        """Append the SYM frames (if any) and a one-record EVT frame."""
+        self.encode_events(out, ((timestamp, user, page, referrer,
+                                  synthetic),))
 
     def encode_sessions(self, out: bytearray,
                         sessions: Sequence[Session]) -> None:
@@ -231,16 +259,33 @@ class SymbolDecoder:
                 f"symbol id {symbol} outside table of {len(self._table)}")
         return self._table[symbol]
 
-    def decode_event(self, payload: bytes) -> tuple[float, str, str,
-                                                    str | None, bool]:
-        """Decode an EVT payload to ``(ts, user, page, referrer, syn)``."""
+    def decode_events(self, payload: bytes) -> list[Event]:
+        """Decode an EVT payload to its ``(ts, user, page, referrer, syn)``
+        records, in order.
+
+        Raises:
+            WireProtocolError: for an empty payload, one that is not a
+                whole number of records, or a symbol id outside the table
+                (a negative id never indexes the table from its end).
+        """
+        if not payload or len(payload) % _EVENT.size:
+            raise WireProtocolError(
+                f"event payload is {len(payload)} bytes, want a positive "
+                f"multiple of {_EVENT.size}")
+        lookup = self._lookup
+        return [(timestamp, lookup(user_id), lookup(page_id),
+                 None if ref_id == NO_SYMBOL else lookup(ref_id),
+                 bool(synthetic))
+                for timestamp, user_id, page_id, ref_id, synthetic
+                in _EVENT.iter_unpack(payload)]
+
+    def decode_event(self, payload: bytes) -> Event:
+        """Decode a one-record EVT payload to
+        ``(ts, user, page, referrer, syn)``."""
         if len(payload) != _EVENT.size:
             raise WireProtocolError(
                 f"event payload is {len(payload)} bytes, want {_EVENT.size}")
-        timestamp, user_id, page_id, ref_id, synthetic = _EVENT.unpack(payload)
-        referrer = None if ref_id == NO_SYMBOL else self._lookup(ref_id)
-        return (timestamp, self._lookup(user_id), self._lookup(page_id),
-                referrer, bool(synthetic))
+        return self.decode_events(payload)[0]
 
     def decode_sessions(self, payload: bytes) -> list[Session]:
         """Decode an OUT payload into its batch of sessions.

@@ -14,6 +14,7 @@ tight enough for global eviction when compared at the same shard count.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -235,3 +236,41 @@ def test_failover_is_exact_under_global_eviction():
              killed.stats.sealed_sessions)
             == (plain.stats.fed, plain.stats.shed,
                 plain.stats.sealed_sessions))
+
+
+def paced(requests, every=6, pause=0.002):
+    """``requests``, pausing now and then so workers keep up with input."""
+    for index, request in enumerate(requests):
+        if index and index % every == 0:
+            time.sleep(pause)
+        yield request
+
+
+@pytest.mark.parametrize("ordinal", [37, 61])
+def test_kill_inside_an_event_batch_delivers_each_event_once(
+        topology, uniform_stream, ordinal):
+    # the coordinator hands a shard its events an ACK span (24 here) at a
+    # time; a kill mid-span, noticed while input still arrives, leaves
+    # routed events unacked, framed or not.  Replaying them twice would
+    # break the ledger or the digest, dropping them ``fed`` or the digest.
+    plain = run_sharded(topology, uniform_stream)
+    killed = run_sharded(topology, paced(uniform_stream),
+                         f"kill-worker:0:{ordinal}")
+    stats = killed.stats
+    assert stats.failovers == 1
+    assert stats.reconciles(), stats
+    assert stats.fed == len(uniform_stream)
+    assert (killed.sessions.canonical_digest()
+            == plain.sessions.canonical_digest()
+            == serial_digest(topology, uniform_stream))
+
+
+def test_fewer_events_than_an_ack_span_all_seal(topology, uniform_stream):
+    # no batch ever fills: EOF must still hand every event over.
+    stream = uniform_stream[:10]
+    result = run_sharded(topology, stream)
+    assert result.stats.fed == result.stats.routed == len(stream)
+    assert result.stats.reconciles()
+    assert result.stats.sealed_sessions > 0
+    assert (result.sessions.canonical_digest()
+            == serial_digest(topology, stream))

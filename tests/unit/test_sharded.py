@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import time
 
 import pytest
 
@@ -75,6 +76,95 @@ class TestWireProtocol:
             wire.decode_watermark(b"\x00" * 3)
         with pytest.raises(WireProtocolError):
             wire.SymbolDecoder().decode_event(b"\x00" * 21)
+
+    @staticmethod
+    def _received(out: bytes):
+        """Decode a coordinator -> worker stream: ``(kinds, events)``."""
+        decoder = wire.SymbolDecoder()
+        kinds, events = [], []
+        for kind, payload in wire.FrameReader().feed(out):
+            kinds.append(kind)
+            if kind == wire.SYM:
+                decoder.add_symbol(payload)
+            else:
+                assert kind == wire.EVT
+                events.extend(decoder.decode_events(payload))
+        return kinds, events
+
+    def test_multi_record_event_frame_roundtrip(self):
+        batch = [(10.0, "alice", "/a", None, False),
+                 (11.0, "bob", "/b", "/a", True),
+                 (12.0, "alice", "/a", "/b", False)]
+        encoder = wire.SymbolEncoder()
+        out = bytearray()
+        encoder.encode_events(out, batch)
+        encoder.encode_events(out, batch[1:])
+        encoder.encode_events(out, [])              # appends nothing
+        kinds, events = self._received(bytes(out))
+        # the four new symbols precede the first EVT frame; the second
+        # batch defines none.
+        assert kinds == [wire.SYM] * 4 + [wire.EVT, wire.EVT]
+        assert events == batch + batch[1:]
+        assert len(encoder) == 4
+
+    def test_one_record_event_bytes_are_unchanged(self):
+        out = bytearray()
+        wire.SymbolEncoder().encode_event(out, 10.0, "alice", "/a", None,
+                                          True)
+        record = struct.pack("!diiiB", 10.0, 0, 1, -1, 1)
+        assert bytes(out) == (
+            struct.pack("!BI", wire.SYM, 5) + b"alice"
+            + struct.pack("!BI", wire.SYM, 2) + b"/a"
+            + struct.pack("!BI", wire.EVT, 21) + record)
+        decoder = wire.SymbolDecoder()
+        decoder.add_symbol(b"alice")
+        decoder.add_symbol(b"/a")
+        assert decoder.decode_event(record) == (10.0, "alice", "/a", None,
+                                                True)
+        assert decoder.decode_events(record) == [
+            (10.0, "alice", "/a", None, True)]
+
+    @pytest.mark.parametrize("field, bad", [
+        (1, 2), (1, -1), (2, 7), (2, -2), (3, 2), (3, -2)])
+    def test_out_of_range_symbol_in_a_middle_record_is_refused(
+            self, field, bad):
+        decoder = wire.SymbolDecoder()
+        decoder.add_symbol(b"alice")
+        decoder.add_symbol(b"/a")
+        good = [1.0, 0, 1, -1, 0]
+        middle = list(good)
+        middle[field] = bad
+        payload = b"".join(struct.pack("!diiiB", *record)
+                           for record in (good, middle, good))
+        # -2 must not read the table from its end; -1 means "absent"
+        # only for the referrer.
+        with pytest.raises(WireProtocolError, match=f"symbol id {bad} "):
+            decoder.decode_events(payload)
+
+    @pytest.mark.parametrize("size", [0, 22, 20, 43])
+    def test_event_payload_of_no_whole_records_is_refused(self, size):
+        decoder = wire.SymbolDecoder()
+        decoder.add_symbol(b"alice")
+        with pytest.raises(WireProtocolError, match="multiple of 21"):
+            decoder.decode_events(b"\x00" * size)
+
+    def test_one_record_decoder_refuses_a_batch(self):
+        decoder = wire.SymbolDecoder()
+        decoder.add_symbol(b"alice")
+        with pytest.raises(WireProtocolError, match="want 21"):
+            decoder.decode_event(struct.pack("!diiiB", 1.0, 0, 0, -1, 0) * 2)
+
+    def test_reader_keeps_a_partial_frame_across_many_frames(self):
+        stream = b"".join(wire.watermark_frame(float(i)) for i in range(50))
+        reader = wire.FrameReader()
+        cut = len(stream) - 4
+        first = [wire.decode_watermark(payload)
+                 for _, payload in reader.feed(stream[:cut])]
+        assert first == [float(i) for i in range(49)]
+        assert reader.pending_bytes == len(wire.watermark_frame(0.0)) - 4
+        [(_, last)] = reader.feed(stream[cut:])
+        assert wire.decode_watermark(last) == 49.0
+        assert reader.pending_bytes == 0
 
     @staticmethod
     def _batch():
@@ -471,6 +561,31 @@ class TestShardedRuntime:
         result = runtime.run(requests)
         assert (result.sessions.canonical_digest()
                 == self._serial_digest(topology, requests))
+
+    @pytest.mark.parametrize("ack_interval", [1, 64])
+    def test_input_pause_longer_than_the_lease_is_not_a_wedge(
+            self, ack_interval):
+        # bursts separated by pauses past the lease: a worker that owed
+        # nothing during a pause must not be failed over when the next
+        # burst (or EOF) arrives.
+        def trickle():
+            for burst, start in enumerate((0.0, 30.0, 5000.0)):
+                if burst:
+                    time.sleep(0.7)
+                for step in range(3):
+                    yield Request(start + step, "u", f"P{burst}{step}")
+            time.sleep(0.7)
+
+        runtime = ShardedStreamingRuntime(
+            heuristic="phase1",
+            sharded=ShardedConfig(shards=1, lease=0.5,
+                                  ack_interval=ack_interval),
+            registry=Registry())
+        result = runtime.run(trickle())
+        stats = result.stats
+        assert (stats.wedged, stats.failovers, stats.shed_shards) == (0, 0, 0)
+        assert stats.fed == stats.routed == 9
+        assert stats.sealed_sessions == 2
 
     def test_requires_topology_for_smart_sra(self):
         with pytest.raises(ConfigurationError):
