@@ -1,22 +1,19 @@
 """Extension A20 — columnar data-plane throughput against the object engine.
 
 Times Smart-SRA over the A11 workload (paper topology, ``PAPER_DEFAULTS``
-traffic, ``REPRO_BENCH_AGENTS`` agents) in five configurations:
+traffic, ``REPRO_BENCH_AGENTS`` agents) in four configurations:
 
 * ``object``          — ``SmartSRA.reconstruct(log)``: the per-user object
   engine, the baseline every other row is normalised against;
 * ``columnar``        — ``engine="columnar"`` end to end: per-user
   partitioning, column ingest, the vectorized plane, *and* materializing
   canonical :class:`Session` objects at the boundary;
-* ``columnar-par``    — the same with ``workers=0`` (auto), asserted
-  output-identical to the serial columnar run;
 * ``plane+ingest``    — column ingest plus one batched plane pass, no
   Session materialization (what an index-level consumer pays per fresh
   request log);
 * ``plane-resident``  — one plane pass over a prebuilt
-  :class:`ColumnBatch` (the worker-side steady state once
-  ``shard_by_user_columns`` has shipped the buffers, and the re-analysis
-  cost when columns are kept resident between runs).
+  :class:`ColumnBatch` (the re-analysis cost when columns are kept
+  resident between runs).
 
 The tentpole's ≥10x bar applies to the **plane-resident** row in numpy
 mode: that is the data-plane speedup itself, uncontaminated by the
@@ -27,7 +24,7 @@ the 10x") quotes this table and explains which row applies to which
 deployment.  In ``REPRO_BENCH_QUICK`` mode the bench is
 correctness-only — equivalence assertions run, timing bars do not.
 
-Rounds are tightly interleaved across the five series with a
+Rounds are tightly interleaved across the four series with a
 ``gc.collect()`` fence before every timed region and best-of (min)
 reporting, exactly as ``bench_scalability`` does — on a shared host only
 interleaved minima are comparable.
@@ -73,8 +70,8 @@ def test_columnar_plane_throughput(benchmark, results_dir, bench_metrics):
     log = simulate_population(topology, config).log_requests
     records = len(log)
 
-    # the prebuilt batch for the resident series: the exact artifact a
-    # pool worker receives (user-grouped, time-sorted column buffers).
+    # the prebuilt batch for the resident series (user-grouped,
+    # time-sorted columns).
     per_user: dict[str, list] = {}
     for request in log:
         per_user.setdefault(request.user_id, []).append(request)
@@ -86,17 +83,13 @@ def test_columnar_plane_throughput(benchmark, results_dir, bench_metrics):
 
     object_sessions = smart.reconstruct(log)
     columnar_sessions = smart.reconstruct(log, engine="columnar")
-    parallel_sessions = smart.reconstruct(log, engine="columnar",
-                                          workers=0)
     assert _canonical(columnar_sessions) == _canonical(object_sessions)
-    assert list(parallel_sessions) == list(columnar_sessions)
     resident_result = plane.run_batch(resident_batch)
     assert int(resident_result.session_offsets[-1]) == sum(
         len(s) for s in columnar_sessions)
 
     best = {"object": float("inf"), "columnar": float("inf"),
-            "columnar-par": float("inf"), "plane+ingest": float("inf"),
-            "plane-resident": float("inf")}
+            "plane+ingest": float("inf"), "plane-resident": float("inf")}
 
     def run_all():
         for __ in range(_ROUNDS):
@@ -113,9 +106,6 @@ def test_columnar_plane_throughput(benchmark, results_dir, bench_metrics):
                     lambda: plane.run_batch(resident_batch))
                 best["plane-resident"] = min(best["plane-resident"],
                                              seconds)
-            seconds, __sessions = _timed(lambda: smart.reconstruct(
-                log, engine="columnar", workers=0))
-            best["columnar-par"] = min(best["columnar-par"], seconds)
         return best
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -135,8 +125,7 @@ def test_columnar_plane_throughput(benchmark, results_dir, bench_metrics):
              "plane-resident (see docs/performance.md)",
              f"  records {records}, sessions {len(columnar_sessions)}",
              "  series          seconds    krec/s  vs object"]
-    for name in ("object", "columnar", "columnar-par", "plane+ingest",
-                 "plane-resident"):
+    for name in ("object", "columnar", "plane+ingest", "plane-resident"):
         seconds = best[name]
         lines.append(f"  {name:<14}  {seconds:7.4f}  "
                      f"{records / seconds / 1000:8.1f}  "

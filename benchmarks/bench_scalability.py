@@ -6,8 +6,8 @@ sizes (δ caps them), so doubling the users should roughly double the time,
 not square it.  This is the scalability property that makes reactive
 processing viable on real logs.
 
-Root cause of the historical krec/s droop on growing logs (fixed by the
-parallel-engine PR; kept here as the measurement's rationale):
+Root cause of the historical krec/s droop on growing logs (fixed; kept
+here as the measurement's rationale):
 
 * the earlier bench held *every* size's log live while timing, and
   reconstruction left GC running, so CPython's generational passes
@@ -26,9 +26,7 @@ parallel-engine PR; kept here as the measurement's rationale):
 Each row reports the best of several rounds (min is the standard
 low-noise estimator for wall timings), with the rounds *interleaved*
 across sizes so background-load drift on a shared host hits every size
-equally instead of whichever size happened to run last.  A parallel
-column (``workers=0``, the auto-detected CPU count) is asserted
-output-identical to the serial run.
+equally instead of whichever size happened to run last.
 """
 
 from __future__ import annotations
@@ -68,27 +66,21 @@ def test_scaling_with_log_size(benchmark, results_dir, bench_metrics):
         # for the batch (no mid-run pass can scan them); interleaving the
         # rounds decorrelates the per-size minima from machine-load drift.
         serial = {size: float("inf") for size in _SIZES}
-        parallel = {size: float("inf") for size in _SIZES}
         counts = {}
         for round_ in range(_ROUNDS):
             for size in _SIZES:
                 seconds, sessions = _timed(
                     lambda: smart.reconstruct(logs[size]))
                 serial[size] = min(serial[size], seconds)
-                seconds, parallel_sessions = _timed(
-                    lambda: smart.reconstruct(logs[size], workers=0))
-                parallel[size] = min(parallel[size], seconds)
-                assert list(sessions) == list(parallel_sessions)
                 counts[size] = len(sessions)
         for size in _SIZES:
-            rows[size] = (len(logs[size]), counts[size], serial[size],
-                          parallel[size])
+            rows[size] = (len(logs[size]), counts[size], serial[size])
         return rows
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    small_records, __, small_time, __ = rows[_SIZES[0]]
-    large_records, __, large_time, __ = rows[_SIZES[-1]]
+    small_records, __, small_time = rows[_SIZES[0]]
+    large_records, __, large_time = rows[_SIZES[-1]]
     records_ratio = large_records / small_records
     time_ratio = large_time / small_time
     # near-linear: time grows at most ~2x faster than the record count
@@ -104,10 +96,9 @@ def test_scaling_with_log_size(benchmark, results_dir, bench_metrics):
     lines = [f"Extension A11 — Smart-SRA scaling (seed {BENCH_SEED}, "
              f"best of {_ROUNDS}, {available_cpus()} CPU(s) visible)",
              "  interleaved rounds + batch GC pause; see module docstring",
-             "  agents  records  sessions  serial_s  krec/s  par_s(auto)"]
+             "  agents  records  sessions  serial_s  krec/s"]
     for size in _SIZES:
-        records, sessions, serial_s, parallel_s = rows[size]
+        records, sessions, serial_s = rows[size]
         lines.append(f"  {size:>6}  {records:>7}  {sessions:>8}  "
-                     f"{serial_s:8.3f}  {records / serial_s / 1000:6.1f}  "
-                     f"{parallel_s:11.3f}")
+                     f"{serial_s:8.3f}  {records / serial_s / 1000:6.1f}")
     emit(results_dir, "scalability", "\n".join(lines) + "\n")

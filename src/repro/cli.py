@@ -7,8 +7,7 @@ Subcommands mirror the paper's pipeline:
   CLF access log and the ground-truth session file;
 * ``clean``      — run the cleaning pipeline over a (noisy) CLF log;
 * ``reconstruct``— apply one heuristic to a CLF log (alias:
-  ``sessionize``); ``--workers N`` fans reconstruction out over the
-  :mod:`repro.parallel` engine with identical output;
+  ``sessionize``);
 * ``stream``     — incremental reconstruction (:mod:`repro.streaming`):
   feed the log in arrival order, emit sessions as they close;
   ``--memory-budget``/``--overload-policy`` put the resource governor
@@ -19,9 +18,10 @@ Subcommands mirror the paper's pipeline:
 * ``evaluate``   — score a reconstructed session file against ground truth;
 * ``experiment`` — regenerate Figure 8, 9 or 10 and print the table;
 * ``sweep``      — sweep one simulation parameter (stp/lpp/nip), scoring
-  all heuristics per value, optionally in parallel; ``--checkpoint DIR``
-  persists every completed point and ``--resume`` continues a killed
-  sweep with identical final results;
+  all heuristics per value; ``--workers N`` runs the points on the
+  :mod:`repro.parallel` engine (the library's only parallel path) with
+  identical output; ``--checkpoint DIR`` persists every completed point
+  and ``--resume`` continues a killed sweep with identical final results;
 * ``mine``       — mine frequent navigation patterns from a session file;
 * ``stats``      — profile a session file (lengths, durations, top pages);
 * ``run-spec``   — execute a declarative JSON experiment specification;
@@ -48,9 +48,9 @@ Subcommands mirror the paper's pipeline:
   overload/sharded flags, audit a streaming governor or sharded-runtime
   configuration for legal-but-degenerate combinations;
 * ``diffcheck``  — the differential correctness oracle: run a corpus
-  through every Smart-SRA execution path (serial, parallel, supervised,
-  checkpoint/resume, streaming), verify the paper's five output rules,
-  and exit non-zero on any divergence;
+  through every Smart-SRA execution path (serial, columnar, streaming,
+  governed, sharded, AMP), verify the paper's five output rules, and
+  exit non-zero on any divergence;
 * ``trace``      — analyze a ``--trace`` JSON-lines file: span tree,
   inclusive/exclusive time, critical-path attribution and folded-stack
   flamegraph output (``repro trace analyze FILE``);
@@ -58,11 +58,11 @@ Subcommands mirror the paper's pipeline:
   committed ``BENCH_BASELINE.json`` perf baseline, exiting non-zero on
   regression (``--update`` re-records the baseline).
 
-Long-running commands (``sweep``, ``simulate``, ``reconstruct``) accept
-supervision flags (``--max-retries``, ``--chunk-deadline``,
-``--on-chunk-failure``) that wrap parallel execution in the fault-
-tolerant supervisor; Ctrl-C exits with code 130 after flushing completed
-checkpoint units, so an interrupted run is always resumable.
+``sweep`` accepts supervision flags (``--max-retries``,
+``--chunk-deadline``, ``--on-chunk-failure``) that wrap its parallel
+points in the fault-tolerant supervisor; Ctrl-C exits with code 130
+after flushing completed checkpoint units, so an interrupted sweep or
+simulation is always resumable.
 
 Every command prints a short human-readable summary to stdout; files are
 only written where an ``--output``-style flag points.
@@ -90,6 +90,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -167,34 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = _Sub()
 
-    def add_workers_flag(command_parser: argparse.ArgumentParser) -> None:
-        command_parser.add_argument(
-            "--workers", type=int, default=1, metavar="N",
-            help="parallel workers (repro.parallel engine): 1 = serial "
-                 "(default), 0 = all usable CPUs, N = exactly N; output "
-                 "is identical for every value")
-
-    def add_supervision_flags(
-            command_parser: argparse.ArgumentParser) -> None:
-        """Fault-tolerance knobs (repro.parallel.supervisor); supervision
-        activates when any of them is given."""
-        command_parser.add_argument(
-            "--max-retries", type=int, default=None, metavar="N",
-            help="retry a crashed or hung chunk up to N times with "
-                 "exponential backoff (supervised execution; default 2 "
-                 "once supervision is active)")
-        command_parser.add_argument(
-            "--chunk-deadline", type=float, default=None, metavar="SECONDS",
-            help="progress deadline: if no chunk completes within this "
-                 "window the worker pool is presumed hung, killed, and "
-                 "the outstanding chunks are retried")
-        command_parser.add_argument(
-            "--on-chunk-failure", choices=["raise", "serial", "skip"],
-            default=None,
-            help="what to do with a chunk that exhausts its retries: "
-                 "re-run it serially in-process (default), quarantine "
-                 "and skip it, or abort the run")
-
     def add_serve_flags(command_parser: argparse.ArgumentParser) -> None:
         """Live telemetry knobs (repro.obs.export / repro.obs.timeline);
         the HTTP exporter + timeline sampler start when --serve-metrics
@@ -237,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default="clf",
                      help="log format: plain CLF (the paper's reactive "
                           "setting) or Combined (adds Referer/User-Agent)")
-    add_workers_flag(sim)
-    add_supervision_flags(sim)
     add_serve_flags(sim)
     sim.add_argument("--checkpoint", metavar="DIR",
                      help="persist completed agent blocks here so an "
@@ -283,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "objects (default) or the vectorized columnar "
                           "plane (same sessions; needs a heuristic with "
                           "columnar support, e.g. heur1/heur2/heur4)")
-    add_workers_flag(rec)
-    add_supervision_flags(rec)
     add_amp_flags(rec)
 
     def add_overload_flags(command_parser: argparse.ArgumentParser) -> None:
@@ -349,11 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="unacked events retained per shard for failover "
                  "replay; routing backpressures when a shard's log is "
                  "full")
-        command_parser.add_argument(
-            "--replay-dir", metavar="DIR", default=None,
-            help="persist per-shard replay logs here (atomic, "
-                 "digest-sealed) instead of holding them only in "
-                 "coordinator memory")
 
     strm = sub.add_parser("stream",
                           help="incremental (streaming) reconstruction, "
@@ -428,8 +392,27 @@ def build_parser() -> argparse.ArgumentParser:
                           "(spec-runner names, e.g. heur1,heur4,amp); "
                           "the paper's four when omitted")
     swp.add_argument("--csv", help="also write the series as CSV here")
-    add_workers_flag(swp)
-    add_supervision_flags(swp)
+    swp.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="sweep points run in parallel (repro.parallel engine): "
+             "1 = serial (default), 0 = all usable CPUs, N = exactly N "
+             "processes; output is identical for every value")
+    swp.add_argument(
+        "--max-retries", type=int, default=None, metavar="N",
+        help="retry a crashed or hung sweep point up to N times with "
+             "exponential backoff (supervised execution; default 2 once "
+             "supervision is active)")
+    swp.add_argument(
+        "--chunk-deadline", type=float, default=None, metavar="SECONDS",
+        help="progress deadline: if no point completes within this "
+             "window the worker pool is presumed hung, killed, and the "
+             "outstanding points are retried")
+    swp.add_argument(
+        "--on-chunk-failure", choices=["raise", "serial", "skip"],
+        default=None,
+        help="what to do with a point that exhausts its retries: re-run "
+             "it serially in-process (default), quarantine and skip it, "
+             "or abort the run")
     add_serve_flags(swp)
     swp.add_argument("--checkpoint", metavar="DIR",
                      help="persist every completed sweep point here "
@@ -736,14 +719,12 @@ def _resume_invalid(args: argparse.Namespace) -> bool:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if _workers_invalid(args) or _resume_invalid(args):
+    if _resume_invalid(args):
         return 2
     graph = load_graph(args.topology)
     config = SimulationConfig(stp=args.stp, lpp=args.lpp, nip=args.nip,
                               n_agents=args.agents, seed=args.seed)
     result = simulate_population(graph, config,
-                                 n_workers=_validated_workers(args),
-                                 supervision=_supervision_from(args),
                                  checkpoint=args.checkpoint,
                                  resume=args.resume)
     records = requests_to_records(result.log_requests, IdentityAddressMap())
@@ -798,8 +779,6 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    if _workers_invalid(args):
-        return 2
     records = _read_log_surfacing_drops(args.log)
     requests = records_to_requests(records)
     if args.heuristic == "referrer":
@@ -825,10 +804,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         print(f"error: {args.heuristic} has no columnar data plane; "
               "drop --engine columnar", file=sys.stderr)
         return 2
-    sessions = heuristic.reconstruct(requests,
-                                     workers=_validated_workers(args),
-                                     supervision=_supervision_from(args),
-                                     engine=args.engine)
+    sessions = heuristic.reconstruct(requests, engine=args.engine)
     sessions.save(args.output)
     print(f"{heuristic.label}: {len(sessions)} sessions from "
           f"{len(requests)} requests "
@@ -878,8 +854,7 @@ _SHARDED_FLAGS = {"shards": "shards",
                   "on_shard_failure": "on_shard_failure",
                   "ack_interval": "ack_interval",
                   "shard_lease": "lease",
-                  "replay_capacity": "replay_capacity",
-                  "replay_dir": "replay_dir"}
+                  "replay_capacity": "replay_capacity"}
 
 
 def _sharded_from(args: argparse.Namespace):
@@ -935,10 +910,6 @@ def _stream_sharded(args: argparse.Namespace, sharded, governor) -> int:
               f"wedged {stats.wedged}, deaths {stats.worker_deaths}, "
               f"shards shed {stats.shed_shards})"
               + (f"; recovery {recovery}" if recovery else ""))
-    if stats.replay_integrity_failures:
-        print(f"  replay log integrity failures: "
-              f"{stats.replay_integrity_failures} (replayed from memory)",
-              file=sys.stderr)
     print(f"wrote {args.output}")
     if not stats.reconciles():
         print("error: sharded accounting does not reconcile",
@@ -1087,7 +1058,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         names = [token.strip() for token in args.heuristics.split(",")
                  if token.strip()]
         build_heuristics(names, graph)  # fail on unknown names up front
-        heuristic_factory = lambda: build_heuristics(names, graph)
+        # a partial pickles, so --workers gets processes, not threads
+        heuristic_factory = functools.partial(build_heuristics, names, graph)
     base = SimulationConfig(n_agents=args.agents, seed=args.seed)
     result = run_sweep(graph, base, args.parameter, values,
                        heuristic_factory=heuristic_factory,

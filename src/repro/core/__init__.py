@@ -25,7 +25,7 @@ Use :class:`~repro.core.smart_sra.SmartSRA` as a drop-in
 # columnar first: it pulls in the repro.sessions package, whose
 # maximal_paths module imports repro.core.amp — importing amp before the
 # sessions package finishes initializing would close an import cycle.
-from repro.core.columnar import ColumnarPlane, SymbolTable, UserColumns
+from repro.core.columnar import ColumnarPlane, SymbolTable
 from repro.core.amp import (
     AMPConfig,
     amp_sessions_optimized,
@@ -52,5 +52,4 @@ __all__ = [
     "audit_amp_config",
     "ColumnarPlane",
     "SymbolTable",
-    "UserColumns",
 ]

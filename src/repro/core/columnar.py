@@ -3,7 +3,7 @@
 The object-path hot loops (:func:`repro.core.phase1.split_candidates`,
 :func:`repro.core.phase2.maximal_sessions_fast`) traverse a Python object
 graph: every record is a :class:`~repro.sessions.model.Request`, every
-comparison an attribute load, every parallel fan-out a pickled object list.
+comparison an attribute load.
 This module replaces that data plane with a **struct-of-arrays** view: a
 user's clickstream becomes parallel columns of ``(timestamp, page-id,
 referrer-id)`` with page URLs interned once per run into an integer
@@ -54,9 +54,7 @@ Paths are enumerated breadth-first over the whole batch (a trie of
 ``(request, parent)`` frontier blocks), so enumeration is also a handful of
 array ops per depth level rather than a per-session Python walk.  Output
 order within a user is deterministic — ``(path depth, discovery order)`` —
-and independent of which other users share the batch, which is what makes
-``columnar`` and ``columnar-parallel`` construction-order identical.  It
-differs from the object engines' order; cross-engine comparison is by
+and independent of which other users share the batch.  It differs from the object engines' order; cross-engine comparison is by
 canonical form, exactly as for ``maximal_sessions`` vs the fast path.
 
 Float exactness
@@ -72,7 +70,6 @@ resolve bit-identically to the object engines.
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Sequence
 from operator import attrgetter
 
@@ -86,12 +83,10 @@ from repro.topology.graph import WebGraph
 
 __all__ = [
     "SymbolTable",
-    "UserColumns",
     "ColumnBatch",
     "ColumnarPlane",
     "PlaneResult",
     "reconstruct_serial",
-    "reconstruct_parallel",
 ]
 
 #: dense adjacency matrices are capped at this many cells (16M booleans =
@@ -166,91 +161,6 @@ class SymbolTable:
 NO_REFERRER = -1
 
 
-class UserColumns:
-    """One user's clickstream as parallel columns — the pool work unit.
-
-    Pickles as compact byte buffers instead of a list of ``Request``
-    objects, which is what lets :func:`reconstruct_parallel` ship work to
-    processes without the per-object serialization tax bench A17 measured.
-    The wire form narrows page/referrer ids to int32 and elides the
-    referrer/synthetic columns entirely when every value is the default
-    (plain CLF logs), so a request costs 12 wire bytes against ~30 for a
-    pickled ``Request`` — and, more importantly, decoding is a buffer
-    copy, not per-object reconstruction.
-    """
-
-    __slots__ = ("user_id", "times", "pages", "referrers", "synthetic")
-
-    def __init__(self, user_id: str, times, pages, referrers,
-                 synthetic) -> None:
-        self.user_id = user_id
-        self.times = times
-        self.pages = pages
-        self.referrers = referrers
-        self.synthetic = synthetic
-
-    @classmethod
-    def from_requests(cls, user_id: str, requests: Sequence[Request],
-                      symbols: SymbolTable) -> "UserColumns":
-        """Intern one user's (chronological) requests into columns."""
-        ids = symbols._ids
-        intern = symbols.intern
-        times: list[float] = []
-        pages: list[int] = []
-        referrers: list[int] = []
-        synthetic: list[int] = []
-        for request in requests:
-            times.append(request.timestamp)
-            pid = ids.get(request.page)
-            pages.append(pid if pid is not None else intern(request.page))
-            referrer = request.referrer
-            if referrer is None:
-                referrers.append(NO_REFERRER)
-            else:
-                rid = ids.get(referrer)
-                referrers.append(rid if rid is not None
-                                 else intern(referrer))
-            synthetic.append(1 if request.synthetic else 0)
-        return cls(user_id,
-                   np.asarray(times, dtype=np.float64),
-                   np.asarray(pages, dtype=np.int64),
-                   np.asarray(referrers, dtype=np.int64),
-                   np.asarray(synthetic, dtype=np.uint8))
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __getstate__(self):
-        # ``None`` for the referrer column means "all NO_REFERRER" and
-        # for the synthetic column "all false" — the plain-CLF common
-        # case costs zero wire bytes.  Ids travel as int32 (a symbol
-        # table big enough to overflow that would not fit in memory).
-        referrers = (None if (self.referrers == NO_REFERRER).all()
-                     else _ids_to_bytes(self.referrers))
-        synthetic = (None if not self.synthetic.any()
-                     else self.synthetic.tobytes())
-        return (self.user_id, len(self.times), self.times.tobytes(),
-                _ids_to_bytes(self.pages), referrers, synthetic)
-
-    def __setstate__(self, state) -> None:
-        user_id, count, times_b, pages_b, referrers_b, synthetic_b = state
-        self.user_id = user_id
-        self.times = np.frombuffer(times_b, dtype=np.float64)
-        self.pages = np.frombuffer(pages_b, dtype=np.int32).astype(np.int64)
-        self.referrers = (
-            np.full(count, NO_REFERRER, dtype=np.int64)
-            if referrers_b is None else
-            np.frombuffer(referrers_b, dtype=np.int32).astype(np.int64))
-        self.synthetic = (np.zeros(count, dtype=np.uint8)
-                          if synthetic_b is None else
-                          np.frombuffer(synthetic_b, dtype=np.uint8))
-
-
-def _ids_to_bytes(column) -> bytes:
-    """Narrow an int64 id column to its int32 wire form."""
-    return column.astype(np.int32).tobytes()
-
-
 class ColumnBatch:
     """Many users' columns concatenated — what one plane pass consumes.
 
@@ -292,21 +202,6 @@ class ColumnBatch:
         return cls(users, np.asarray(user_starts, dtype=np.int64),
                    np.asarray(times, dtype=np.float64),
                    np.asarray(pages, dtype=np.int64))
-
-    @classmethod
-    def from_user_columns(cls, columns: Sequence[UserColumns]
-                          ) -> "ColumnBatch":
-        """Concatenate per-user columns into a batch."""
-        users = [column.user_id for column in columns]
-        user_starts: list[int] = [0]
-        for column in columns:
-            user_starts.append(user_starts[-1] + len(column))
-        times = (np.concatenate([c.times for c in columns])
-                 if columns else np.zeros(0, dtype=np.float64))
-        pages = (np.concatenate([c.pages for c in columns])
-                 if columns else np.zeros(0, dtype=np.int64))
-        return cls(users, np.asarray(user_starts, dtype=np.int64),
-                   times, pages)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -780,60 +675,3 @@ def reconstruct_serial(plane: ColumnarPlane, per_user) -> list[Session]:
     batch = ColumnBatch.from_user_requests(items, plane.symbols)
     result = plane.run_batch(batch)
     return materialize_sessions(items, result)
-
-
-def _run_block(block: Sequence[UserColumns], plane: ColumnarPlane):
-    """Pool work function: one block of user columns → compact payload.
-
-    Returns ``(user_ids, session counts, session offsets, flat user-local
-    request indices)`` — plain ints and small buffers, so results cross
-    the pool as cheaply as the column inputs did.  Self-describing
-    (user ids travel along), so supervised skip-degradation cannot
-    misalign decoding.
-    """
-    batch = ColumnBatch.from_user_columns(block)
-    result = plane.run_batch(batch)
-    lengths = np.diff(result.session_offsets)
-    user_of = np.repeat(np.arange(len(batch.users), dtype=np.int64),
-                        result.user_session_counts)
-    base = np.repeat(batch.user_starts[user_of], lengths)
-    local = array("q")
-    local.frombytes((result.session_flat - base).tobytes())
-    return (list(batch.users), result.user_session_counts.tolist(),
-            result.session_offsets.tolist(), local)
-
-
-def reconstruct_parallel(plane: ColumnarPlane, per_user, *,
-                         workers: int | None, mode: str = "auto",
-                         supervision=None) -> list[Session]:
-    """Fan the plane out over user blocks; materialize parent-side.
-
-    Workers receive :class:`UserColumns` buffers and return index lists,
-    so ``Request`` objects never cross the pool in either direction —
-    the A17 fix.  Output is construction-order identical to
-    :func:`reconstruct_serial`: blocks are contiguous user slices and a
-    user's session order never depends on its batch-mates.
-    """
-    import functools
-
-    from repro.parallel import parallel_map, shard_by_user_columns
-
-    items = list(per_user.items())
-    blocks = shard_by_user_columns(items, plane.symbols)
-    payloads = parallel_map(functools.partial(_run_block, plane=plane),
-                            blocks, workers=workers, mode=mode,
-                            chunk_size=1, supervision=supervision)
-    sessions: list[Session] = []
-    from_trusted = Session.from_trusted_parts
-    for user_ids, counts, offsets, flat in payloads:
-        cursor = 0
-        slot = 0
-        for user_id, count in zip(user_ids, counts):
-            getter = per_user[user_id].__getitem__
-            for __ in range(count):
-                length = offsets[cursor + 1] - offsets[cursor]
-                cursor += 1
-                sessions.append(from_trusted(
-                    tuple(map(getter, flat[slot:slot + length]))))
-                slot += length
-    return sessions

@@ -1,9 +1,9 @@
 """repro.diffcheck — the differential correctness oracle.
 
-Smart-SRA now runs through five structurally different execution paths
-(serial batch, parallel fan-out, supervised execution under injected
-faults, checkpoint/resume, streaming).  This package holds them to one
-definition of correct:
+Smart-SRA runs through several structurally different execution paths
+(serial batch, the columnar plane, streaming with and without a
+governor, the sharded runtime with and without killed workers).  This
+package holds them to one definition of correct:
 
 * :mod:`repro.diffcheck.invariants` — verify any session list against
   the paper's five output rules (ordering, hyperlink topology, gap ≤ ρ,

@@ -11,7 +11,7 @@ divergence fixed once can never silently return.
 for: ρ/δ-boundary timestamps (threshold-exactly and threshold-plus-
 epsilon gaps), duplicate events, equal timestamps, single-page sessions
 (including pages unknown to the topology), many interleaved users
-spanning parallel chunk boundaries, cyclic topologies (2-cycles, rings
+whose streams overlap in time, cyclic topologies (2-cycles, rings
 and a dense complete core, so pages repeat within one candidate), and a
 simulator population — all seeded, so regenerating with the same seed
 reproduces the committed corpus byte for byte.
@@ -307,7 +307,11 @@ def _single_page_case(config: SmartSRAConfig, seed: int) -> CorpusCase:
 
 
 def _chunk_spanning_case(config: SmartSRAConfig, seed: int) -> CorpusCase:
-    """Many interleaved users so parallel chunking splits between them."""
+    """Many interleaved users whose streams overlap in time.
+
+    The name and description predate the removal of the per-user
+    fan-out; they stay because the golden corpus pins them.
+    """
     topology = random_site(20, 4.0, seed=seed)
     pages = sorted(topology.pages)
     rng = random.Random(seed)

@@ -1,16 +1,17 @@
 """The execution paths under differential test, behind one interface.
 
-After PRs 3-4 the same request log can be reconstructed five
-structurally different ways — serial batch, chunked parallel fan-out,
-supervised execution that survives injected worker crashes, a
-checkpoint/resume round trip through persisted work units, and the
-incremental streaming pipeline.  Each is wrapped here as an *engine*: a
-function from one :class:`EngineContext` to one
-:class:`~repro.sessions.model.SessionSet`, so the harness can canonical-
-compare their outputs pairwise without knowing how any of them executes.
+The same request log can be reconstructed many structurally different
+ways — the serial object path, the vectorized columnar plane, the
+incremental streaming pipeline (plain, watermark-flushed, reordered,
+governed, evicting), the crash-safe sharded runtime with and without
+killed workers, and the two All-Maximal-Paths enumerators.  Each is
+wrapped here as an *engine*: a function from one :class:`EngineContext`
+to one :class:`~repro.sessions.model.SessionSet`, so the harness can
+canonical-compare their outputs pairwise without knowing how any of them
+executes.
 
 Every engine is deterministic given the context ``seed`` — including the
-supervised leg (fault injection plus seeded retry jitter) and the
+sharded chaos leg (fault injection plus seeded retry jitter) and the
 reorder leg (seeded bounded shuffle) — so a divergence is always a bug,
 never noise.
 """
@@ -18,16 +19,13 @@ never noise.
 from __future__ import annotations
 
 import random
-import tempfile
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.core.config import SmartSRAConfig
 from repro.core.smart_sra import SmartSRA
 from repro.exceptions import ConfigurationError
 from repro.faults.execution import use_execution_faults
-from repro.parallel import CheckpointStore, RetryPolicy, shard_by_user
 from repro.sessions.model import Request, Session, SessionSet
 from repro.streaming import streaming_smart_sra
 from repro.topology.graph import WebGraph
@@ -58,26 +56,16 @@ class EngineContext:
         config: the ρ/δ thresholds.
         seed: drives every seeded choice an engine makes (retry jitter,
             reorder shuffle), so reruns are reproducible.
-        workdir: scratch directory for engines that persist state (the
-            resume leg); a fresh temporary directory when ``None``.
     """
 
     requests: tuple[Request, ...]
     topology: WebGraph
     config: SmartSRAConfig = field(default_factory=SmartSRAConfig)
     seed: int = 0
-    workdir: str | None = None
 
 
 def _serial(ctx: EngineContext) -> SessionSet:
     return SmartSRA(ctx.topology, ctx.config).reconstruct(ctx.requests)
-
-
-def _parallel(workers: int) -> EngineFn:
-    def run(ctx: EngineContext) -> SessionSet:
-        return SmartSRA(ctx.topology, ctx.config).reconstruct(
-            ctx.requests, workers=workers, mode="auto")
-    return run
 
 
 def _columnar(ctx: EngineContext) -> SessionSet:
@@ -91,77 +79,6 @@ def _columnar(ctx: EngineContext) -> SessionSet:
     """
     return SmartSRA(ctx.topology, ctx.config).reconstruct(
         ctx.requests, engine="columnar")
-
-
-def _columnar_parallel(ctx: EngineContext) -> SessionSet:
-    """Columnar plane fanned out over user blocks of column buffers."""
-    return SmartSRA(ctx.topology, ctx.config).reconstruct(
-        ctx.requests, engine="columnar", workers=2, mode="auto")
-
-
-def _supervised(ctx: EngineContext) -> SessionSet:
-    """Parallel reconstruction that must survive injected worker faults.
-
-    Chunk 0 crashes its worker on the first attempt (transient — the
-    canonical recoverable fault) and chunk 1 is slowed; the supervisor
-    has to retry, respawn the pool and still produce output identical to
-    every other engine.  Faults only fire inside pool worker processes,
-    so on platforms where the process pool is unavailable this leg
-    degrades to a plain supervised thread run — still a valid engine,
-    just without the crash exercised.
-    """
-    policy = RetryPolicy(max_retries=3, deadline=30.0, backoff_base=0.01,
-                         backoff_cap=0.1, seed=ctx.seed)
-    with use_execution_faults("crash-chunk:0", "slow-chunk:1:0.02"):
-        return SmartSRA(ctx.topology, ctx.config).reconstruct(
-            ctx.requests, workers=2, mode="auto", supervision=policy)
-
-
-def _resume(ctx: EngineContext) -> SessionSet:
-    """Checkpoint/resume round trip, with one unit corrupted on disk.
-
-    Simulates an interrupted run: the first half of the per-user shards
-    is computed and persisted (with a ``corrupt-checkpoint`` fault
-    flipping the first unit's integrity digest after the atomic write),
-    then a second pass resumes against the same directory — it must
-    reject the corrupted unit, reuse the trustworthy ones, recompute the
-    rest, and reassemble output identical to the serial engine.
-    """
-    shards = shard_by_user(ctx.requests)
-    smart = SmartSRA(ctx.topology, ctx.config)
-    workdir = ctx.workdir or tempfile.mkdtemp(prefix="diffcheck-resume-")
-    directory = str(Path(workdir) / "checkpoints")
-    fingerprint = (f"diffcheck:{ctx.topology.fingerprint()}:"
-                   f"{ctx.config.max_gap}:{ctx.config.max_duration}:"
-                   f"{len(ctx.requests)}")
-
-    def reconstruct_shard(shard: Sequence[Request]) -> list[Session]:
-        ordered = sorted(shard, key=lambda request: request.timestamp)
-        return smart.reconstruct_user(ordered)
-
-    first_pass = CheckpointStore(directory)
-    first_pass.begin(fingerprint, label="diffcheck-resume")
-    interrupted_at = (len(shards) + 1) // 2
-    with use_execution_faults("corrupt-checkpoint:0"):
-        for index, shard in enumerate(shards[:interrupted_at]):
-            payload = SessionSet(reconstruct_shard(shard)).to_jsonable()
-            first_pass.save_unit("user-shard", f"{index:06d}", payload)
-    # The run "dies" here; a fresh store resumes the same directory.
-    second_pass = CheckpointStore(directory)
-    second_pass.begin(fingerprint, label="diffcheck-resume", resume=True)
-    sessions: list[Session] = []
-    for index, shard in enumerate(shards):
-        unit = second_pass.load_unit("user-shard", f"{index:06d}")
-        if unit is not None:
-            sessions.extend(SessionSet.from_jsonable(unit["payload"]))
-        else:
-            recomputed = reconstruct_shard(shard)
-            second_pass.save_unit(
-                "user-shard", f"{index:06d}",
-                SessionSet(recomputed).to_jsonable())
-            sessions.extend(recomputed)
-    second_pass.mark("complete")
-    return SessionSet(sessions)
 
 
 def _streaming(ctx: EngineContext) -> SessionSet:
@@ -343,13 +260,7 @@ def _streaming_sharded_chaos(ctx: EngineContext) -> SessionSet:
 #: other engine is diffed against and must stay first.
 ENGINE_REGISTRY: dict[str, EngineFn] = {
     "serial": _serial,
-    "parallel-2": _parallel(2),
-    "parallel-3": _parallel(3),
-    "parallel-auto": _parallel(0),
     "columnar": _columnar,
-    "columnar-parallel": _columnar_parallel,
-    "supervised": _supervised,
-    "resume": _resume,
     "streaming": _streaming,
     "streaming-watermark": _streaming_watermark,
     "streaming-reorder": _streaming_reorder,

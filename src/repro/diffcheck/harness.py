@@ -20,7 +20,6 @@ corpus where pinned, and with the paper's output contract.
 from __future__ import annotations
 
 import dataclasses
-import tempfile
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -227,14 +226,9 @@ def run_diffcheck(cases: Iterable[CorpusCase],
     for case in cases:
         counter.inc()
         case_seed = case.seed if seed is None else seed
-        outputs = {}
-        with tempfile.TemporaryDirectory(prefix="diffcheck-") as workdir:
-            for name in chosen:
-                ctx = EngineContext(
-                    requests=case.requests, topology=case.topology,
-                    config=case.config, seed=case_seed,
-                    workdir=str(workdir))
-                outputs[name] = run_engine(name, ctx)
+        ctx = EngineContext(requests=case.requests, topology=case.topology,
+                            config=case.config, seed=case_seed)
+        outputs = {name: run_engine(name, ctx) for name in chosen}
         forms = {name: output.canonical_form()
                  for name, output in outputs.items()}
         digests = {name: output.canonical_digest()

@@ -5,8 +5,8 @@ follow-up (arXiv:1307.1927, *Link Based Session Reconstruction: Finding
 All Maximal Paths*) states the same contract as postconditions on the
 output.  :func:`verify_sessions` checks those postconditions — the five
 rules below — against *any* session list, independent of which execution
-path produced it, so every engine (serial, parallel, supervised,
-resumed, streaming) is held to one definition of correct:
+path produced it, so every engine (serial, columnar, streaming,
+sharded) is held to one definition of correct:
 
 1. **ordering** — requests within a session are in non-decreasing
    timestamp order (PAPER.md §Smart-SRA, rule 1);

@@ -95,20 +95,17 @@ class TrialResult:
             f"unknown metric {metric!r}; use 'matched' or 'captured'")
 
 
-def _score_heuristic(task: tuple[str, SessionReconstructor],
+def _score_heuristic(name: str, heuristic: SessionReconstructor,
                      simulation: SimulationResult,
                      engine: str = "object") -> AccuracyReport:
-    """Reconstruct and score one heuristic (parallel work unit).
+    """Reconstruct and score one heuristic.
 
-    Module-level so it pickles into worker processes; the ambient registry
-    it publishes to is the worker's private one, merged back by the
-    engine.  ``engine`` selects the reconstruction data plane; heuristics
-    that do not declare :attr:`~repro.sessions.base.SessionReconstructor.
+    ``engine`` selects the reconstruction data plane; heuristics that do
+    not declare :attr:`~repro.sessions.base.SessionReconstructor.
     supports_columnar` silently fall back to the object path (both planes
     are diffcheck-verified equivalent, so mixing them inside one trial is
     sound).
     """
-    name, heuristic = task
     use_engine = (engine if getattr(heuristic, "supports_columnar", False)
                   else "object")
     registry = get_registry()
@@ -125,9 +122,7 @@ def _score_heuristic(task: tuple[str, SessionReconstructor],
 def run_trial(topology: WebGraph, config: SimulationConfig,
               heuristics: Mapping[str, SessionReconstructor] | None = None,
               cache_dir: str | None = None, *,
-              workers: int | None = None, mode: str = "auto",
-              engine: str = "object", supervision=None, checkpoint=None,
-              resume: bool = False) -> TrialResult:
+              engine: str = "object") -> TrialResult:
     """Simulate one population and evaluate every heuristic on its log.
 
     Args:
@@ -138,36 +133,10 @@ def run_trial(topology: WebGraph, config: SimulationConfig,
         cache_dir: optional simulation disk cache
             (:func:`repro.evaluation.simcache.cached_simulation`); repeated
             trials with identical inputs skip the simulation entirely.
-        workers: ``None`` (default) scores the heuristics sequentially;
-            ``0`` fans out over all usable CPUs; a positive count uses
-            exactly that many workers (:func:`repro.parallel.parallel_map`
-            — reports are identical either way, metric counters
-            reconcile).
-        mode: parallel execution mode; ignored when ``workers`` is
-            ``None``.
         engine: reconstruction data plane, ``"object"`` (default) or
             ``"columnar"``; heuristics without columnar support keep the
             object path (results are identical either way).
-        supervision: optional
-            :class:`~repro.parallel.supervisor.RetryPolicy` — parallel
-            scoring then survives worker crashes and hangs at per-
-            heuristic granularity.  Under ``on_failure="skip"`` an
-            unrecoverable heuristic is *omitted* from :attr:`reports`.
-        checkpoint: optional checkpoint directory (path or
-            :class:`~repro.parallel.checkpoint.CheckpointStore`); each
-            completed heuristic's report is persisted as it finishes.
-        resume: continue from an existing checkpoint directory, skipping
-            heuristics whose reports are already on disk.  The restored
-            trial's metrics are merged so the final snapshot matches an
-            uninterrupted run; raises
-            :class:`~repro.exceptions.ConfigurationError` when the
-            directory belongs to a different trial configuration.
     """
-    if supervision is not None or checkpoint is not None:
-        return _run_trial_supervised(
-            topology, config, heuristics, cache_dir, workers=workers,
-            mode=mode, engine=engine, supervision=supervision,
-            checkpoint=checkpoint, resume=resume)
     registry = get_registry()
     if heuristics is None:
         heuristics = standard_heuristics(topology)
@@ -179,19 +148,9 @@ def run_trial(topology: WebGraph, config: SimulationConfig,
             simulation = cached_simulation(topology, config, cache_dir)
         else:
             simulation = simulate_population(topology, config)
-    tasks = list(heuristics.items())
-    if workers is None:
-        reports = {name: _score_heuristic((name, heuristic), simulation,
-                                          engine=engine)
-                   for name, heuristic in tasks}
-    else:
-        from repro.parallel import parallel_map
-
-        scored = parallel_map(
-            functools.partial(_score_heuristic, simulation=simulation,
-                              engine=engine),
-            tasks, workers=workers, mode=mode)
-        reports = {task[0]: report for task, report in zip(tasks, scored)}
+    reports = {name: _score_heuristic(name, heuristic, simulation,
+                                      engine=engine)
+               for name, heuristic in heuristics.items()}
     if registry.enabled:
         registry.counter("eval.trials").inc()
         registry.counter("eval.sessions.real").inc(
@@ -272,8 +231,8 @@ def _run_sweep_point(value: float, topology: WebGraph,
 def sweep(topology: WebGraph, base_config: SimulationConfig, parameter: str,
           values: Sequence[float],
           heuristic_factory=None, cache_dir: str | None = None, *,
-          workers: int | None = None, mode: str = "auto",
-          engine: str = "object", supervision=None, checkpoint=None,
+          workers: int | None = None, engine: str = "object",
+          supervision=None, checkpoint=None,
           resume: bool = False) -> SweepResult:
     """Vary one simulation parameter, evaluating all heuristics per value.
 
@@ -285,14 +244,17 @@ def sweep(topology: WebGraph, base_config: SimulationConfig, parameter: str,
         values: parameter values, run in order.
         heuristic_factory: optional ``() -> Mapping[str, reconstructor]``
             called per value; defaults to the paper's four heuristics.
+            With ``workers`` it runs inside the worker processes, so it
+            must pickle (a module-level function or a
+            :func:`functools.partial` of one) — an unpicklable factory
+            drops the pool to threads, which gain nothing under the GIL.
         cache_dir: optional simulation disk cache shared by all points.
         workers: ``None`` (default) runs the points sequentially; ``0``
             fans the points out over all usable CPUs; a positive count
-            uses exactly that many workers.  Results and metric counters
-            are identical either way (sweep points are independent trials
-            with value-labelled gauges).
-        mode: parallel execution mode; ignored when ``workers`` is
-            ``None``.
+            uses exactly that many processes.  Results and metric
+            counters are identical either way (sweep points are
+            independent trials with value-labelled gauges).  The sweep
+            point is the library's only parallel unit of work.
         engine: reconstruction data plane for every point — ``"object"``
             (default) or ``"columnar"`` (heuristics without columnar
             support keep the object path; accuracies are identical).
@@ -307,7 +269,9 @@ def sweep(topology: WebGraph, base_config: SimulationConfig, parameter: str,
             points in flight.
         resume: continue from an existing checkpoint, recomputing only
             the missing points.  The resumed sweep's report *and* final
-            metrics snapshot equal an uninterrupted run's.
+            metrics snapshot equal an uninterrupted run's.  The
+            checkpoint is pinned to the heuristic lineup by name, so a
+            resume with a different lineup is refused.
 
     Raises:
         EvaluationError: for an empty value list or an unknown parameter.
@@ -323,7 +287,7 @@ def sweep(topology: WebGraph, base_config: SimulationConfig, parameter: str,
     if supervision is not None or checkpoint is not None:
         return _sweep_supervised(
             topology, base_config, parameter, values, heuristic_factory,
-            cache_dir, workers=workers, mode=mode, engine=engine,
+            cache_dir, workers=workers, engine=engine,
             supervision=supervision, checkpoint=checkpoint, resume=resume)
 
     point = functools.partial(
@@ -335,21 +299,19 @@ def sweep(topology: WebGraph, base_config: SimulationConfig, parameter: str,
     else:
         from repro.parallel import parallel_map
 
-        trials = parallel_map(point, list(values), workers=workers,
-                              mode=mode)
+        trials = parallel_map(point, list(values), workers=workers)
     return SweepResult(parameter=parameter, values=tuple(values),
                        trials=tuple(trials))
 
 
 # -- fault-tolerant execution (supervision + checkpoint/resume) ----------
 #
-# The supervised variants below trade the plain paths' directness for two
-# properties long runs need: every completed unit of work (a scored
-# heuristic, a sweep point) is durable the moment it finishes, and each
-# unit's metrics are captured in a private registry snapshot that is
-# persisted with it.  Merging the saved snapshots for restored units in
-# unit order is what makes a resumed run's final metrics equal an
-# uninterrupted run's.
+# The supervised sweep below trades the plain path's directness for two
+# properties long runs need: every completed sweep point is durable the
+# moment it finishes, and each point's metrics are captured in a private
+# registry snapshot that is persisted with it.  Merging the saved
+# snapshots for restored points in point order is what makes a resumed
+# run's final metrics equal an uninterrupted run's.
 
 
 def _checkpoint_store(checkpoint):
@@ -376,34 +338,6 @@ def _passthrough_policy():
     from repro.parallel.supervisor import RetryPolicy
 
     return RetryPolicy(max_retries=0, on_failure="raise")
-
-
-def _simulate_for_trial(topology: WebGraph, config: SimulationConfig,
-                        cache_dir: str | None) -> SimulationResult:
-    if cache_dir is not None:
-        from repro.evaluation.simcache import cached_simulation
-
-        return cached_simulation(topology, config, cache_dir)
-    return simulate_population(topology, config)
-
-
-def _score_heuristic_captured(task: tuple[str, SessionReconstructor],
-                              simulation: SimulationResult,
-                              engine: str = "object"
-                              ) -> tuple[AccuracyReport, dict | None]:
-    """Score one heuristic under a private registry; return both.
-
-    The snapshot travels with the report into the checkpoint unit, so a
-    resume can replay the unit's metric contribution without redoing the
-    work.  Disabled observability yields ``None`` — nothing to replay.
-    """
-    ambient = get_registry()
-    if not ambient.enabled:
-        return _score_heuristic(task, simulation, engine=engine), None
-    local = Registry()
-    with use_local_registry(local):
-        report = _score_heuristic(task, simulation, engine=engine)
-    return report, local.snapshot()
 
 
 def _run_sweep_point_captured(value: float, topology: WebGraph,
@@ -454,121 +388,10 @@ def _trial_from_payload(payload: Mapping[str, Any]) -> TrialResult:
     return TrialResult(simulation=None, reports=reports)
 
 
-def _run_trial_supervised(topology: WebGraph, config: SimulationConfig,
-                          heuristics, cache_dir: str | None, *,
-                          workers: int | None, mode: str,
-                          engine: str = "object", supervision,
-                          checkpoint, resume: bool) -> TrialResult:
-    """:func:`run_trial` with supervision and/or checkpointing active."""
-    from repro.parallel.supervisor import supervised_map
-
-    registry = get_registry()
-    if heuristics is None:
-        heuristics = standard_heuristics(topology)
-    store = _checkpoint_store(checkpoint)
-    restored: dict[str, tuple[AccuracyReport, dict | None]] = {}
-    meta = None
-    if store is not None:
-        fingerprint = _fingerprint({
-            "kind": "trial",
-            "topology": topology.fingerprint(),
-            "config": dataclasses.asdict(config),
-            "heuristics": sorted(heuristics),
-        })
-        store.begin(fingerprint, label=f"trial seed={config.seed}",
-                    resume=resume)
-        meta = store.load_unit("trial-meta", "meta")
-        for name in heuristics:
-            unit = store.load_unit("trial-report", name)
-            if unit is not None:
-                restored[name] = (AccuracyReport.from_dict(unit["payload"]),
-                                  unit.get("obs"))
-
-    pending = [(name, heuristic) for name, heuristic in heuristics.items()
-               if name not in restored]
-
-    # Simulate unless every heuristic AND the trial metadata were
-    # restored (the simulation is never persisted — see _trial_payload).
-    simulation: SimulationResult | None = None
-    if pending or meta is None:
-        with registry.span("trial.simulate", agents=config.n_agents,
-                           seed=config.seed):
-            if registry.enabled:
-                local = Registry()
-                with use_local_registry(local), \
-                        local.timer("eval.simulate.seconds"):
-                    simulation = _simulate_for_trial(topology, config,
-                                                     cache_dir)
-                sim_obs: dict | None = local.snapshot()
-            else:
-                simulation = _simulate_for_trial(topology, config, cache_dir)
-                sim_obs = None
-        if sim_obs:
-            registry.merge_snapshot(sim_obs)
-        total_real = len(simulation.ground_truth)
-        if store is not None:
-            store.save_unit("trial-meta", "meta",
-                            {"total_real": total_real}, obs=sim_obs)
-    else:
-        total_real = int(meta["payload"]["total_real"])
-        if meta.get("obs"):
-            registry.merge_snapshot(meta["obs"])
-
-    computed: dict[str, tuple[AccuracyReport, dict | None]] = {}
-
-    def record(name: str,
-               result: tuple[AccuracyReport, dict | None]) -> None:
-        computed[name] = result
-        if store is not None:
-            store.save_unit("trial-report", name, result[0].to_dict(),
-                            obs=result[1])
-
-    try:
-        if pending:
-            score = functools.partial(_score_heuristic_captured,
-                                      simulation=simulation, engine=engine)
-            if workers is None:
-                for task in pending:
-                    record(task[0], score(task))
-            else:
-                policy = (supervision if supervision is not None
-                          else _passthrough_policy())
-                supervised_map(
-                    score, pending, workers=workers, mode=mode,
-                    chunk_size=1, policy=policy,
-                    on_chunk_complete=lambda index, results:
-                        record(pending[index][0], results[0]))
-    except BaseException:
-        if store is not None:
-            store.mark("interrupted")
-        raise
-    if store is not None:
-        store.mark("complete")
-
-    reports: dict[str, AccuracyReport] = {}
-    for name in heuristics:
-        entry = restored.get(name) or computed.get(name)
-        if entry is None:
-            continue  # quarantined under on_failure="skip"
-        report, snapshot = entry
-        reports[name] = report
-        if snapshot:
-            registry.merge_snapshot(snapshot)
-    if registry.enabled:
-        registry.counter("eval.trials").inc()
-        registry.counter("eval.sessions.real").inc(total_real)
-        for name, report in reports.items():
-            registry.counter("eval.sessions.reconstructed",
-                             heuristic=name).inc(report.reconstructed_count)
-            registry.gauge("eval.accuracy",
-                           heuristic=name).set(report.matched_accuracy)
-    return TrialResult(simulation=simulation, reports=reports)
-
-
 def _sweep_supervised(topology: WebGraph, base_config: SimulationConfig,
                       parameter: str, values: Sequence[float],
                       heuristic_factory, cache_dir: str | None, *,
-                      workers: int | None, mode: str,
+                      workers: int | None,
                       engine: str = "object", supervision,
                       checkpoint, resume: bool) -> SweepResult:
     """:func:`sweep` with supervision and/or checkpointing active."""
@@ -578,16 +401,15 @@ def _sweep_supervised(topology: WebGraph, base_config: SimulationConfig,
     store = _checkpoint_store(checkpoint)
     restored: dict[int, tuple[TrialResult, dict | None]] = {}
     if store is not None:
-        marker = ("standard" if heuristic_factory is None else
-                  getattr(heuristic_factory, "__qualname__",
-                          repr(heuristic_factory)))
+        lineup = ("standard" if heuristic_factory is None else
+                  sorted(heuristic_factory()))
         fingerprint = _fingerprint({
             "kind": "sweep",
             "parameter": parameter,
             "values": [float(value) for value in values],
             "topology": topology.fingerprint(),
             "config": dataclasses.asdict(base_config),
-            "heuristics": marker,
+            "heuristics": lineup,
         })
         store.begin(fingerprint, label=f"sweep {parameter}", resume=resume)
         for index, value in enumerate(values):
@@ -628,7 +450,7 @@ def _sweep_supervised(topology: WebGraph, base_config: SimulationConfig,
                           else _passthrough_policy())
                 outcome = supervised_map(
                     point, [value for _, value in todo], workers=workers,
-                    mode=mode, chunk_size=1, policy=policy,
+                    chunk_size=1, policy=policy,
                     on_chunk_complete=lambda position, results:
                         record(position, results[0]))
                 failures = tuple(outcome.failures)

@@ -25,6 +25,7 @@ default.
 
 from __future__ import annotations
 
+import functools
 import dataclasses
 import json
 from collections.abc import Mapping
@@ -179,5 +180,5 @@ def run_spec(spec: Mapping[str, object]) -> TrialResult | SweepResult:
         raise EvaluationError("'sweep.values' must be a non-empty list")
     return sweep(topology, config, parameter,
                  [float(value) for value in values],
-                 heuristic_factory=lambda: build_heuristics(list(names),
-                                                            topology))
+                 heuristic_factory=functools.partial(
+                     build_heuristics, list(names), topology))

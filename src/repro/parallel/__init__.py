@@ -1,11 +1,10 @@
 """repro.parallel — the deterministic fan-out execution engine.
 
-One engine for every parallel path in the library: user-sharded session
-reconstruction, concurrent heuristic scoring and trial sweeps in the
-evaluation harness, and agent-sharded simulation.  The contract is
-*byte-identical output regardless of worker count* — see
-:mod:`repro.parallel.engine` for how chunked order-preserving execution
-and per-worker metrics-registry merging deliver that.
+The library parallelises one unit of work: the sweep point
+(:func:`repro.evaluation.harness.sweep`, ``repro sweep --workers N``).
+The contract is *byte-identical output regardless of worker count* —
+see :mod:`repro.parallel.engine` for how chunked order-preserving
+execution and per-worker metrics-registry merging deliver that.
 
 On top of the engine sit the fault-tolerance layers:
 
@@ -18,15 +17,10 @@ On top of the engine sit the fault-tolerance layers:
 
 Quickstart::
 
-    from repro import SmartSRA, random_site
     from repro.parallel import RetryPolicy, parallel_map
 
-    site = random_site(300, 15, seed=1)
-    smart = SmartSRA(site)
-    sessions = smart.reconstruct(log_requests, workers=0)  # 0 = all CPUs
-
-    # or drive the engine directly, surviving worker crashes:
-    squares = parallel_map(pow2, range(1000), workers=4,
+    # fan out a coarse, picklable work function, surviving worker crashes:
+    results = parallel_map(run_point, values, workers=2,
                            supervision=RetryPolicy(deadline=60.0))
 """
 
@@ -44,9 +38,6 @@ from repro.parallel.engine import (
     paused_gc,
     plan_execution,
     resolve_workers,
-    shard_by_key,
-    shard_by_user,
-    shard_by_user_columns,
 )
 from repro.parallel.supervisor import (
     ChunkFailure,
@@ -72,8 +63,5 @@ __all__ = [
     "paused_gc",
     "plan_execution",
     "resolve_workers",
-    "shard_by_key",
-    "shard_by_user",
-    "shard_by_user_columns",
     "supervised_map",
 ]

@@ -1,13 +1,11 @@
-"""The execution engine behind every parallel path in the library.
+"""The execution engine behind the library's one parallel path.
 
-Session reconstruction is embarrassingly parallel across users (the
-paper's follow-up frames per-user maximal-path construction as independent
-work units, and billion-request studies shard on the client), so one
-engine serves all three hot consumers — batch reconstruction
-(:meth:`repro.sessions.base.SessionReconstructor.reconstruct`), the
-evaluation harness (:func:`repro.evaluation.harness.run_trial` /
-:func:`~repro.evaluation.harness.sweep`) and the agent simulator
-(:func:`repro.simulator.population.simulate_population`).
+The unit of parallel work is a sweep point
+(:func:`repro.evaluation.harness.sweep`): one simulated population with
+every heuristic scored on it, coarse enough to pay for a process pool.
+Finer units — one user's reconstruction, one heuristic's scoring, one
+agent's simulation — lose to the serial loop at every core count,
+because pickling their inputs and results costs more than the work.
 
 Design contract:
 
@@ -40,7 +38,6 @@ from typing import Any, TypeVar
 
 from repro.exceptions import ConfigurationError
 from repro.obs import Registry, get_registry, use_local_registry
-from repro.sessions.model import Request
 
 __all__ = [
     "ParallelPlan",
@@ -49,9 +46,6 @@ __all__ = [
     "plan_execution",
     "parallel_map",
     "paused_gc",
-    "shard_by_key",
-    "shard_by_user",
-    "shard_by_user_columns",
 ]
 
 #: target chunks per worker: >1 so a slow chunk doesn't serialize the
@@ -350,79 +344,3 @@ def _map_in_threads(payloads: list, pool_workers: int) -> list:
         raise
     pool.shutdown(wait=True)
     return results
-
-
-def shard_by_key(items: Iterable[T], key: Callable[[T], Any]
-                 ) -> list[list[T]]:
-    """Partition ``items`` into shards by ``key``, one shard per distinct
-    key, in order of each key's first appearance.
-
-    Within a shard, items keep their stream order.  This is the
-    deterministic sharding primitive: feeding the shards to
-    :func:`parallel_map` and concatenating reproduces the serial
-    per-group processing order.
-    """
-    shards: dict[Any, list[T]] = {}
-    for item in items:
-        shards.setdefault(key(item), []).append(item)
-    return list(shards.values())
-
-
-def shard_by_user(requests: Iterable[Request]) -> list[list[Request]]:
-    """Shard a request stream by ``user_id`` (first-appearance order).
-
-    The unit of work for parallel session reconstruction: each shard is
-    one user's sub-stream, exactly the partition
-    :meth:`~repro.sessions.base.SessionReconstructor.reconstruct`
-    performs serially.
-    """
-    return shard_by_key(requests, lambda request: request.user_id)
-
-
-def shard_by_user_columns(items: Sequence[tuple[str, Sequence[Request]]],
-                          symbols, shards: int | None = None
-                          ) -> list[list[Any]]:
-    """Shard users into blocks of interned column buffers.
-
-    The columnar analogue of :func:`shard_by_user` — and the fix for the
-    A17 regression it measured: instead of per-chunk ``Request`` object
-    lists, workers receive :class:`~repro.core.columnar.UserColumns`
-    byte buffers, so the pool payload shrinks to well under half the
-    bytes (12 wire bytes per plain-CLF request against ~30 pickled) and,
-    decisively, decoding becomes a buffer copy instead of per-object
-    reconstruction — serialization stops eating the fan-out win.
-
-    Args:
-        items: ``(user_id, chronological requests)`` pairs, in the order
-            output must be reassembled.
-        symbols: the run's :class:`~repro.core.columnar.SymbolTable`
-            (page ids are interned into it as a side effect).
-        shards: target block count; defaults to
-            :data:`CHUNKS_PER_WORKER` blocks per usable CPU.
-
-    Returns:
-        Contiguous user blocks, balanced by request count — concatenating
-        per-block results in order reproduces serial user order.
-    """
-    from repro.core.columnar import UserColumns
-
-    columns = [UserColumns.from_requests(user_id, requests, symbols)
-               for user_id, requests in items]
-    if shards is None:
-        shards = available_cpus() * CHUNKS_PER_WORKER
-    shards = max(1, min(shards, len(columns)))
-    total = sum(len(column) for column in columns)
-    blocks: list[list[Any]] = []
-    block: list[Any] = []
-    block_records = 0
-    target = total / shards if shards else 0
-    for column in columns:
-        block.append(column)
-        block_records += len(column)
-        if block_records >= target and len(blocks) < shards - 1:
-            blocks.append(block)
-            block = []
-            block_records = 0
-    if block:
-        blocks.append(block)
-    return blocks

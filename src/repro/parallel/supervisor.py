@@ -9,7 +9,10 @@ chunked execution in a supervisor that recovers at **chunk granularity**:
   if no chunk completes within ``deadline`` seconds, the pool is
   presumed hung, killed, and the outstanding chunks are retried;
 * a crashed pool (``BrokenProcessPool``) is respawned and only the
-  unfinished chunks are resubmitted — completed results are kept;
+  unfinished chunks are resubmitted — completed results are kept.  A
+  crash is charged to a chunk only when that chunk was alone in flight:
+  when several were unfinished, none is charged, and each is re-run in
+  a pool round of its own until the crasher is isolated;
 * each failed chunk is retried up to ``max_retries`` times with
   exponential backoff plus deterministic seeded jitter;
 * a chunk that exhausts its retries is resolved by the policy's
@@ -342,6 +345,10 @@ def _supervised_process_map(fn: Callable[[Any], Any],
 
     pending: dict[int, list[Any]] = dict(enumerate(chunks))
     attempts: dict[int, int] = {index: 0 for index in pending}
+    # chunks unfinished when a pool crashed beside other unfinished
+    # chunks: any of them may be the crasher, so each runs alone until
+    # it completes, and only a crash while alone is charged to it.
+    suspects: set[int] = set()
     outputs: dict[int, tuple[list[Any], dict | None] | None] = {}
     pool: ProcessPoolExecutor | None = None
     spawned = 0
@@ -405,14 +412,23 @@ def _supervised_process_map(fn: Callable[[Any], Any],
                 if spawned > 1:
                     stats.respawns += 1
 
-            futures = {
-                pool.submit(_run_chunk,
-                            (fn, pending[index], collect, index,
-                             attempts[index])): index
-                for index in sorted(pending)}
+            suspects &= pending.keys()
+            batch = [min(suspects)] if suspects else sorted(pending)
+            futures: dict[Any, int] = {}
+            # a chunk submitted a moment ago may already have killed its
+            # worker, breaking the pool under the rest of the batch.
+            submitted_all = True
+            try:
+                for index in batch:
+                    futures[pool.submit(
+                        _run_chunk, (fn, pending[index], collect, index,
+                                     attempts[index]))] = index
+            except BrokenProcessPool:
+                submitted_all = False
             failed_round: dict[int, tuple[str, str]] = {}
+            crashed = not submitted_all
             not_done = set(futures)
-            while not_done:
+            while not_done and not crashed:
                 done, not_done = wait(not_done, timeout=policy.deadline,
                                       return_when=FIRST_COMPLETED)
                 if not done:
@@ -427,7 +443,6 @@ def _supervised_process_map(fn: Callable[[Any], Any],
                     _kill_pool(pool)
                     pool = None
                     break
-                crashed = False
                 for future in done:
                     index = futures[future]
                     error = future.exception()
@@ -441,15 +456,16 @@ def _supervised_process_map(fn: Callable[[Any], Any],
                         # engine path.
                         pool.shutdown(wait=False, cancel_futures=True)
                         raise error
-                if crashed:
-                    stats.crashes += 1
-                    for index in pending:
-                        failed_round.setdefault(
-                            index, ("crash", "worker process died "
-                                    "(BrokenProcessPool)"))
-                    _kill_pool(pool)
-                    pool = None
-                    break
+            if crashed:
+                stats.crashes += 1
+                unfinished = [index for index in batch if index in pending]
+                if len(unfinished) == 1 and submitted_all:
+                    failed_round[unfinished[0]] = (
+                        "crash", "worker process died (BrokenProcessPool)")
+                else:
+                    suspects.update(unfinished)
+                _kill_pool(pool)
+                pool = None
 
             if not failed_round:
                 continue

@@ -68,51 +68,30 @@ class SessionReconstructor(ABC):
         """
 
     def reconstruct(self, requests: Iterable[Request], *,
-                    workers: int | None = None,
-                    mode: str = "auto", supervision=None,
                     engine: str = "object") -> SessionSet:
         """Reconstruct sessions for a whole (possibly multi-user) stream.
 
         The stream is partitioned by ``user_id``; each user's sub-stream is
         sorted by timestamp and handed to :meth:`reconstruct_user`.  Users
         are processed in order of their first appearance so output is
-        deterministic — including under parallel execution, which shards
-        by user and reassembles in shard order
-        (:func:`repro.parallel.parallel_map`), making the result
-        byte-identical for every worker count.
+        deterministic.
 
         Args:
             requests: the request stream, in any order.
-            workers: ``None`` (default) runs in-process; ``0`` fans out
-                over all usable CPUs; a positive count uses exactly that
-                many workers.
-            mode: parallel execution mode (``"auto"`` picks processes when
-                the heuristic pickles, else threads); ignored when
-                ``workers`` is ``None``.
-            supervision: optional
-                :class:`~repro.parallel.supervisor.RetryPolicy` — parallel
-                chunks then survive worker crashes and hangs (retry with
-                backoff, pool respawn, serial degradation), with output
-                still byte-identical to the serial run.  Ignored when
-                ``workers`` is ``None``.
             engine: ``"object"`` (default) runs :meth:`reconstruct_user`
                 per user; ``"columnar"`` runs the heuristic's vectorized
                 data plane (:mod:`repro.core.columnar`) over interned
                 int columns — same session *set*, deterministic but
-                possibly different construction order, and parallel
-                fan-out ships compact column buffers instead of pickled
-                request lists.  Only heuristics with
-                :attr:`supports_columnar` accept it.
+                possibly different construction order.  Only heuristics
+                with :attr:`supports_columnar` accept it.
 
         Raises:
             ReconstructionError: if any request has a negative timestamp.
-            ConfigurationError: for an invalid ``workers``, ``mode`` or
-                ``engine``, or ``engine="columnar"`` on a heuristic
-                without a columnar plane.
-            ExecutionError: a chunk exhausted its retries under
-                ``supervision`` with ``on_failure="raise"``.
+            ConfigurationError: for an unknown ``engine``, or
+                ``engine="columnar"`` on a heuristic without a columnar
+                plane.
         """
-        from repro.parallel import parallel_map, paused_gc
+        from repro.parallel import paused_gc
 
         if engine not in ("object", "columnar"):
             raise ConfigurationError(
@@ -153,23 +132,12 @@ class SessionReconstructor(ABC):
                                        heuristic=self.name), \
                             registry.timer("sessions.columnar.seconds",
                                            heuristic=self.name):
-                        if workers is None:
-                            sessions.extend(columnar.reconstruct_serial(
-                                plane, per_user))
-                        else:
-                            sessions.extend(columnar.reconstruct_parallel(
-                                plane, per_user, workers=workers,
-                                mode=mode, supervision=supervision))
-                elif workers is None:
+                        sessions.extend(columnar.reconstruct_serial(
+                            plane, per_user))
+                else:
                     for user_requests in per_user.values():
                         sessions.extend(
                             self.reconstruct_user(user_requests))
-                else:
-                    per_user_sessions = parallel_map(
-                        self.reconstruct_user, list(per_user.values()),
-                        workers=workers, mode=mode, supervision=supervision)
-                    for user_sessions in per_user_sessions:
-                        sessions.extend(user_sessions)
             if registry.enabled:
                 registry.counter("sessions.requests",
                                  heuristic=self.name).inc(n_requests)

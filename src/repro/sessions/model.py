@@ -281,7 +281,7 @@ class Session:
         """An engine-independent identity for differential comparison.
 
         Two sessions reconstructed by different execution paths (serial,
-        parallel, streaming, resumed) describe the same visit iff their
+        columnar, streaming, sharded) describe the same visit iff their
         canonical keys are equal: same user, same ``(timestamp, page,
         synthetic)`` sequence.  Referrers are deliberately excluded — they
         are provenance metadata that CLF logs do not carry, and
@@ -377,7 +377,7 @@ class SessionSet:
         Maps each user to the *sorted* list of that user's canonical
         session bodies (see :meth:`Session.canonical_key`).  Engines may
         emit sessions in different orders (streaming emits as candidates
-        close, parallel emits chunk by chunk), so construction order must
+        close, columnar emits by path depth), so construction order must
         not participate in equivalence — but multiplicity must: a session
         reconstructed twice is a divergence, hence a sorted list rather
         than a set.  Empty sessions normalize under the ``""`` user.

@@ -19,7 +19,6 @@ day), like real visitors arriving over a day.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import random
@@ -109,21 +108,10 @@ def _simulate_range(topology: WebGraph, config: SimulationConfig,
     return traces
 
 
-def _simulate_one(index: int, topology: WebGraph, config: SimulationConfig,
-                  horizon: float, arrival_profile: str) -> AgentTrace:
-    """Simulate one agent (the parallel work unit; module-level to pickle)."""
-    rng, start_time = _agent_rng_and_start(config, index, horizon,
-                                           arrival_profile)
-    return simulate_agent(agent_name(index), topology, config, rng,
-                          start_time)
-
-
 def simulate_population(topology: WebGraph, config: SimulationConfig,
                         horizon: float = 86_400.0,
-                        n_workers: int | None = None,
                         arrival_profile: str = "uniform", *,
-                        supervision=None, checkpoint=None,
-                        resume: bool = False,
+                        checkpoint=None, resume: bool = False,
                         checkpoint_block: int = 256) -> SimulationResult:
     """Simulate ``config.n_agents`` agents browsing ``topology``.
 
@@ -133,20 +121,9 @@ def simulate_population(topology: WebGraph, config: SimulationConfig,
             ``proxy_group_size``).
         horizon: agents' first requests are spread uniformly over
             ``[0, horizon)`` seconds.
-        n_workers: parallelize agent simulation via
-            :func:`repro.parallel.parallel_map` — ``None`` (default) runs
-            in-process, ``0`` auto-detects usable CPUs, a positive count
-            uses exactly that many workers.  Results are identical to the
-            serial run (agents are seeded independently); only allowed
-            without proxy sharing, whose shared caches are inherently
-            sequential.
         arrival_profile: how arrivals spread over the horizon —
             ``"uniform"`` (paper-implicit default) or ``"diurnal"`` (see
             :mod:`repro.simulator.arrivals`).
-        supervision: optional
-            :class:`~repro.parallel.supervisor.RetryPolicy` for the
-            parallel path — worker crashes and hangs are then recovered
-            at chunk granularity instead of killing the run.
         checkpoint: optional checkpoint directory (path or
             :class:`~repro.parallel.checkpoint.CheckpointStore`).  Agent
             traces are persisted in blocks of ``checkpoint_block`` as
@@ -162,15 +139,11 @@ def simulate_population(topology: WebGraph, config: SimulationConfig,
             write frequency and work lost to an interrupt).
 
     Raises:
-        SimulationError: if ``horizon`` is negative, ``n_workers`` is
-            negative, workers are combined with a proxy, or checkpointing
-            is combined with proxy sharing.
+        SimulationError: if ``horizon`` is negative, or checkpointing is
+            combined with proxy sharing.
     """
     if horizon < 0:
         raise SimulationError(f"horizon must be >= 0, got {horizon}")
-    if n_workers is not None and n_workers < 0:
-        raise SimulationError(
-            f"n_workers must be >= 0 (0 = auto-detect), got {n_workers}")
 
     if checkpoint is not None:
         if config.proxy_group_size > 1:
@@ -178,24 +151,11 @@ def simulate_population(topology: WebGraph, config: SimulationConfig,
                 "checkpointing requires independent agents; proxy "
                 "sharing makes block results order-dependent")
         traces = _simulate_checkpointed(
-            topology, config, horizon, arrival_profile, n_workers,
-            supervision, checkpoint, resume, checkpoint_block)
+            topology, config, horizon, arrival_profile, checkpoint, resume,
+            checkpoint_block)
     elif config.proxy_group_size > 1:
-        if n_workers is not None and n_workers != 1:
-            raise SimulationError(
-                "proxy sharing is sequential; do not combine "
-                "proxy_group_size > 1 with parallel workers")
         traces = _simulate_with_proxies(topology, config, horizon,
                                         arrival_profile)
-    elif n_workers is not None and n_workers != 1:
-        from repro.parallel import parallel_map
-
-        traces = parallel_map(
-            functools.partial(_simulate_one, topology=topology,
-                              config=config, horizon=horizon,
-                              arrival_profile=arrival_profile),
-            range(config.n_agents), workers=n_workers,
-            supervision=supervision)
     else:
         traces = _simulate_range(topology, config, horizon,
                                  list(range(config.n_agents)),
@@ -304,23 +264,12 @@ def _trace_from_jsonable(doc: dict[str, Any]) -> AgentTrace:
     )
 
 
-def _simulate_block(block: tuple[int, int], topology: WebGraph,
-                    config: SimulationConfig, horizon: float,
-                    arrival_profile: str) -> list[AgentTrace]:
-    """Simulate one contiguous agent-index block (parallel work unit)."""
-    start, end = block
-    return _simulate_range(topology, config, horizon,
-                           list(range(start, end)), arrival_profile)
-
-
 def _simulate_checkpointed(topology: WebGraph, config: SimulationConfig,
                            horizon: float, arrival_profile: str,
-                           n_workers: int | None, supervision, checkpoint,
-                           resume: bool, block_size: int
+                           checkpoint, resume: bool, block_size: int
                            ) -> list[AgentTrace]:
-    """Block-checkpointed population simulation (with optional workers)."""
+    """Block-checkpointed population simulation."""
     from repro.parallel.checkpoint import CheckpointStore
-    from repro.parallel.supervisor import RetryPolicy, supervised_map
 
     if block_size < 1:
         raise SimulationError(
@@ -340,46 +289,25 @@ def _simulate_checkpointed(topology: WebGraph, config: SimulationConfig,
 
     blocks = [(start, min(start + block_size, config.n_agents))
               for start in range(0, config.n_agents, block_size)]
-    restored: dict[int, list[AgentTrace]] = {}
-    for index, (start, end) in enumerate(blocks):
-        unit = store.load_unit("agent-block", f"agents={start}-{end}")
-        if unit is not None:
-            restored[index] = [_trace_from_jsonable(doc)
-                               for doc in unit["payload"]["traces"]]
-
-    todo = [index for index in range(len(blocks)) if index not in restored]
-    computed: dict[int, list[AgentTrace]] = {}
-
-    def record(position: int, block_traces: list[AgentTrace]) -> None:
-        index = todo[position]
-        computed[index] = block_traces
-        start, end = blocks[index]
-        store.save_unit(
-            "agent-block", f"agents={start}-{end}",
-            {"traces": [_trace_to_jsonable(trace)
-                        for trace in block_traces]})
-
-    work = functools.partial(_simulate_block, topology=topology,
-                             config=config, horizon=horizon,
-                             arrival_profile=arrival_profile)
+    traces: list[AgentTrace] = []
     try:
-        if n_workers is None or n_workers == 1:
-            for position, index in enumerate(todo):
-                record(position, work(blocks[index]))
-        elif todo:
-            policy = (supervision if supervision is not None
-                      else RetryPolicy(max_retries=0, on_failure="raise"))
-            supervised_map(
-                work, [blocks[index] for index in todo], workers=n_workers,
-                chunk_size=1, policy=policy,
-                on_chunk_complete=lambda position, results:
-                    record(position, results[0]))
+        for start, end in blocks:
+            key = f"agents={start}-{end}"
+            unit = store.load_unit("agent-block", key)
+            if unit is not None:
+                block_traces = [_trace_from_jsonable(doc)
+                                for doc in unit["payload"]["traces"]]
+            else:
+                block_traces = _simulate_range(
+                    topology, config, horizon, list(range(start, end)),
+                    arrival_profile)
+                store.save_unit(
+                    "agent-block", key,
+                    {"traces": [_trace_to_jsonable(trace)
+                                for trace in block_traces]})
+            traces.extend(block_traces)
     except BaseException:
         store.mark("interrupted")
         raise
     store.mark("complete")
-
-    traces: list[AgentTrace] = []
-    for index in range(len(blocks)):
-        traces.extend(restored.get(index) or computed.get(index) or [])
     return traces

@@ -44,11 +44,9 @@ Crash safety rests on three pieces:
   those sessions become *durable* and the events are trimmed from the
   replay log.
 * **Bounded replay logs.**  Unacked events (and watermark marks) are
-  retained per shard in a bounded :class:`ReplayLog`, optionally
-  persisted with the atomic, digest-sealed write idiom of
-  :mod:`repro.parallel.checkpoint`.  A full log is backpressure: the
-  coordinator stops routing to that shard until it acks or its lease
-  expires.
+  retained per shard in a bounded, in-memory :class:`ReplayLog`.  A full
+  log is backpressure: the coordinator stops routing to that shard until
+  it acks or its lease expires.
 * **Lease supervision and replay.**  A shard with outstanding work that
   produces no frames within ``lease`` seconds is wedged; a pipe that
   reaches EOF is dead.  The lease clock restarts whenever bytes reach
@@ -112,8 +110,7 @@ from repro.exceptions import (ConfigurationError, ExecutionError,
                               WireProtocolError)
 from repro.faults.execution import (active_exec_faults,
                                     inject_shard_fault)
-from repro.obs import Registry, get_registry, snapshot_digest
-from repro.parallel.checkpoint import atomic_write_json, load_verified_json
+from repro.obs import Registry, get_registry
 from repro.parallel.supervisor import RetryPolicy
 from repro.sessions.model import Request, Session, SessionSet
 from repro.streaming import wire
@@ -140,7 +137,7 @@ __all__ = [
 #: what to do when a shard worker dies or wedges.
 SHARD_FAILURE_POLICIES = ("failover", "shed-shard", "raise")
 
-#: schema version of capsules and persisted replay logs.
+#: schema version of capsules.
 REPLAY_SCHEMA = 2
 
 #: bytes read from a pipe per syscall.
@@ -177,9 +174,6 @@ class ShardedConfig:
             before the coordinator declares it wedged.
         replay_capacity: maximum *unacked* events retained per shard;
             reaching it backpressures routing to that shard.
-        replay_dir: when set, every ACK persists the shard's replay log
-            (capsule + unacked events) atomically under this directory,
-            and recovery prefers the digest-verified disk copy.
         max_watermark_lag: event-time seconds a shard's watermark may
             trail the routed head before ``/health`` degrades.
     """
@@ -189,7 +183,6 @@ class ShardedConfig:
     ack_interval: int = 256
     lease: float = 30.0
     replay_capacity: int = 65536
-    replay_dir: str | None = None
     max_watermark_lag: float = 900.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
@@ -304,41 +297,21 @@ class ShardLedger:
 class ReplayLog:
     """Bounded per-shard log of unacked events and watermark marks.
 
-    The in-memory deque is authoritative; when ``directory`` is set,
-    every ack also persists the log (the full folded capsule, base
-    ordinals, entries)
-    with the atomic, digest-sealed JSON idiom of
-    :mod:`repro.parallel.checkpoint`, and :meth:`recover` prefers the
-    verified disk copy — falling back to memory and counting an
-    integrity failure when the file is damaged.
+    Lives in coordinator memory: a dead coordinator ends the run, so
+    nothing outlives it that a replay could use.
     """
 
-    def __init__(self, shard: int, capacity: int,
-                 directory: str | None = None) -> None:
+    def __init__(self, shard: int, capacity: int) -> None:
         if capacity < 1:
             raise ConfigurationError(
                 f"replay capacity must be >= 1, got {capacity}")
         self.shard = shard
         self.capacity = capacity
-        self.directory = str(directory) if directory is not None else None
-        if self.directory is not None:
-            os.makedirs(self.directory, exist_ok=True)
         # entries: ["evt", ordinal, ts, user, page, referrer, synthetic]
         #       or ["wm", wm_index, value]
         self.entries: deque[list[Any]] = deque()
-        self.base_ordinal = 0
-        self.base_wm = 0
         self.capsule: dict[str, Any] | None = None
-        self.integrity_failures = 0
         self._events = 0
-
-    @property
-    def path(self) -> str | None:
-        """The persisted log file, when persistence is configured."""
-        if self.directory is None:
-            return None
-        return os.path.join(self.directory,
-                            f"shard-{self.shard:03d}.replay.json")
 
     @property
     def event_count(self) -> int:
@@ -381,72 +354,17 @@ class ReplayLog:
                 entries.popleft()
             else:
                 break
-        self.base_ordinal = max(self.base_ordinal, ordinal)
-        self.base_wm = max(self.base_wm, wm_index)
         if delta is not None:
             self.capsule = fold_capsule(self.capsule, delta, ordinal,
                                         wm_index)
-        if self.directory is not None:
-            self.persist()
         return trimmed
-
-    def to_document(self) -> dict[str, Any]:
-        """The persisted form (without the integrity digest)."""
-        return {
-            "schema": REPLAY_SCHEMA,
-            "shard": self.shard,
-            "base_ordinal": self.base_ordinal,
-            "base_wm": self.base_wm,
-            "capsule": self.capsule,
-            "entries": [list(entry) for entry in self.entries],
-        }
-
-    def persist(self) -> str:
-        """Atomically write the digest-sealed log document."""
-        document = self.to_document()
-        document["digest"] = snapshot_digest(document)
-        path = self.path
-        assert path is not None
-        atomic_write_json(path, document)
-        return path
-
-    @staticmethod
-    def _last_ordinal(base: int, entries: list[list[Any]]) -> int:
-        """Highest event ordinal covered by ``base`` plus ``entries``."""
-        last = base
-        for entry in entries:
-            if entry[0] == "evt":
-                last = max(last, entry[1])
-        return last
 
     def recover(self) -> tuple[dict[str, Any] | None, list[list[Any]]]:
         """State to rebuild a worker from: ``(capsule, entries)``.
 
-        The returned capsule becomes the log's own, the base the respawned
+        The returned capsule is the log's own, the base the respawned
         worker's next delta folds into; do not mutate it.
-
-        The in-memory log is authoritative while this coordinator is
-        alive — events routed since the last ack exist *only* in memory,
-        because persistence happens at ack boundaries.  The
-        digest-verified disk copy is used only when it is at least as
-        advanced as memory (a fresh coordinator resuming an existing
-        ``replay_dir`` starts with an empty memory log); a
-        present-but-damaged file falls back to memory and increments
-        :attr:`integrity_failures`.
         """
-        path = self.path
-        if path is not None and os.path.exists(path):
-            document = load_verified_json(path, REPLAY_SCHEMA)
-            if document is None or document.get("shard") != self.shard:
-                self.integrity_failures += 1
-            else:
-                disk_last = self._last_ordinal(document["base_ordinal"],
-                                               document["entries"])
-                memory_last = self._last_ordinal(self.base_ordinal,
-                                                 list(self.entries))
-                if disk_last >= memory_last:
-                    self.capsule = document.get("capsule")
-                    return self.capsule, list(document["entries"])
         return self.capsule, [list(entry) for entry in self.entries]
 
 
@@ -648,7 +566,6 @@ class ShardedStreamingStats:
     wedged: int
     worker_deaths: int
     shed_shards: int
-    replay_integrity_failures: int
     low_watermark: float
 
     def reconciles(self) -> bool:
@@ -898,7 +815,7 @@ class ShardedStreamingRuntime:
                 f"flush_interval must be > 0, got {flush_interval}")
         cfg = self.sharded
         self._handles = [_ShardHandle(shard) for shard in range(cfg.shards)]
-        self._logs = [ReplayLog(shard, cfg.replay_capacity, cfg.replay_dir)
+        self._logs = [ReplayLog(shard, cfg.replay_capacity)
                       for shard in range(cfg.shards)]
         self._gauge("sharded.shards").set(cfg.shards)
         self._gauge("sharded.config.max_watermark_lag").set(
@@ -1234,8 +1151,6 @@ class ShardedStreamingRuntime:
         if leftovers:
             raise ExecutionError(
                 f"shards {[h.shard for h in leftovers]} never completed")
-        integrity = sum(log.integrity_failures for log in self._logs)
-        self._count("sharded.replay.integrity_failures", integrity)
         stats = ShardedStreamingStats(
             shards=self.sharded.shards,
             fed=self._ledger.fed,
@@ -1248,7 +1163,6 @@ class ShardedStreamingRuntime:
             wedged=self._wedged,
             worker_deaths=self._worker_deaths,
             shed_shards=sum(1 for h in self._handles if h.state == "shed"),
-            replay_integrity_failures=integrity,
             low_watermark=min((h.watermark for h in self._handles
                                if h.state != "shed"), default=math.inf),
         )

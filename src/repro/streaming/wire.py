@@ -2,10 +2,8 @@
 
 The coordinator feeds each shard worker over an OS pipe.  Pickling every
 :class:`~repro.sessions.model.Request` would spend most of the pipe
-bandwidth re-sending the same user and page strings (A17 measured this
-for the batch engine; PR 8's ``UserColumns`` fixed it with interned ids
-and fixed-width columns).  This module applies the same idiom to a byte
-stream:
+bandwidth re-sending the same user and page strings, so this module
+interns them and ships fixed-width records over a byte stream:
 
 * every frame is ``!BI`` — one kind byte and a payload length — followed
   by the payload, so a reader never needs lookahead;

@@ -5,6 +5,9 @@ mid-run and resumed from its checkpoint directory produces the *same
 numbers* — accuracy tables, traces, log records — and the *same metrics
 snapshot* (counters and gauges exactly; histograms by observation count,
 since timer sums measure wall-clock, not work) as a run that never died.
+The same holds for a sweep whose points run on a process pool, with or
+without a crashed worker: the sweep point is the library's one parallel
+unit of work.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro.evaluation import harness
+from repro.faults import use_execution_faults
 from repro.obs import Registry, use_registry
-from repro.parallel import CheckpointStore
+from repro.parallel import CheckpointStore, RetryPolicy
 from repro.simulator.population import SimulationConfig, simulate_population
 from repro.topology.generators import random_site
 
@@ -92,6 +96,52 @@ class TestSweepResume:
         assert restored_obs == base_obs
         # restored trials carry no simulation object (it was not re-run)
         assert all(trial.simulation is None for trial in restored.trials)
+
+
+class TestParallelSweep:
+    def test_parallel_sweep_matches_serial(self, graph):
+        baseline, base_obs = run_sweep(graph)
+        parallel, parallel_obs = run_sweep(graph, workers=2)
+        assert rows(parallel) == rows(baseline)
+        assert parallel_obs == base_obs
+
+    def test_crashed_point_is_retried_to_identical_numbers(self, graph):
+        baseline, base_obs = run_sweep(graph)
+        policy = RetryPolicy(max_retries=2, backoff_base=0.01)
+        with use_execution_faults("crash-chunk:0"):
+            recovered, recovered_obs = run_sweep(graph, workers=2,
+                                                 supervision=policy)
+        assert rows(recovered) == rows(baseline)
+        assert recovered.failures == ()
+        # the supervisor's recovery counters are the only extra series.
+        counters = recovered_obs["counters"]
+        supervisor = {name for name in counters
+                      if name.startswith("parallel.supervisor.")}
+        assert counters["parallel.supervisor.crashes"] >= 1
+        assert counters["parallel.supervisor.retries"] >= 1
+        recovered_obs["counters"] = {name: value
+                                     for name, value in counters.items()
+                                     if name not in supervisor}
+        assert recovered_obs == base_obs
+
+    def test_corrupted_point_is_recomputed_on_resume(self, tmp_path, graph,
+                                                     monkeypatch):
+        baseline, base_obs = run_sweep(graph)
+        ckpt = str(tmp_path / "ckpt")
+        with use_execution_faults("corrupt-checkpoint:0"):
+            run_sweep(graph, checkpoint=ckpt)
+        recomputed = []
+        real = harness._run_sweep_point_captured
+
+        def counting(value, *args, **kwargs):
+            recomputed.append(value)
+            return real(value, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_run_sweep_point_captured", counting)
+        resumed, resumed_obs = run_sweep(graph, checkpoint=ckpt, resume=True)
+        assert recomputed == [VALUES[0]]
+        assert rows(resumed) == rows(baseline)
+        assert resumed_obs == base_obs
 
 
 class TestSimulateResume:

@@ -70,12 +70,11 @@ def adversarial_stream(topology):
 
 
 def run_sharded(topology, requests, *faults, shards=2, lease=30.0,
-                replay_dir=None, policy="failover", registry=None):
+                policy="failover", registry=None):
     runtime = ShardedStreamingRuntime(
         topology,
         sharded=ShardedConfig(shards=shards, ack_interval=24, lease=lease,
-                              on_shard_failure=policy, retry=RETRY,
-                              replay_dir=replay_dir),
+                              on_shard_failure=policy, retry=RETRY),
         governor=GOVERNOR,
         registry=registry if registry is not None else Registry())
     if faults:
@@ -122,20 +121,6 @@ def test_two_kills_leave_adversarial_output_byte_identical(
     assert stats.reconciles(), stats
     assert (result.sessions.canonical_digest()
             == serial_digest(topology, adversarial_stream))
-
-
-def test_kills_with_persisted_replay_logs(topology, uniform_stream,
-                                          tmp_path):
-    result = run_sharded(topology, uniform_stream,
-                         "kill-worker:0:100", "kill-worker:1:200",
-                         replay_dir=str(tmp_path))
-    assert result.stats.replay_integrity_failures == 0
-    assert result.stats.reconciles()
-    assert (result.sessions.canonical_digest()
-            == serial_digest(topology, uniform_stream))
-    # the digest-sealed per-shard logs were actually written.
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "shard-000.replay.json", "shard-001.replay.json"]
 
 
 def test_wedged_worker_is_leased_out_and_failed_over(topology,

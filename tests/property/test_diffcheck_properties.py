@@ -1,7 +1,7 @@
 """Property tests: engine equivalence and invariant compliance.
 
 For random multi-user request streams — interleaved users, equal
-timestamps, boundary-magnitude gaps — the serial, parallel and streaming
+timestamps, boundary-magnitude gaps — the serial, columnar and streaming
 execution paths must produce canonically identical session sets, and
 everything Smart-SRA emits must satisfy the paper's five output rules.
 """
@@ -49,16 +49,16 @@ def _canonical(sessions):
 
 @settings(max_examples=40, deadline=None)
 @given(adversarial_stream())
-def test_serial_parallel_streaming_agree(data):
+def test_serial_columnar_streaming_agree(data):
     graph, requests = data
     config = SmartSRAConfig(max_duration=DELTA, max_gap=RHO)
     serial = SmartSRA(graph, config).reconstruct(requests)
-    parallel = SmartSRA(graph, config).reconstruct(requests, workers=2,
-                                                   mode="thread")
+    columnar = SmartSRA(graph, config).reconstruct(requests,
+                                                   engine="columnar")
     pipeline = streaming_smart_sra(graph, config)
     streamed = pipeline.feed_many(requests)
     streamed.extend(pipeline.flush())
-    assert _canonical(serial) == _canonical(parallel)
+    assert _canonical(serial) == _canonical(columnar)
     assert _canonical(serial) == _canonical(streamed)
 
 

@@ -1,29 +1,25 @@
-"""Property tests: parallel reconstruction is bit-identical to serial.
+"""Parallel sweeps are bit-identical to serial ones.
 
-The engine's contract (``repro.parallel``) is that worker count and
-execution mode are *invisible* in the output: ``reconstruct(log,
-workers=N)`` returns exactly ``reconstruct(log)`` for every N, and the
-merged per-worker metrics registries reconcile with a serial run's.
-
-Hypothesis drives arbitrary multi-user streams through the thread path
-(cheap enough for hundreds of examples); a fixed-seed simulated log then
-exercises the real process pool for every registered heuristic.
+The engine's contract (``repro.parallel``) is that worker count is
+*invisible* in the output: ``sweep(..., workers=N)`` returns exactly
+the serial sweep for every N, and the merged per-worker metrics
+registries reconcile with a serial run's.  The sweep point is the
+library's one parallel unit of work, so this runs the real process pool
+once per heuristic the paper evaluates, with the lineup built by a
+picklable factory inside the workers.
 """
 
 from __future__ import annotations
 
-import random
+import functools
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.evaluation.experiments import PAPER_DEFAULTS, paper_topology
-from repro.evaluation.harness import standard_heuristics
+from repro.evaluation.experiments import paper_topology
+from repro.evaluation.harness import sweep
+from repro.evaluation.spec import build_heuristics
 from repro.obs import Registry, use_registry
-from repro.sessions.model import Request
-from repro.core.smart_sra import SmartSRA
-from repro.simulator.population import simulate_population
-from repro.topology.generators import random_site
+from repro.simulator.config import SimulationConfig
 
 
 def comparable(snapshot: dict) -> tuple:
@@ -34,65 +30,32 @@ def comparable(snapshot: dict) -> tuple:
              if not series.split("{")[0].endswith(".seconds")})
 
 
-@st.composite
-def topology_and_multiuser_stream(draw):
-    """A small random site plus a multi-user request stream over it."""
-    seed = draw(st.integers(0, 10_000))
-    n_pages = draw(st.integers(2, 12))
-    graph = random_site(n_pages, min(3.0, n_pages - 1), start_fraction=0.5,
-                        seed=seed)
-    pages = sorted(graph.pages)
-    users = [f"u{i}" for i in range(draw(st.integers(1, 5)))]
-    length = draw(st.integers(0, 30))
-    rng = random.Random(seed + 1)
-    clock = 0.0
-    stream = []
-    for __ in range(length):
-        clock += rng.uniform(0.0, 900.0)
-        stream.append(Request(clock, rng.choice(users), rng.choice(pages)))
-    rng.shuffle(stream)  # reconstruct() must not rely on input order
-    return graph, stream
-
-
-@settings(max_examples=60, deadline=None)
-@given(topology_and_multiuser_stream(), st.sampled_from([2, 3, 4]))
-def test_threaded_reconstruction_equals_serial(site_and_stream, workers):
-    graph, stream = site_and_stream
-    smart = SmartSRA(graph)
-    serial_registry, parallel_registry = Registry(), Registry()
-    with use_registry(serial_registry):
-        serial = smart.reconstruct(stream)
-    with use_registry(parallel_registry):
-        parallel = smart.reconstruct(stream, workers=workers, mode="thread")
-    assert list(parallel) == list(serial)
-    assert (comparable(parallel_registry.snapshot())
-            == comparable(serial_registry.snapshot()))
-
-
 @pytest.fixture(scope="module")
-def fixed_log():
-    topology = paper_topology(seed=5)
-    config = PAPER_DEFAULTS.simulation_config(n_agents=40, seed=5)
-    return topology, simulate_population(topology, config).log_requests
+def topology():
+    return paper_topology(seed=5)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("name", ["heur1", "heur2", "heur3", "heur4"])
-def test_process_parallel_equals_serial_per_heuristic(fixed_log, name,
+def test_process_parallel_equals_serial_per_heuristic(topology, name,
                                                       workers):
     """The real process pool, for every heuristic the paper evaluates.
 
-    ``mode="auto"`` resolves to processes here (every heuristic pickles);
-    on platforms without process support the engine's documented thread
-    fallback keeps the assertion meaningful rather than skipped.
+    The factory is a :func:`functools.partial`, so ``workers > 1``
+    resolves to processes; on platforms without process support the
+    engine's documented thread fallback keeps the assertion meaningful
+    rather than skipped.
     """
-    topology, log = fixed_log
-    heuristic = standard_heuristics(topology)[name]
+    config = SimulationConfig(n_agents=40, seed=5)
+    factory = functools.partial(build_heuristics, [name], topology)
     serial_registry, parallel_registry = Registry(), Registry()
     with use_registry(serial_registry):
-        serial = heuristic.reconstruct(log)
+        serial = sweep(topology, config, "stp", [0.05, 0.3],
+                       heuristic_factory=factory)
     with use_registry(parallel_registry):
-        parallel = heuristic.reconstruct(log, workers=workers)
-    assert list(parallel) == list(serial)
+        parallel = sweep(topology, config, "stp", [0.05, 0.3],
+                         heuristic_factory=factory, workers=workers)
+    assert parallel.rows() == serial.rows()
+    assert parallel.rows("captured") == serial.rows("captured")
     assert (comparable(parallel_registry.snapshot())
             == comparable(serial_registry.snapshot()))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -215,48 +217,26 @@ def test_ingest_strict_fails_on_dirty_log(pipeline_files, capsys):
 
 
 class TestWorkersFlag:
-    def test_negative_workers_rejected(self, pipeline_files, capsys):
-        out = str(pipeline_files["dir"] / "neg.json")
-        code = main(["reconstruct", "--log", pipeline_files["log"],
-                     "--heuristic", "heur2", "--output", out,
+    def test_negative_workers_rejected(self, capsys):
+        code = main(["sweep", "--parameter", "stp", "--values", "0.5",
                      "--workers", "-2"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --workers must be >= 0")
 
-    def test_simulate_negative_workers_rejected(self, tmp_path, capsys):
-        site = str(tmp_path / "site.json")
-        assert main(["topology", "--pages", "20", "--output", site]) == 0
-        code = main(["simulate", "--topology", site, "--agents", "5",
-                     "--log", str(tmp_path / "x.log"),
-                     "--sessions", str(tmp_path / "x.json"),
-                     "--workers", "-1"])
-        assert code == 2
-        assert "error: --workers" in capsys.readouterr().err
-
-    def test_parallel_reconstruction_matches_serial(self, pipeline_files):
-        serial = str(pipeline_files["dir"] / "serial.json")
-        parallel = str(pipeline_files["dir"] / "parallel.json")
-        base = ["reconstruct", "--log", pipeline_files["log"],
-                "--heuristic", "heur4",
-                "--topology", pipeline_files["site"]]
-        assert main(base + ["--output", serial]) == 0
-        assert main(base + ["--output", parallel, "--workers", "2"]) == 0
-        assert SessionSet.load(parallel) == SessionSet.load(serial)
-
-    def test_simulate_auto_workers_matches_serial(self, tmp_path):
-        site = str(tmp_path / "site.json")
-        assert main(["topology", "--pages", "20", "--seed", "4",
-                     "--output", site]) == 0
-        logs = []
-        for name, extra in (("a.log", []), ("b.log", ["--workers", "0"])):
-            log = str(tmp_path / name)
-            assert main(["simulate", "--topology", site, "--agents", "10",
-                         "--seed", "2", "--log", log,
-                         "--sessions", log + ".json"] + extra) == 0
-            with open(log, "rb") as handle:
-                logs.append(handle.read())
-        assert logs[0] == logs[1]
+    def test_parallel_lineup_sweep_runs_on_processes(self, pipeline_files,
+                                                     capsys):
+        # the --heuristics factory must pickle: a lineup that fell back
+        # to the thread pool would gain nothing under the GIL.
+        args = ["sweep", "--parameter", "stp", "--values", "0.05,0.3",
+                "--topology", pipeline_files["site"], "--agents", "10",
+                "--heuristics", "heur1,heur4"]
+        assert main(args) == 0
+        serial = capsys.readouterr().out
+        with mock.patch("repro.parallel.engine._map_in_threads",
+                        side_effect=AssertionError("fell back to threads")):
+            assert main(args + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
 
 def test_sessionize_alias(pipeline_files):

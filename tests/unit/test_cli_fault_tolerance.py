@@ -67,6 +67,19 @@ class TestSweepCheckpointCli:
         assert "--resume" in capsys.readouterr().err
 
 
+    def test_resume_with_another_lineup_refused(self, site, tmp_path,
+                                                capsys):
+        ckpt = str(tmp_path / "ckpt")
+        args = ["sweep", "--parameter", "stp", "--values", "0.05,0.1",
+                "--topology", site, "--agents", "10", "--checkpoint", ckpt]
+        assert main(args + ["--heuristics", "heur1"]) == 0
+        capsys.readouterr()
+        assert main(args + ["--heuristics", "heur4", "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "different run configuration" in err
+
+
 class TestDoctorCli:
     def test_missing_directory(self, tmp_path, capsys):
         code = main(["doctor", str(tmp_path / "nope")])

@@ -1,24 +1,23 @@
 """Unit tests for the columnar data plane (:mod:`repro.core.columnar`).
 
 Covers the symbol table, column ingest, the
-materialization boundary, engine selection on the reconstructor facade,
-parallel payload compaction (the A17 fix) and metric-counter parity
-between the object and columnar engines.
+materialization boundary, engine selection on the reconstructor facade
+and metric-counter parity between the object and columnar engines.
 """
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
-from repro.core.columnar import ColumnBatch, SymbolTable, UserColumns
+from repro.core.columnar import ColumnBatch, SymbolTable
 from repro.core.smart_sra import SmartSRA
+from repro.evaluation.harness import sweep
 from repro.exceptions import ConfigurationError, ReconstructionError
 from repro.obs import Registry, use_local_registry
 from repro.sessions.model import Request, Session
 from repro.sessions.navigation_oriented import NavigationHeuristic
 from repro.sessions.time_oriented import DurationHeuristic, PageStayHeuristic
+from repro.simulator.config import SimulationConfig
 from repro.topology.generators import random_site
 
 MIN = 60.0
@@ -85,33 +84,6 @@ class TestIngest:
         assert table.resolve(bound + 1) == "/external/1"
 
 
-class TestUserColumnsPayload:
-    def test_pickle_round_trip(self, site):
-        table = SymbolTable.for_topology(site)
-        requests = [Request(timestamp=10.0 * i, user_id="u1",
-                            page=site.adjacency_index().pages[i % 5]) for i in range(7)]
-        column = UserColumns.from_requests("u1", requests, table)
-        clone = pickle.loads(pickle.dumps(column))
-        assert clone.user_id == "u1"
-        assert list(clone.times) == [10.0 * i for i in range(7)]
-        assert list(clone.pages) == list(column.pages)
-        assert list(clone.referrers) == list(column.referrers)
-        assert list(clone.synthetic) == list(column.synthetic)
-
-    def test_column_payload_smaller_than_request_objects(self, site):
-        """The A17 fix: the pool ships well under half the bytes when
-        workers receive column buffers instead of pickled ``Request``
-        lists (12 wire bytes per plain-CLF request against ~30)."""
-        table = SymbolTable.for_topology(site)
-        requests = [Request(timestamp=10.0 * i, user_id="user-17",
-                            page=site.adjacency_index().pages[i % 40])
-                    for i in range(64)]
-        objects = len(pickle.dumps(requests))
-        columns = len(pickle.dumps(
-            UserColumns.from_requests("user-17", requests, table)))
-        assert columns < objects / 2, (columns, objects)
-
-
 class TestEngineSelection:
     def test_unknown_engine_rejected(self, site):
         with pytest.raises(ConfigurationError):
@@ -135,11 +107,14 @@ class TestEngineSelection:
         assert canon(obj) == canon(col)
 
     def test_serial_and_parallel_columnar_identical(self, site):
-        requests = _stream(site)
-        smart = SmartSRA(site)
-        serial = smart.reconstruct(requests, engine="columnar")
-        parallel = smart.reconstruct(requests, engine="columnar", workers=2)
-        assert list(serial) == list(parallel)
+        # the sweep point is the one parallel unit: a columnar sweep on
+        # two processes scores exactly what the serial one does.
+        config = SimulationConfig(n_agents=20, seed=3)
+        serial = sweep(site, config, "stp", [0.05, 0.3], engine="columnar")
+        parallel = sweep(site, config, "stp", [0.05, 0.3],
+                         engine="columnar", workers=2)
+        assert parallel.rows() == serial.rows()
+        assert parallel.rows("captured") == serial.rows("captured")
 
     @pytest.mark.parametrize("heuristic_cls", [DurationHeuristic,
                                                PageStayHeuristic])

@@ -325,7 +325,7 @@ class TestHarness:
 
     def test_agreeing_engines_report_ok(self, chain_topology):
         report = run_diffcheck([self._tiny_case(chain_topology)],
-                               engines="serial,streaming,parallel-2")
+                               engines="serial,streaming,columnar")
         assert report.ok
         assert report.total_divergences == 0
         assert report.total_violations == 0
@@ -379,7 +379,7 @@ class TestDiffcheckCli:
     def test_golden_corpus_exits_zero(self, capsys):
         from repro.cli import main
         assert main(["diffcheck", "--corpus", GOLDEN_DIR,
-                     "--engines", "serial,parallel-2,streaming"]) == 0
+                     "--engines", "serial,columnar,streaming"]) == 0
         out = capsys.readouterr().out
         assert "all engines equivalent" in out
 

@@ -16,10 +16,7 @@ from repro.parallel import (
     paused_gc,
     plan_execution,
     resolve_workers,
-    shard_by_key,
-    shard_by_user,
 )
-from repro.sessions.model import Request
 
 
 def _square(x):
@@ -192,26 +189,3 @@ class TestPausedGC:
             assert not gc.isenabled()
         finally:
             gc.enable()
-
-
-class TestSharding:
-    def test_shard_by_key_first_appearance_order(self):
-        items = ["b1", "a1", "b2", "c1", "a2"]
-        shards = shard_by_key(items, key=lambda s: s[0])
-        assert shards == [["b1", "b2"], ["a1", "a2"], ["c1"]]
-
-    def test_concatenated_shards_reorder_by_group_only(self):
-        items = list(range(20))
-        shards = shard_by_key(items, key=lambda x: x % 3)
-        flattened = [item for shard in shards for item in shard]
-        assert sorted(flattened) == items
-        for shard in shards:
-            assert shard == sorted(shard)
-
-    def test_shard_by_user(self):
-        requests = [Request(0.0, "u2", "A"), Request(1.0, "u1", "B"),
-                    Request(2.0, "u2", "C")]
-        shards = shard_by_user(requests)
-        assert [[r.user_id for r in shard] for shard in shards] == \
-            [["u2", "u2"], ["u1"]]
-        assert [r.page for r in shards[0]] == ["A", "C"]

@@ -351,7 +351,6 @@ class TestReplayLog:
         trimmed = log.ack(3, 1, self._delta(pipeline, None))
         assert trimmed == 3
         assert log.event_count == 2
-        assert log.base_ordinal == 3 and log.base_wm == 1
         assert log.capsule == {"schema": REPLAY_SCHEMA,
                                "state": _wire(pipeline.state()),
                                "metrics": {},
@@ -393,6 +392,11 @@ class TestReplayLog:
                                     registry=Registry())
         restore_capsule(restored, capsule)
         assert restored.state() == pipeline.state()
+        # the next delta of the worker restored from it folds on.
+        restored.track_changes()
+        restored.feed(Request(2.0, "v", "/p"))
+        log.ack(3, 0, self._delta(restored, [2, 0]))
+        assert log.capsule["state"] == _wire(restored.state())
 
     def test_a_delta_on_another_base_is_refused(self):
         log = ReplayLog(0, capacity=8)
@@ -409,43 +413,6 @@ class TestReplayLog:
         assert log.append_event(2, 2.0, "u", "/p", None, False)
         assert not log.append_event(3, 3.0, "u", "/p", None, False)
         assert log.event_count == 2
-
-    def test_persist_and_recover_roundtrip(self, tmp_path):
-        log = ReplayLog(3, capacity=8, directory=str(tmp_path))
-        pipeline = self._tracked()
-        pipeline.feed(Request(1.0, "u", "/p"))
-        log.append_event(1, 1.0, "u", "/p", None, False)
-        log.ack(1, 0, self._delta(pipeline, None))
-        log.append_event(2, 2.0, "u", "/q", "/p", True)
-        log.persist()
-        # a fresh coordinator resumes from the digest-verified disk copy.
-        resumed = ReplayLog(3, capacity=8, directory=str(tmp_path))
-        capsule, entries = resumed.recover()
-        assert capsule == log.capsule
-        assert capsule["schema"] == REPLAY_SCHEMA
-        assert entries == [["evt", 2, 2.0, "u", "/q", "/p", True]]
-        assert resumed.integrity_failures == 0
-        restored = streaming_phase1(governor=GovernorConfig(per_user_cap=4),
-                                    registry=Registry())
-        restore_capsule(restored, capsule)
-        assert restored.state() == pipeline.state()
-        # the next delta of the worker restored from it folds on.
-        restored.track_changes()
-        restored.feed(Request(2.0, "u", "/q", True, "/p"))
-        resumed.ack(2, 0, self._delta(restored, [1, 0]))
-        assert resumed.capsule["state"] == _wire(restored.state())
-
-    def test_corrupt_disk_copy_falls_back_to_memory(self, tmp_path):
-        log = ReplayLog(0, capacity=8, directory=str(tmp_path))
-        log.append_event(1, 1.0, "u", "/p", None, False)
-        path = log.persist()
-        document = json.loads(open(path, encoding="utf-8").read())
-        document["entries"] = []             # tamper without re-sealing
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-        capsule, entries = log.recover()
-        assert entries == [["evt", 1, 1.0, "u", "/p", None, False]]
-        assert log.integrity_failures == 1
 
 
 class TestStateCapsule:

@@ -157,6 +157,28 @@ class TestSupervisedMapProcess:
         assert failure.item_offset == 12
         assert failure.n_items == 4
 
+    @pytest.mark.parametrize("on_failure", ["serial", "skip"])
+    def test_crash_is_not_charged_to_a_healthy_chunk_in_flight(
+            self, on_failure):
+        # chunk 0 is still running (slowed) when chunk 1 kills the pool.
+        # Only chunk 1 may be charged, retried and degraded; chunk 0's
+        # results must survive under every failure policy.
+        with use_execution_faults("slow-chunk:0:0.5:99",
+                                  "crash-chunk:1:0:99"):
+            outcome = supervised_map(
+                _double, range(8), workers=2, mode="process", chunk_size=4,
+                policy=RetryPolicy(max_retries=1, backoff_base=0.01,
+                                   on_failure=on_failure))
+        [failure] = outcome.failures
+        assert failure.chunk_index == 1
+        assert failure.reason == "crash"
+        assert failure.attempts == 2
+        assert outcome.chunk_outputs[0] == [0, 2, 4, 6]
+        if on_failure == "serial":
+            assert outcome.results == [x * 2 for x in range(8)]
+        else:
+            assert outcome.results == [0, 2, 4, 6]
+
     def test_hard_crash_raise_aborts(self):
         with use_execution_faults("crash-chunk:0:0:5"):
             with pytest.raises(ExecutionError, match="chunk"):

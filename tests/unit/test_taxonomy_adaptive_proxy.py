@@ -11,7 +11,7 @@ from repro.evaluation.taxonomy import (
     error_breakdown,
     render_breakdown,
 )
-from repro.exceptions import ConfigurationError, EvaluationError, SimulationError
+from repro.exceptions import ConfigurationError, EvaluationError
 from repro.sessions.adaptive import AdaptiveTimeoutHeuristic
 from repro.sessions.model import Request, Session, SessionSet
 from repro.simulator.config import SimulationConfig
@@ -177,32 +177,6 @@ class TestProxySimulation:
                 "h", sim.ground_truth, sessions).matched_accuracy
         assert scores[10] < scores[1]
 
-    def test_proxy_plus_workers_rejected(self, small_site):
-        config = SimulationConfig(n_agents=10, proxy_group_size=2)
-        with pytest.raises(SimulationError, match="sequential"):
-            simulate_population(small_site, config, n_workers=2)
-
     def test_invalid_group_size_rejected(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(proxy_group_size=0)
-
-
-class TestParallelSimulation:
-    def test_identical_to_serial(self, small_site):
-        config = SimulationConfig(n_agents=30, seed=9)
-        serial = simulate_population(small_site, config)
-        parallel = simulate_population(small_site, config, n_workers=2)
-        assert serial.log_requests == parallel.log_requests
-        assert serial.ground_truth == parallel.ground_truth
-
-    def test_invalid_worker_count(self, small_site):
-        with pytest.raises(SimulationError):
-            simulate_population(small_site, SimulationConfig(n_agents=5),
-                                n_workers=-1)
-
-    def test_zero_workers_means_auto(self, small_site):
-        config = SimulationConfig(n_agents=8, seed=3)
-        serial = simulate_population(small_site, config)
-        auto = simulate_population(small_site, config, n_workers=0)
-        assert serial.log_requests == auto.log_requests
-        assert serial.ground_truth == auto.ground_truth
