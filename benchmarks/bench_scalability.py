@@ -26,12 +26,16 @@ here as the measurement's rationale):
 Each row reports the best of several rounds (min is the standard
 low-noise estimator for wall timings), with the rounds *interleaved*
 across sizes so background-load drift on a shared host hits every size
-equally instead of whichever size happened to run last.
+equally instead of whichever size happened to run last.  The droop gate
+does not compare those minima, which may come from different rounds
+and so carry the host's drift between them: it takes the 800/400
+throughput ratio within each round and gates on the median ratio.
 """
 
 from __future__ import annotations
 
 import gc
+import statistics
 import time
 
 from _bench_utils import BENCH_QUICK, BENCH_SEED, emit
@@ -65,40 +69,49 @@ def test_scaling_with_log_size(benchmark, results_dir, bench_metrics):
         # holding every log live is safe now that reconstruct() pauses GC
         # for the batch (no mid-run pass can scan them); interleaving the
         # rounds decorrelates the per-size minima from machine-load drift.
-        serial = {size: float("inf") for size in _SIZES}
+        times = {size: [] for size in _SIZES}
         counts = {}
         for round_ in range(_ROUNDS):
             for size in _SIZES:
                 seconds, sessions = _timed(
                     lambda: smart.reconstruct(logs[size]))
-                serial[size] = min(serial[size], seconds)
+                times[size].append(seconds)
                 counts[size] = len(sessions)
         for size in _SIZES:
-            rows[size] = (len(logs[size]), counts[size], serial[size])
+            rows[size] = (len(logs[size]), counts[size], min(times[size]),
+                          times[size])
         return rows
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
-    small_records, __, small_time = rows[_SIZES[0]]
-    large_records, __, large_time = rows[_SIZES[-1]]
+    small_records, __, small_time, __ = rows[_SIZES[0]]
+    large_records, __, large_time, __ = rows[_SIZES[-1]]
     records_ratio = large_records / small_records
     time_ratio = large_time / small_time
     # near-linear: time grows at most ~2x faster than the record count
     # (generous bound to absorb timer noise).
     assert time_ratio < records_ratio * 2.0
-    if not BENCH_QUICK:
-        # the droop fix itself: per-record serial throughput must hold
-        # steady between the 400- and 800-agent rows (10% noise floor).
-        krec = {size: rows[size][0] / rows[size][2] / 1000
-                for size in _SIZES}
-        assert krec[800] >= krec[400] * 0.90, krec
 
     lines = [f"Extension A11 — Smart-SRA scaling (seed {BENCH_SEED}, "
              f"best of {_ROUNDS}, {available_cpus()} CPU(s) visible)",
              "  interleaved rounds + batch GC pause; see module docstring",
              "  agents  records  sessions  serial_s  krec/s"]
     for size in _SIZES:
-        records, sessions, serial_s = rows[size]
+        records, sessions, serial_s, __ = rows[size]
         lines.append(f"  {size:>6}  {records:>7}  {sessions:>8}  "
                      f"{serial_s:8.3f}  {records / serial_s / 1000:6.1f}")
+    if not BENCH_QUICK:
+        # the droop fix itself: per-record serial throughput must hold
+        # steady between the 400- and 800-agent rows (10% noise floor),
+        # judged on the median of the ratios taken within each round.
+        (records_400, __, __, times_400), (records_800, __, __, times_800) \
+            = rows[400], rows[800]
+        ratios = [(records_800 / t_800) / (records_400 / t_400)
+                  for t_400, t_800 in zip(times_400, times_800)]
+        droop = statistics.median(ratios)
+        lines.append(f"  krec/s 800 / 400 per round: "
+                     f"{' '.join(f'{ratio:.3f}' for ratio in ratios)}"
+                     f"  (median {droop:.3f}, gate >= 0.90)")
     emit(results_dir, "scalability", "\n".join(lines) + "\n")
+    if not BENCH_QUICK:
+        assert droop >= 0.90, ratios

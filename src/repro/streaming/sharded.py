@@ -65,7 +65,9 @@ Sealing follows the watermark rule: each ACK carries the shard's event
 time watermark; the coordinator's global low-watermark is the minimum
 over live shards, and a durable session is *sealed* — released into the
 output — only once its end time is at or below that low-watermark (EOF
-drives every watermark to +inf).
+drives every watermark to +inf).  The output is put in canonical order
+once, at the end, by :func:`~repro.streaming.wire.canonical_keys` over
+the retained ``OUT`` batches.
 
 Failure policy mirrors the governor: ``failover`` (default) replays as
 above, ``shed-shard`` abandons the shard's unsealed events (visibly, in
@@ -112,7 +114,7 @@ from repro.faults.execution import (active_exec_faults,
                                     inject_shard_fault)
 from repro.obs import Registry, get_registry
 from repro.parallel.supervisor import RetryPolicy
-from repro.sessions.model import Request, Session, SessionSet
+from repro.sessions.model import Request, SessionSet
 from repro.streaming import wire
 from repro.streaming.governor import (GovernedStreamingReconstructor,
                                       GovernorConfig)
@@ -223,10 +225,15 @@ class ShardLedger:
     events re-delivered after at least one failover (however many times),
     and ``shed`` counts events abandoned with their shard.  Acked events
     simply leave the pending window with whatever disposition they had.
+
+    A shard's pending window is always a run of replayed events followed
+    by a run of fresh ones — :meth:`fail` marks the whole window, routing
+    appends fresh events and acks retire the oldest — so two counts per
+    shard describe it exactly.
     """
 
     __slots__ = ("shards", "fed", "routed", "replayed", "shed",
-                 "_pending", "_shed_shards")
+                 "_replayed_pending", "_fresh_pending", "_shed_shards")
 
     def __init__(self, shards: int) -> None:
         if shards < 1:
@@ -236,8 +243,10 @@ class ShardLedger:
         self.routed = 0
         self.replayed = 0
         self.shed = 0
-        # per shard, one flag per unacked event: already replayed?
-        self._pending: list[deque[bool]] = [deque() for _ in range(shards)]
+        # per shard, the unacked events already replayed (the oldest ones)
+        # and the fresh ones routed since the last failover.
+        self._replayed_pending = [0] * shards
+        self._fresh_pending = [0] * shards
         self._shed_shards: set[int] = set()
 
     def route(self, shard: int) -> bool:
@@ -247,47 +256,42 @@ class ShardLedger:
             self.shed += 1
             return False
         self.routed += 1
-        self._pending[shard].append(False)
+        self._fresh_pending[shard] += 1
         return True
 
     def ack(self, shard: int, count: int) -> None:
         """Retire the ``count`` oldest pending events of ``shard``."""
-        pending = self._pending[shard]
-        if count > len(pending):
+        pending = self.pending(shard)
+        if count > pending:
             raise ExecutionError(
                 f"shard {shard} acked {count} events but only "
-                f"{len(pending)} are pending")
-        for _ in range(count):
-            pending.popleft()
+                f"{pending} are pending")
+        replayed = min(count, self._replayed_pending[shard])
+        self._replayed_pending[shard] -= replayed
+        self._fresh_pending[shard] -= count - replayed
 
     def fail(self, shard: int) -> int:
         """Mark every pending event of ``shard`` replayed; count new ones."""
-        pending = self._pending[shard]
-        moved = 0
-        for i, already in enumerate(pending):
-            if not already:
-                pending[i] = True
-                moved += 1
+        moved = self._fresh_pending[shard]
+        self._fresh_pending[shard] = 0
+        self._replayed_pending[shard] += moved
         self.routed -= moved
         self.replayed += moved
         return moved
 
     def shed_shard(self, shard: int) -> int:
         """Abandon ``shard``: pending and all future events become shed."""
-        pending = self._pending[shard]
-        dropped = len(pending)
-        while pending:
-            if pending.popleft():
-                self.replayed -= 1
-            else:
-                self.routed -= 1
-            self.shed += 1
+        dropped = self.pending(shard)
+        self.replayed -= self._replayed_pending[shard]
+        self.routed -= self._fresh_pending[shard]
+        self.shed += dropped
+        self._replayed_pending[shard] = self._fresh_pending[shard] = 0
         self._shed_shards.add(shard)
         return dropped
 
     def pending(self, shard: int) -> int:
         """Unacked events currently attributed to ``shard``."""
-        return len(self._pending[shard])
+        return self._replayed_pending[shard] + self._fresh_pending[shard]
 
     def reconciles(self) -> bool:
         """The exactness invariant: every fed event has one disposition."""
@@ -614,7 +618,8 @@ class _ShardHandle:
         self.outbound = bytearray()
         # routed events not yet framed into an EVT frame
         self.batch: list[wire.Event] = []
-        self.pending: list[Session] = []
+        # OUT batches received since the last ACK (not yet durable)
+        self.pending: list[wire.SessionBatch] = []
         self.watermark = -math.inf
         self.last_inbound = 0.0
         self.last_sent = 0.0
@@ -700,9 +705,11 @@ class ShardedStreamingRuntime:
         self._handles: list[_ShardHandle] = []
         self._logs: list[ReplayLog] = []
         self._ledger = ShardLedger(self.sharded.shards)
-        self._durable: list[tuple[float, int, Session]] = []
-        self._durable_seq = 0
-        self._sealed: list[Session] = []
+        # OUT batches made durable by an ACK, in ACK order, and the end
+        # times of their sessions that are not sealed yet (a heap).
+        self._batches: list[wire.SessionBatch] = []
+        self._durable: list[float] = []
+        self._sealed = 0
         self._head = -math.inf
         self._failovers = 0
         self._respawns = 0
@@ -1007,7 +1014,7 @@ class ShardedStreamingRuntime:
             handle.decoder.add_symbol(payload)
             return
         if kind == wire.OUT:
-            handle.pending.extend(handle.decoder.decode_sessions(payload))
+            handle.pending.append(handle.decoder.decode_batch(payload))
             return
         if kind == wire.ACK:
             self._registry.counter("sharded.ack.bytes",
@@ -1052,11 +1059,10 @@ class ShardedStreamingRuntime:
         # FIFO pipes make the ACK a durability proof: every session
         # emitted by the acked events has already been received.
         if handle.pending:
-            for session in handle.pending:
-                self._durable_seq += 1
-                heapq.heappush(self._durable,
-                               (session.end_time, self._durable_seq,
-                                session))
+            for batch in handle.pending:
+                self._batches.append(batch)
+                for session in batch.sessions:
+                    heapq.heappush(self._durable, session.end_time)
             handle.pending.clear()
         self._gauge("sharded.replay.events", handle.shard).set(
             log.event_count)
@@ -1094,7 +1100,8 @@ class ShardedStreamingRuntime:
         self._gauge("sharded.shard.alive", handle.shard).set(0)
         self._terminate(handle)
         # sessions emitted after the last ACK are not durable — the
-        # respawned worker will re-derive exactly these.
+        # respawned worker will re-derive exactly these.  Dropping their
+        # batches releases the payloads nothing else references.
         handle.pending.clear()
         # routed-but-unframed events are already replay-log entries: a
         # respawn re-encodes them, a shed drops them with the log.
@@ -1134,9 +1141,10 @@ class ShardedStreamingRuntime:
         if math.isfinite(low):
             self._gauge("sharded.watermark.low").set(low)
         sealed = 0
-        while self._durable and self._durable[0][0] <= low:
-            self._sealed.append(heapq.heappop(self._durable)[2])
+        while self._durable and self._durable[0] <= low:
+            heapq.heappop(self._durable)
             sealed += 1
+        self._sealed += sealed
         self._count("sharded.sessions.sealed", sealed)
 
     def _finalize(self) -> ShardedRunResult:
@@ -1157,7 +1165,7 @@ class ShardedStreamingRuntime:
             routed=self._ledger.routed,
             replayed=self._ledger.replayed,
             shed=self._ledger.shed,
-            sealed_sessions=len(self._sealed),
+            sealed_sessions=self._sealed,
             failovers=self._failovers,
             respawns=self._respawns,
             wedged=self._wedged,
@@ -1166,7 +1174,14 @@ class ShardedStreamingRuntime:
             low_watermark=min((h.watermark for h in self._handles
                                if h.state != "shed"), default=math.inf),
         )
-        ordered = sorted(self._sealed, key=lambda s: s.canonical_key())
+        # every durable session is sealed by now.  Sessions with equal
+        # keys have equal end times, so they sealed in ACK order, which a
+        # stable sort over the batches in ACK order keeps.
+        sessions = [session for batch in self._batches
+                    for session in batch.sessions]
+        keys = wire.canonical_keys(self._batches)
+        ordered = [sessions[i] for i in
+                   sorted(range(len(sessions)), key=keys.__getitem__)]
         shard_stats = tuple(
             (h.done or {}).get("stats", {}) for h in self._handles)
         return ShardedRunResult(sessions=SessionSet(ordered), stats=stats,

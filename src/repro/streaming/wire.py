@@ -24,7 +24,10 @@ interns them and ships fixed-width records over a byte stream:
   emits every maximal session of a candidate, so one request appears
   in many sessions of a batch; it crosses the pipe once, and the
   decoded sessions share one :class:`~repro.sessions.model.Request`
-  object per table entry;
+  object per table entry.  The receiver keeps each decoded batch's
+  payload (:class:`SessionBatch`), so :func:`canonical_keys` can later
+  rank the tables and turn the index lists into byte sort keys without
+  rebuilding a key object per request occurrence;
 * control frames (watermarks, capsules, acks) are small and
   infrequent, so they ride as canonical JSON.
 
@@ -49,8 +52,8 @@ from repro.sessions.model import Request, Session
 __all__ = [
     "SYM", "EVT", "WM", "EOF", "CAP", "OUT", "ACK", "DONE", "ERR",
     "Event", "FrameReader", "SymbolEncoder", "SymbolDecoder",
-    "frame", "json_frame", "decode_json", "watermark_frame",
-    "decode_watermark",
+    "SessionBatch", "canonical_keys", "frame", "json_frame", "decode_json",
+    "watermark_frame", "decode_watermark",
 ]
 
 # coordinator -> worker
@@ -285,12 +288,13 @@ class SymbolDecoder:
                 f"event payload is {len(payload)} bytes, want {_EVENT.size}")
         return self.decode_events(payload)[0]
 
-    def decode_sessions(self, payload: bytes) -> list[Session]:
+    def decode_batch(self, payload: bytes) -> SessionBatch:
         """Decode an OUT payload into its batch of sessions.
 
         One :class:`~repro.sessions.model.Request` is built per table
         entry, so sessions of the batch share request objects exactly as
-        the sender's did.
+        the sender's did.  The batch keeps ``payload`` and this decoder's
+        symbol table for :func:`canonical_keys`.
         """
         if len(payload) < _BATCH.size:
             raise WireProtocolError(
@@ -327,4 +331,94 @@ class SymbolDecoder:
             sessions.append(Session.from_trusted_parts(
                 tuple(map(requests.__getitem__, indices[start:end]))))
             start = end
-        return sessions
+        return SessionBatch(sessions, self._table, payload)
+
+
+class SessionBatch:
+    """One decoded ``OUT`` frame: its sessions plus what they came from.
+
+    ``payload`` is the frame as received and ``symbols`` the receiving
+    decoder's symbol table, which only ever grows, so the table entries
+    and index lists stay readable for :func:`canonical_keys` after the
+    connection that carried them is gone.
+    """
+
+    __slots__ = ("sessions", "symbols", "payload")
+
+    def __init__(self, sessions: list[Session], symbols: list[str],
+                 payload: bytes) -> None:
+        self.sessions = sessions
+        self.symbols = symbols
+        self.payload = payload
+
+
+#: an ``OUT`` request-table entry as numpy reads it, packed like _REQUEST.
+_REQUEST_FIELDS = [("timestamp", ">f8"), ("user", ">u4"), ("page", ">u4"),
+                   ("synthetic", "u1")]
+
+
+def canonical_keys(batches: Sequence[SessionBatch]) -> list[bytes]:
+    """One byte sort key per session of ``batches``, in batch order.
+
+    Sorting by these keys orders sessions exactly as sorting by
+    :meth:`~repro.sessions.model.Session.canonical_key` does, and two
+    keys are equal exactly when the canonical keys are.  Every table
+    entry of every batch is ranked once by ``(user, timestamp, page,
+    synthetic)``, equal tuples sharing a rank; a session's key is the
+    ranks of its requests as big-endian ``uint32``, so keys compare like
+    ``memcmp`` and a proper prefix sorts first.  The ranking runs in
+    numpy: the only per-session Python work is slicing the key out.
+    """
+    if not batches:
+        return []
+    import numpy as np
+
+    # rank every symbol string once; each decoder's ids map through it.
+    decoders: dict[int, list[str]] = {}
+    for batch in batches:
+        decoders.setdefault(id(batch.symbols), batch.symbols)
+    rank_of = {text: rank for rank, text in enumerate(
+        sorted(set().union(*decoders.values())))}
+    symbol_base: dict[int, int] = {}
+    symbol_ranks: list[int] = []
+    for key, symbols in decoders.items():
+        symbol_base[key] = len(symbol_ranks)
+        symbol_ranks.extend(map(rank_of.__getitem__, symbols))
+
+    tables, lengths, indices = [], [], []
+    n_table, n_indices, bases = [], [], []
+    for batch in batches:
+        payload = memoryview(batch.payload)
+        entries, sessions = _BATCH.unpack_from(payload)
+        table_end = _BATCH.size + entries * _REQUEST.size
+        lengths_end = table_end + sessions * _INDEX
+        tables.append(payload[_BATCH.size:table_end])
+        lengths.append(payload[table_end:lengths_end])
+        indices.append(payload[lengths_end:])
+        n_table.append(entries)
+        n_indices.append((len(payload) - lengths_end) // _INDEX)
+        bases.append(symbol_base[id(batch.symbols)])
+    records = np.frombuffer(b"".join(tables), dtype=np.dtype(_REQUEST_FIELDS))
+    symbol_rank = np.array(symbol_ranks, dtype=np.int64)
+    offsets = np.repeat(bases, n_table)
+    columns = (symbol_rank[records["user"] + offsets],
+               records["timestamp"].astype(np.float64),
+               symbol_rank[records["page"] + offsets],
+               records["synthetic"])
+    # lexsort's last key is the primary one; equal neighbours share a rank.
+    order = np.lexsort(columns[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        ranked = column[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.cumsum(starts)
+    # each batch's indices count from its own table's first entry.
+    slots = (np.frombuffer(b"".join(indices), dtype=">u4").astype(np.int64)
+             + np.repeat(np.cumsum(n_table) - n_table, n_indices))
+    keys = rank[slots].astype(">u4").tobytes()
+    ends = np.cumsum(np.frombuffer(b"".join(lengths), dtype=">u4"),
+                     dtype=np.int64) * _INDEX
+    bounds = [0, *ends.tolist()]
+    return [keys[start:end] for start, end in zip(bounds, bounds[1:])]

@@ -187,7 +187,7 @@ class TestWireProtocol:
                     decoder.add_symbol(payload)
                 else:
                     assert kind == wire.OUT
-                    batches.append(decoder.decode_sessions(payload))
+                    batches.append(decoder.decode_batch(payload).sessions)
         assert reader.pending_bytes == 0
         return batches
 
@@ -231,19 +231,19 @@ class TestWireProtocol:
         [payload] = payloads
         for cut in range(len(payload)):           # every truncation
             with pytest.raises(WireProtocolError):
-                decoder.decode_sessions(payload[:cut])
+                decoder.decode_batch(payload[:cut])
         with pytest.raises(WireProtocolError):
-            decoder.decode_sessions(payload + b"\x00")
+            decoder.decode_batch(payload + b"\x00")
         record = struct.pack("!dIIB", 1.0, 0, 1, 0)
         out_of_range = (struct.pack("!II", 1, 1) + record
                         + struct.pack("!II", 1, 1))
         with pytest.raises(WireProtocolError, match="index 1 outside"):
-            decoder.decode_sessions(out_of_range)
+            decoder.decode_batch(out_of_range)
         unknown_symbol = (struct.pack("!II", 1, 1)
                           + struct.pack("!dIIB", 1.0, 0, 99, 0)
                           + struct.pack("!II", 1, 0))
         with pytest.raises(WireProtocolError, match="symbol id 99"):
-            decoder.decode_sessions(unknown_symbol)
+            decoder.decode_batch(unknown_symbol)
 
     def test_infinite_watermark_survives_the_wire(self):
         _, payload = next(iter(
@@ -314,6 +314,19 @@ class TestShardLedger:
         assert ledger.shed_shard(1) == 1
         assert not ledger.route(1)       # future events shed on arrival
         assert ledger.shed == 2
+        assert ledger.reconciles()
+
+    def test_ack_retires_replayed_events_before_fresh_ones(self):
+        ledger = ShardLedger(1)
+        ledger.route(0)
+        ledger.fail(0)                   # the oldest event is replayed...
+        ledger.route(0)                  # ...the newer one is fresh
+        ledger.ack(0, 1)
+        # only the fresh event is left, so a second failover moves it.
+        assert ledger.fail(0) == 1
+        assert (ledger.routed, ledger.replayed) == (0, 2)
+        assert ledger.shed_shard(0) == 1
+        assert (ledger.replayed, ledger.shed) == (1, 1)
         assert ledger.reconciles()
 
     def test_overacking_is_an_execution_error(self):
