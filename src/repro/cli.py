@@ -521,7 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--selftest-items", type=int, default=64,
                        help="work items for --exec-selftest (default 64)")
     chaos.add_argument("--selftest-workers", type=int, default=2,
-                       help="pool workers for --exec-selftest (default 2)")
+                       help="pool workers for --exec-selftest (default "
+                            "2); the selftest fails when no pool worker "
+                            "ran an item")
     chaos.add_argument("--overload-selftest", action="store_true",
                        help="stream an adversarial crawler+NAT workload "
                             "through the governed pipeline under "
@@ -1058,7 +1060,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         names = [token.strip() for token in args.heuristics.split(",")
                  if token.strip()]
         build_heuristics(names, graph)  # fail on unknown names up front
-        # a partial pickles, so --workers gets processes, not threads
+        # a partial pickles, so --workers runs the points on processes
         heuristic_factory = functools.partial(build_heuristics, names, graph)
     base = SimulationConfig(n_agents=args.agents, seed=args.seed)
     result = run_sweep(graph, base, args.parameter, values,
@@ -1292,7 +1294,9 @@ def _chaos_exec_selftest(args: argparse.Namespace) -> int:
               file=sys.stderr)
     verdict = "identical to serial" if result["identical"] else "DIVERGED"
     print(f"  recovered output: {verdict}", file=sys.stderr)
-    return 0 if result["identical"] else 1
+    print(f"  items run on pool workers: {result['pooled_items']} of "
+          f"{result['items']}", file=sys.stderr)
+    return 0 if result["identical"] and result["pooled_items"] else 1
 
 
 def _chaos_overload_selftest(args: argparse.Namespace) -> int:

@@ -63,11 +63,11 @@ class TrialResult:
 
     Attributes:
         simulation: the full simulation output (topology, ground truth,
-            log, per-agent traces).  ``None`` for a trial fully restored
-            from a checkpoint — the reports are intact but the raw
-            simulation was deliberately not persisted (it is cheap to
-            regenerate and enormous to store); rerun without ``resume``
-            when the traces themselves are needed.
+            log, per-agent traces) of a :func:`run_trial`.  ``None`` for
+            every trial of a :func:`sweep` — a sweep point returns only
+            its reports, because the raw simulation is cheap to
+            regenerate and enormous to ship or store; call
+            :func:`run_trial` when the traces themselves are needed.
         reports: per-heuristic :class:`AccuracyReport`, keyed by the name
             used in the heuristics mapping.
     """
@@ -176,7 +176,7 @@ class SweepResult:
         trials: the corresponding trial results.
         failures: structured :class:`~repro.parallel.supervisor.
             ChunkFailure` records for points that exhausted their retry
-            budget (empty without supervision).
+            budget.
     """
 
     parameter: str
@@ -206,26 +206,92 @@ class SweepResult:
         return table
 
 
-def _run_sweep_point(value: float, topology: WebGraph,
-                     base_config: SimulationConfig, parameter: str,
-                     heuristic_factory, cache_dir: str | None,
-                     engine: str = "object") -> TrialResult:
-    """Run one sweep point (parallel work unit; module-level to pickle)."""
-    registry = get_registry()
+def _checkpoint_store(checkpoint):
+    """Normalize the ``checkpoint`` argument (path or store or None)."""
+    if checkpoint is None:
+        return None
+    from repro.parallel.checkpoint import CheckpointStore
+
+    if isinstance(checkpoint, CheckpointStore):
+        return checkpoint
+    return CheckpointStore(checkpoint)
+
+
+def _fingerprint(document: Mapping[str, Any]) -> str:
+    """Stable digest of a run configuration (pins checkpoint dirs)."""
+    payload = json.dumps(document, sort_keys=True, default=str)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+
+
+def _passthrough_policy():
+    """The policy of a sweep given no ``supervision``: no retries, the
+    first unrecoverable failure raises."""
+    from repro.parallel.supervisor import RetryPolicy
+
+    return RetryPolicy(max_retries=0, on_failure="raise")
+
+
+def _run_sweep_point_captured(value: float, topology: WebGraph,
+                              base_config: SimulationConfig, parameter: str,
+                              heuristic_factory, cache_dir: str | None,
+                              engine: str = "object"
+                              ) -> tuple[dict[str, Any], dict | None]:
+    """Run one sweep point; return its checkpoint payload and metrics.
+
+    The sweep's one work unit, module-level so it pickles into pool
+    workers.  The point runs under a private registry that keeps the
+    ambient tracer, so its spans land wherever the caller's do, and its
+    snapshot travels back with the payload: the parent merges the
+    snapshots in point order, fresh and restored points alike.
+    """
+    ambient = get_registry()
+    registry = (Registry(tracer=ambient.tracer) if ambient.enabled
+                else ambient)
     config = base_config.with_(**{parameter: value})
-    heuristics = (heuristic_factory() if heuristic_factory is not None
-                  else None)
-    with registry.span("sweep.point", parameter=parameter, value=value), \
-            registry.timer("eval.sweep.point.seconds"):
-        trial = run_trial(topology, config, heuristics, cache_dir=cache_dir,
-                          engine=engine)
-    if registry.enabled:
-        registry.counter("eval.sweep.points").inc()
-        for name, accuracy in trial.accuracies().items():
-            registry.gauge(
-                "eval.sweep.accuracy", heuristic=name,
-                **{parameter: f"{value:g}"}).set(accuracy)
-    return trial
+    with use_local_registry(registry):
+        heuristics = (heuristic_factory() if heuristic_factory is not None
+                      else None)
+        with registry.span("sweep.point", parameter=parameter,
+                           value=value), \
+                registry.timer("eval.sweep.point.seconds"):
+            trial = run_trial(topology, config, heuristics,
+                              cache_dir=cache_dir, engine=engine)
+        if registry.enabled:
+            registry.counter("eval.sweep.points").inc()
+            for name, accuracy in trial.accuracies().items():
+                registry.gauge(
+                    "eval.sweep.accuracy", heuristic=name,
+                    **{parameter: f"{value:g}"}).set(accuracy)
+    return (_trial_payload(value, trial),
+            registry.snapshot() if registry.enabled else None)
+
+
+def _point_key(parameter: str, index: int, value: float) -> str:
+    """The checkpoint unit key for one sweep point."""
+    return f"{parameter}[{index}]={value:g}"
+
+
+def _trial_payload(value: float, trial: TrialResult) -> dict[str, Any]:
+    """The JSON body of one completed sweep point.
+
+    Deliberately *not* the full trial: the simulation (log, traces) is
+    cheap to regenerate and enormous to ship or store, so only the
+    scored reports leave the worker — enough for :class:`SweepResult`'s
+    series, rows and accuracy views.
+    """
+    return {
+        "value": float(value),
+        "total_real": len(trial.simulation.ground_truth),
+        "reports": {name: report.to_dict()
+                    for name, report in trial.reports.items()},
+    }
+
+
+def _trial_from_payload(payload: Mapping[str, Any]) -> TrialResult:
+    """Rebuild the reports-only :class:`TrialResult` of a sweep point."""
+    reports = {name: AccuracyReport.from_dict(data)
+               for name, data in payload.get("reports", {}).items()}
+    return TrialResult(simulation=None, reports=reports)
 
 
 def sweep(topology: WebGraph, base_config: SimulationConfig, parameter: str,
@@ -235,6 +301,12 @@ def sweep(topology: WebGraph, base_config: SimulationConfig, parameter: str,
           supervision=None, checkpoint=None,
           resume: bool = False) -> SweepResult:
     """Vary one simulation parameter, evaluating all heuristics per value.
+
+    Every point runs through
+    :func:`~repro.parallel.supervisor.supervised_map`, one point per
+    chunk, and comes back as its scored reports: each trial of the
+    result has ``simulation=None``, whether it ran serially, on a pool
+    or was restored from a checkpoint.
 
     Args:
         topology: the (fixed) site.
@@ -247,21 +319,22 @@ def sweep(topology: WebGraph, base_config: SimulationConfig, parameter: str,
             With ``workers`` it runs inside the worker processes, so it
             must pickle (a module-level function or a
             :func:`functools.partial` of one) — an unpicklable factory
-            drops the pool to threads, which gain nothing under the GIL.
+            runs every point in-process.
         cache_dir: optional simulation disk cache shared by all points.
-        workers: ``None`` (default) runs the points sequentially; ``0``
-            fans the points out over all usable CPUs; a positive count
-            uses exactly that many processes.  Results and metric
-            counters are identical either way (sweep points are
-            independent trials with value-labelled gauges).  The sweep
-            point is the library's only parallel unit of work.
+        workers: ``None`` (default) runs the points in-process, in
+            order; ``0`` fans the points out over all usable CPUs; a
+            positive count uses exactly that many processes.  Results
+            and metric counters are identical either way (sweep points
+            are independent trials with value-labelled gauges).  The
+            sweep point is the library's only parallel unit of work.
         engine: reconstruction data plane for every point — ``"object"``
             (default) or ``"columnar"`` (heuristics without columnar
             support keep the object path; accuracies are identical).
         supervision: optional
-            :class:`~repro.parallel.supervisor.RetryPolicy` — each sweep
-            point becomes a supervised unit of work with crash retry,
-            progress deadlines and the policy's degradation path.
+            :class:`~repro.parallel.supervisor.RetryPolicy` for points
+            on a process pool: crash retry, progress deadlines and the
+            policy's degradation path.  ``None`` retries nothing and
+            raises on the first unrecoverable failure.
         checkpoint: optional checkpoint directory (path or
             :class:`~repro.parallel.checkpoint.CheckpointStore`).  Every
             completed point is persisted (report + metrics snapshot) the
@@ -283,123 +356,11 @@ def sweep(topology: WebGraph, base_config: SimulationConfig, parameter: str,
     if not hasattr(base_config, parameter):
         raise EvaluationError(
             f"unknown simulation parameter {parameter!r}")
-
-    if supervision is not None or checkpoint is not None:
-        return _sweep_supervised(
-            topology, base_config, parameter, values, heuristic_factory,
-            cache_dir, workers=workers, engine=engine,
-            supervision=supervision, checkpoint=checkpoint, resume=resume)
-
-    point = functools.partial(
-        _run_sweep_point, topology=topology, base_config=base_config,
-        parameter=parameter, heuristic_factory=heuristic_factory,
-        cache_dir=cache_dir, engine=engine)
-    if workers is None:
-        trials = [point(value) for value in values]
-    else:
-        from repro.parallel import parallel_map
-
-        trials = parallel_map(point, list(values), workers=workers)
-    return SweepResult(parameter=parameter, values=tuple(values),
-                       trials=tuple(trials))
-
-
-# -- fault-tolerant execution (supervision + checkpoint/resume) ----------
-#
-# The supervised sweep below trades the plain path's directness for two
-# properties long runs need: every completed sweep point is durable the
-# moment it finishes, and each point's metrics are captured in a private
-# registry snapshot that is persisted with it.  Merging the saved
-# snapshots for restored points in point order is what makes a resumed
-# run's final metrics equal an uninterrupted run's.
-
-
-def _checkpoint_store(checkpoint):
-    """Normalize the ``checkpoint`` argument (path or store or None)."""
-    if checkpoint is None:
-        return None
-    from repro.parallel.checkpoint import CheckpointStore
-
-    if isinstance(checkpoint, CheckpointStore):
-        return checkpoint
-    return CheckpointStore(checkpoint)
-
-
-def _fingerprint(document: Mapping[str, Any]) -> str:
-    """Stable digest of a run configuration (pins checkpoint dirs)."""
-    payload = json.dumps(document, sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
-
-
-def _passthrough_policy():
-    """The no-supervision policy used when only checkpointing was asked
-    for: no retries, first unrecoverable failure raises — plain-path
-    failure semantics, but completed units still flush to disk."""
-    from repro.parallel.supervisor import RetryPolicy
-
-    return RetryPolicy(max_retries=0, on_failure="raise")
-
-
-def _run_sweep_point_captured(value: float, topology: WebGraph,
-                              base_config: SimulationConfig, parameter: str,
-                              heuristic_factory, cache_dir: str | None,
-                              engine: str = "object"
-                              ) -> tuple[TrialResult, dict | None]:
-    """Run one sweep point under a private registry; return both."""
-    ambient = get_registry()
-    if not ambient.enabled:
-        return _run_sweep_point(value, topology, base_config, parameter,
-                                heuristic_factory, cache_dir,
-                                engine=engine), None
-    local = Registry()
-    with use_local_registry(local):
-        trial = _run_sweep_point(value, topology, base_config, parameter,
-                                 heuristic_factory, cache_dir,
-                                 engine=engine)
-    return trial, local.snapshot()
-
-
-def _point_key(parameter: str, index: int, value: float) -> str:
-    """The checkpoint unit key for one sweep point."""
-    return f"{parameter}[{index}]={value:g}"
-
-
-def _trial_payload(value: float, trial: TrialResult) -> dict[str, Any]:
-    """The JSON body persisted for one completed sweep point.
-
-    Deliberately *not* the full trial: the simulation (log, traces) is
-    cheap to regenerate and enormous to store, so only the scored
-    reports survive a round trip — enough for :class:`SweepResult`'s
-    series, rows and accuracy views.
-    """
-    return {
-        "value": float(value),
-        "total_real": (len(trial.simulation.ground_truth)
-                       if trial.simulation is not None else None),
-        "reports": {name: report.to_dict()
-                    for name, report in trial.reports.items()},
-    }
-
-
-def _trial_from_payload(payload: Mapping[str, Any]) -> TrialResult:
-    """Rebuild the lite :class:`TrialResult` a checkpoint unit stores."""
-    reports = {name: AccuracyReport.from_dict(data)
-               for name, data in payload.get("reports", {}).items()}
-    return TrialResult(simulation=None, reports=reports)
-
-
-def _sweep_supervised(topology: WebGraph, base_config: SimulationConfig,
-                      parameter: str, values: Sequence[float],
-                      heuristic_factory, cache_dir: str | None, *,
-                      workers: int | None,
-                      engine: str = "object", supervision,
-                      checkpoint, resume: bool) -> SweepResult:
-    """:func:`sweep` with supervision and/or checkpointing active."""
     from repro.parallel.supervisor import supervised_map
 
     registry = get_registry()
     store = _checkpoint_store(checkpoint)
-    restored: dict[int, tuple[TrialResult, dict | None]] = {}
+    done: dict[int, tuple[TrialResult, dict | None]] = {}
     if store is not None:
         lineup = ("standard" if heuristic_factory is None else
                   sorted(heuristic_factory()))
@@ -416,44 +377,31 @@ def _sweep_supervised(topology: WebGraph, base_config: SimulationConfig,
             unit = store.load_unit("sweep-point",
                                    _point_key(parameter, index, value))
             if unit is not None:
-                restored[index] = (_trial_from_payload(unit["payload"]),
-                                   unit.get("obs"))
+                done[index] = (_trial_from_payload(unit["payload"]),
+                               unit.get("obs"))
 
     todo = [(index, value) for index, value in enumerate(values)
-            if index not in restored]
+            if index not in done]
     point = functools.partial(
         _run_sweep_point_captured, topology=topology,
         base_config=base_config, parameter=parameter,
         heuristic_factory=heuristic_factory, cache_dir=cache_dir,
         engine=engine)
 
-    computed: dict[int, tuple[TrialResult, dict | None]] = {}
-
-    def record(position: int,
-               result: tuple[TrialResult, dict | None]) -> None:
+    def record(position: int, results: list) -> None:
         index, value = todo[position]
-        computed[index] = result
+        [(payload, snapshot)] = results
+        done[index] = (_trial_from_payload(payload), snapshot)
         if store is not None:
             store.save_unit("sweep-point",
                             _point_key(parameter, index, value),
-                            _trial_payload(value, result[0]),
-                            obs=result[1])
+                            payload, obs=snapshot)
 
-    failures: tuple = ()
     try:
-        if todo:
-            if workers is None:
-                for position, (_, value) in enumerate(todo):
-                    record(position, point(value))
-            else:
-                policy = (supervision if supervision is not None
-                          else _passthrough_policy())
-                outcome = supervised_map(
-                    point, [value for _, value in todo], workers=workers,
-                    chunk_size=1, policy=policy,
-                    on_chunk_complete=lambda position, results:
-                        record(position, results[0]))
-                failures = tuple(outcome.failures)
+        outcome = supervised_map(
+            point, [value for _, value in todo], workers=workers,
+            chunk_size=1, policy=supervision or _passthrough_policy(),
+            on_chunk_complete=record)
     except BaseException:
         if store is not None:
             store.mark("interrupted")
@@ -467,13 +415,13 @@ def _sweep_supervised(topology: WebGraph, base_config: SimulationConfig,
     kept_values: list[float] = []
     kept_trials: list[TrialResult] = []
     for index, value in enumerate(values):
-        entry = restored.get(index) or computed.get(index)
-        if entry is None:
+        if index not in done:
             continue  # quarantined under on_failure="skip"
-        trial, snapshot = entry
+        trial, snapshot = done[index]
         if snapshot:
             registry.merge_snapshot(snapshot)
         kept_values.append(value)
         kept_trials.append(trial)
     return SweepResult(parameter=parameter, values=tuple(kept_values),
-                       trials=tuple(kept_trials), failures=failures)
+                       trials=tuple(kept_trials),
+                       failures=tuple(outcome.failures))

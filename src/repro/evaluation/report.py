@@ -11,8 +11,7 @@ import io
 
 from repro.evaluation.harness import SweepResult
 
-__all__ = ["render_sweep_table", "render_csv", "render_markdown",
-           "render_trial_details"]
+__all__ = ["render_sweep_table", "render_csv", "render_markdown"]
 
 
 def render_sweep_table(result: SweepResult, title: str = "",
@@ -75,23 +74,3 @@ def render_markdown(result: SweepResult, metric: str = "matched") -> str:
         lines.append(f"| {value:g} | {cells} |")
     return "\n".join(lines) + "\n"
 
-
-def render_trial_details(result: SweepResult) -> str:
-    """Per-value diagnostic block: session counts, lengths, precision."""
-    out = io.StringIO()
-    for value, trial in zip(result.values, result.trials):
-        simulation = trial.simulation
-        out.write(f"{result.parameter}={value:g}: "
-                  f"{len(simulation.ground_truth)} real sessions, "
-                  f"{len(simulation.log_requests)} log records, "
-                  f"cache hit rate "
-                  f"{simulation.cache_hit_rate * 100:.1f}%\n")
-        for name, report in trial.reports.items():
-            out.write(
-                f"  {name}: matched {report.matched_accuracy * 100:5.1f}%  "
-                f"captured {report.accuracy * 100:5.1f}%  "
-                f"exact {report.exact / report.total_real * 100:5.1f}%  "
-                f"precision {report.precision * 100:5.1f}%  "
-                f"sessions {report.reconstructed_count}  "
-                f"mean length {report.mean_reconstructed_length:.2f}\n")
-    return out.getvalue()

@@ -13,7 +13,7 @@ Faults are armed through the :data:`EXEC_FAULTS_ENV` environment variable
 ``spawn``), normally via the :func:`use_execution_faults` context manager::
 
     with use_execution_faults("crash-chunk:2", "slow-chunk:0:0.1"):
-        parallel_map(fn, items, workers=4, supervision=RetryPolicy())
+        supervised_map(fn, items, workers=4, policy=RetryPolicy())
 
 Each spec is ``kind:index[:seconds[:attempts]]``:
 
@@ -56,8 +56,9 @@ first respawn):
 ``attempts`` (default 1) is the number of *attempts* the fault fires for:
 with the default, a chunk crashes on its first attempt and succeeds on
 retry — the canonical transient fault.  Worker faults only ever fire
-inside a pool worker process (never in the parent, never in threads), so
-the supervisor's serial-degrade path is immune by construction.
+inside a pool worker process (never in the parent), so in-process
+chunks and the supervisor's serial-degrade path are immune by
+construction.
 """
 
 from __future__ import annotations
@@ -214,9 +215,9 @@ def inject_chunk_faults(chunk_index: int, attempt: int) -> None:
     """Apply any armed worker fault matching ``(chunk_index, attempt)``.
 
     Called by the engine at the top of every chunk execution.  Only fires
-    inside a pool *worker process*: in the parent (serial mode, thread
-    mode, or the supervisor's serial-degrade path) it is a no-op, so an
-    armed crash fault can never take down the supervising process.
+    inside a pool *worker process*: in the parent (an in-process chunk
+    or the supervisor's serial-degrade path) it is a no-op, so an armed
+    crash fault can never take down the supervising process.
     """
     faults = active_exec_faults()
     if not faults or not _in_worker_process():
@@ -294,12 +295,16 @@ def corrupt_checkpoint_file(path: str, ordinal: int) -> bool:
     return False
 
 
-def _selftest_work(x: int, seed: int = 0) -> int:
-    """Deterministic, CPU-trivial work item for the exec selftest."""
+def _selftest_work(x: int, seed: int = 0) -> tuple[int, int]:
+    """Deterministic, CPU-trivial work item for the exec selftest.
+
+    Returns ``(pid, value)``: the id of the process that ran the item
+    shows whether the selftest really exercised the process pool.
+    """
     value = (x + seed) & 0xFFFFFFFF
     for _ in range(8):
         value = (value * 2654435761 + 1) & 0xFFFFFFFF
-    return value
+    return os.getpid(), value
 
 
 def run_exec_selftest(specs: list[str], *, items: int = 64, workers: int = 2,
@@ -307,10 +312,12 @@ def run_exec_selftest(specs: list[str], *, items: int = 64, workers: int = 2,
     """Run the execution-fault recovery selftest (``repro chaos``'s body).
 
     Arms ``specs``, fans a trivial deterministic workload out through the
-    supervised engine, and checks the recovered output is byte-identical
-    to the serial loop.  Returns a plain dict: ``identical`` (bool),
-    ``items``, ``chunks``, ``stats`` (supervision counters) and
-    ``failures`` (structured :class:`ChunkFailure` dicts).
+    supervised map, and checks the recovered output is byte-identical to
+    the serial loop and that the pool, not the parent, ran it.  Returns a
+    plain dict: ``identical`` (bool), ``items``, ``pooled_items`` (items
+    a pool worker computed — the rest were degraded to the parent),
+    ``chunks``, ``stats`` (supervision counters) and ``failures``
+    (structured :class:`ChunkFailure` dicts).
     """
     import functools
 
@@ -319,13 +326,15 @@ def run_exec_selftest(specs: list[str], *, items: int = 64, workers: int = 2,
     if policy is None:
         policy = RetryPolicy(max_retries=2, deadline=5.0)
     work = functools.partial(_selftest_work, seed=seed)
-    expected = [work(x) for x in range(items)]
+    expected = [work(x)[1] for x in range(items)]
     with use_execution_faults(*specs):
         outcome = supervised_map(work, range(items), workers=workers,
-                                 mode="process", policy=policy)
+                                 policy=policy)
+    parent = os.getpid()
     return {
-        "identical": outcome.results == expected,
+        "identical": [value for _, value in outcome.results] == expected,
         "items": items,
+        "pooled_items": sum(pid != parent for pid, _ in outcome.results),
         "chunks": outcome.stats.chunks,
         "stats": {
             "retries": outcome.stats.retries,

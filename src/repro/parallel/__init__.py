@@ -1,27 +1,33 @@
-"""repro.parallel — the deterministic fan-out execution engine.
+"""repro.parallel — the one deterministic parallel map.
 
 The library parallelises one unit of work: the sweep point
 (:func:`repro.evaluation.harness.sweep`, ``repro sweep --workers N``).
-The contract is *byte-identical output regardless of worker count* —
-see :mod:`repro.parallel.engine` for how chunked order-preserving
-execution and per-worker metrics-registry merging deliver that.
+Every sweep point, serial or parallel, checkpointed or not, runs
+through one entry point, :func:`supervised_map`
+(:mod:`repro.parallel.supervisor`).  Its contract is *byte-identical
+output regardless of worker count*: contiguous chunks run on a process
+pool or in-process, results come back in chunk order, and each chunk's
+private metrics registry is merged back in that same order.
 
-On top of the engine sit the fault-tolerance layers:
+Around that map sit:
 
 * :mod:`repro.parallel.supervisor` — chunk-level retry with backoff,
   progress deadlines, pool respawn after worker crashes, and structured
   degradation when a chunk cannot be recovered;
 * :mod:`repro.parallel.checkpoint` — atomic, integrity-hashed
   checkpoints of completed work units so interrupted sweeps and
-  simulations resume instead of restarting.
+  simulations resume instead of restarting;
+* :mod:`repro.parallel.engine` — the worker-count knob, the GC pause
+  and the chunk body the map runs.
 
 Quickstart::
 
-    from repro.parallel import RetryPolicy, parallel_map
+    from repro.parallel import RetryPolicy, supervised_map
 
     # fan out a coarse, picklable work function, surviving worker crashes:
-    results = parallel_map(run_point, values, workers=2,
-                           supervision=RetryPolicy(deadline=60.0))
+    outcome = supervised_map(run_point, values, workers=2,
+                             policy=RetryPolicy(deadline=60.0))
+    results = outcome.results
 """
 
 from repro.parallel.checkpoint import (
@@ -32,11 +38,8 @@ from repro.parallel.checkpoint import (
 )
 from repro.parallel.engine import (
     CHUNKS_PER_WORKER,
-    ParallelPlan,
     available_cpus,
-    parallel_map,
     paused_gc,
-    plan_execution,
     resolve_workers,
 )
 from repro.parallel.supervisor import (
@@ -53,15 +56,12 @@ __all__ = [
     "CheckpointStore",
     "ChunkFailure",
     "DoctorReport",
-    "ParallelPlan",
     "RetryPolicy",
     "SupervisedMapResult",
     "SupervisionStats",
     "atomic_write_json",
     "available_cpus",
-    "parallel_map",
     "paused_gc",
-    "plan_execution",
     "resolve_workers",
     "supervised_map",
 ]

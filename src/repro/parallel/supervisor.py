@@ -1,9 +1,13 @@
-"""Chunk-level supervision: deadlines, retries and degradation policies.
+"""The one parallel map: chunked, order-preserving and supervised.
 
-:func:`repro.parallel.parallel_map` treats the process pool as reliable:
-a worker crash (``BrokenProcessPool``) or a hung chunk takes the whole
-call down and every completed chunk with it.  This module wraps the same
-chunked execution in a supervisor that recovers at **chunk granularity**:
+:func:`supervised_map` returns ``[fn(item) for item in items]``: items
+are split into contiguous chunks, the chunks run on a
+``ProcessPoolExecutor`` or in-process, and the results are reassembled
+in chunk order, so the output does not depend on the worker count.
+Work that does not pickle, one worker, one chunk, or a host where no
+process pool can be brought up runs the chunks in-process, in order.
+
+On the pool, recovery happens at **chunk granularity**:
 
 * every batch of outstanding chunks runs under a *progress deadline* —
   if no chunk completes within ``deadline`` seconds, the pool is
@@ -26,8 +30,8 @@ results are reassembled in chunk order, so a run that survived three
 crashes is byte-identical to an undisturbed one (skipped chunks
 excepted — they are reported, never silently dropped).  Exceptions
 raised by the *work function itself* are not retried: they are
-deterministic bugs, not execution faults, and propagate exactly as they
-do in plain ``parallel_map`` (after cancelling queued chunks).
+deterministic bugs, not execution faults, and propagate after the
+queued chunks are cancelled.
 
 The parent-side callback ``on_chunk_complete`` fires as each chunk's
 results arrive (including retried and serially-degraded chunks), which
@@ -37,6 +41,7 @@ completed work units *while* the run is still in flight.
 
 from __future__ import annotations
 
+import pickle
 import random
 import time
 from collections.abc import Callable, Iterable
@@ -46,9 +51,9 @@ from typing import Any
 from repro.exceptions import ConfigurationError, ExecutionError
 from repro.obs import get_registry
 from repro.parallel.engine import (
-    _PoolUnavailable,
+    CHUNKS_PER_WORKER,
     _run_chunk,
-    plan_execution,
+    resolve_workers,
 )
 
 __all__ = [
@@ -200,31 +205,52 @@ def _kill_pool(pool: Any) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
+class _PoolUnavailable(Exception):
+    """Internal: the process pool could not be brought up at all."""
+
+
+def _picklable(*objects: object) -> bool:
+    try:
+        for obj in objects:
+            pickle.dumps(obj)
+    except Exception:
+        return False
+    return True
+
+
 def supervised_map(fn: Callable[[Any], Any], items: Iterable[Any], *,
-                   workers: int | None = 0, mode: str = "auto",
+                   workers: int | None = 0,
                    chunk_size: int | None = None,
-                   collect_obs: bool | None = None,
                    policy: RetryPolicy | None = None,
                    on_chunk_complete: Callable[[int, list[Any]], None]
                    | None = None) -> SupervisedMapResult:
-    """Fault-tolerant ``parallel_map`` with per-chunk recovery.
+    """``[fn(item) for item in items]``, chunked and supervised.
 
-    Same chunking, ordering and exact-observability contract as
-    :func:`repro.parallel.parallel_map`; on top of it, chunks that crash
-    their worker or overrun the progress deadline are retried under
-    ``policy`` and finally degraded per ``policy.on_failure``.
+    Chunks run on a process pool when there is more than one worker
+    and more than one chunk, and ``fn`` with the first item pickles
+    (a module-level function, or a :func:`functools.partial` of one).
+    Otherwise, or where no process pool can be brought up, they run
+    in-process, in order; a thread pool would gain nothing under the
+    GIL.  Supervision — deadlines, retries, respawns, degradation — is
+    a pool feature (an in-process chunk cannot crash the pool, and a
+    hung one cannot be killed), but chunk boundaries,
+    ``on_chunk_complete`` callbacks and the result shape are the same
+    either way.
 
-    Supervision is a *process-mode* feature: the serial plan and the
-    thread fallback execute chunks directly (threads cannot crash the
-    pool, and a hung thread cannot be killed), but chunk boundaries,
-    ``on_chunk_complete`` callbacks and the result shape are identical
-    in every mode, so callers need no mode-specific handling.
+    When the ambient :mod:`repro.obs` registry is enabled, each chunk
+    runs under a private registry whose snapshot the parent merges back
+    in chunk order, so counters and histogram counts reconcile with a
+    serial loop and gauges keep its last write.  In-process chunks keep
+    the ambient tracer; a pool worker's lifecycle is traced parent-side.
 
     Args:
-        fn / items / workers / mode / chunk_size / collect_obs: as in
-            :func:`~repro.parallel.parallel_map` (``workers=0``
-            auto-detects usable CPUs; ``None`` or ``1`` runs the serial
-            plan).
+        fn: the work function.
+        items: the work items, fully materialized before dispatch.
+        workers: worker count; ``0`` auto-detects usable CPUs, ``None``
+            or ``1`` runs every chunk in-process.
+        chunk_size: items per chunk.  The default is one chunk when
+            there is one worker, else enough chunks for
+            :data:`~repro.parallel.engine.CHUNKS_PER_WORKER` per worker.
         policy: the :class:`RetryPolicy`; ``None`` uses the defaults.
         on_chunk_complete: parent-side callback ``(chunk_index,
             results)`` invoked as each chunk completes (in completion
@@ -233,56 +259,45 @@ def supervised_map(fn: Callable[[Any], Any], items: Iterable[Any], *,
     Raises:
         ExecutionError: a chunk exhausted its retries under
             ``on_failure="raise"``.
-        ConfigurationError: invalid plan parameters, or ``"process"``
-            mode requested where process pools are unavailable.
+        ConfigurationError: an invalid worker count or chunk size.
     """
     policy = policy or RetryPolicy()
     items = list(items)
-    probe = (fn, items[0]) if items else (fn,)
-    plan = plan_execution(len(items), workers, mode, chunk_size, probe)
+    count = min(resolve_workers(workers), max(1, len(items)))
+    if chunk_size is None:
+        chunk_size = (max(1, -(-len(items) // (count * CHUNKS_PER_WORKER)))
+                      if count > 1 else max(1, len(items)))
+    elif chunk_size < 1:
+        raise ConfigurationError(
+            f"chunk_size must be >= 1, got {chunk_size}")
+    chunks = [items[offset:offset + chunk_size]
+              for offset in range(0, len(items), chunk_size)]
     parent = get_registry()
-    collect = parent.enabled if collect_obs is None else collect_obs
-
-    # honor an explicit chunk_size even when the plan degenerated to
-    # serial (which lumps everything into one chunk): callers that
-    # checkpoint per chunk rely on a stable chunk↔unit mapping across
-    # every mode and worker count.
-    size = chunk_size if chunk_size is not None else plan.chunk_size
-    chunks = [items[offset:offset + size]
-              for offset in range(0, len(items), size)]
+    collect = parent.enabled
     stats = SupervisionStats(chunks=len(chunks))
     failures: list[ChunkFailure] = []
 
-    outputs: list[tuple[list[Any], dict | None] | None]
-    if plan.mode != "process":
-        # serial plan or thread fallback: direct execution, same shape.
-        # The chunk/attempt span makes each chunk attributable in
-        # `repro trace analyze` (attempt 0 — nothing retries here).
+    outputs: list[tuple[list[Any], dict | None] | None] | None = None
+    pool_workers = min(count, len(chunks))
+    if pool_workers > 1 and _picklable(fn, items[0]):
+        try:
+            outputs = _supervised_process_map(
+                fn, chunks, pool_workers, collect, policy, stats,
+                failures, on_chunk_complete)
+        except _PoolUnavailable:
+            outputs = None
+    if outputs is None:
+        # in-process, in chunk order.  The chunk/attempt span makes each
+        # chunk attributable in `repro trace analyze` (attempt 0 —
+        # nothing retries here).
         outputs = []
         for index, chunk in enumerate(chunks):
             with parent.span("parallel.chunk", chunk=index, attempt=0):
-                result = _run_chunk((fn, chunk, collect, index, 0))
+                result = _run_chunk((fn, chunk, collect, index, 0),
+                                    parent.tracer)
             outputs.append(result)
             if on_chunk_complete is not None:
                 on_chunk_complete(index, result[0])
-    else:
-        try:
-            outputs = _supervised_process_map(
-                fn, chunks, min(plan.workers, len(chunks)), collect,
-                policy, stats, failures, on_chunk_complete)
-        except _PoolUnavailable:
-            if mode == "process":
-                raise ConfigurationError(
-                    "process pool unavailable on this platform; use "
-                    "mode='thread' or mode='auto'") from None
-            outputs = []
-            for index, chunk in enumerate(chunks):
-                with parent.span("parallel.chunk", chunk=index,
-                                 attempt=0):
-                    result = _run_chunk((fn, chunk, collect, index, 0))
-                outputs.append(result)
-                if on_chunk_complete is not None:
-                    on_chunk_complete(index, result[0])
 
     _publish_stats(parent, stats)
     results: list[Any] = []
@@ -452,8 +467,8 @@ def _supervised_process_map(fn: Callable[[Any], Any],
                         crashed = True
                     else:
                         # a deterministic work-function error: cancel the
-                        # backlog and propagate, exactly like the plain
-                        # engine path.
+                        # backlog and propagate, as an in-process chunk
+                        # would.
                         pool.shutdown(wait=False, cancel_futures=True)
                         raise error
             if crashed:

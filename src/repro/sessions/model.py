@@ -305,9 +305,12 @@ class SessionSet:
     def __init__(self, sessions: Iterable[Session]) -> None:
         self._sessions: tuple[Session, ...] = tuple(sessions)
         by_user: dict[str, list[Session]] = {}
+        # read the request tuple directly: `Session.__bool__` and the
+        # `user_id` property are Python-level calls per session.
         for session in self._sessions:
-            if session:
-                by_user.setdefault(session.user_id, []).append(session)
+            requests = session._requests
+            if requests:
+                by_user.setdefault(requests[0].user_id, []).append(session)
         self._by_user: dict[str, tuple[Session, ...]] = {
             user: tuple(group) for user, group in by_user.items()
         }

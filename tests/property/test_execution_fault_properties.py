@@ -31,8 +31,7 @@ def test_supervised_output_equals_serial_under_faults(spec, n):
     policy = RetryPolicy(max_retries=3, deadline=10.0, backoff_base=0.01,
                          on_failure="serial")
     with use_execution_faults(spec):
-        outcome = supervised_map(_work, range(n), workers=2,
-                                 mode="process", chunk_size=4,
+        outcome = supervised_map(_work, range(n), workers=2, chunk_size=4,
                                  policy=policy)
     assert outcome.results == expected
     assert not outcome.failures or all(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from unittest import mock
+import json
 
 import pytest
 
@@ -226,17 +226,22 @@ class TestWorkersFlag:
 
     def test_parallel_lineup_sweep_runs_on_processes(self, pipeline_files,
                                                      capsys):
-        # the --heuristics factory must pickle: a lineup that fell back
-        # to the thread pool would gain nothing under the GIL.
+        # the --heuristics factory must pickle: a lineup that could not
+        # would run every point in-process.  Only the pool path records
+        # a parent-side `parallel.chunk.complete` event per point.
         args = ["sweep", "--parameter", "stp", "--values", "0.05,0.3",
                 "--topology", pipeline_files["site"], "--agents", "10",
                 "--heuristics", "heur1,heur4"]
         assert main(args) == 0
         serial = capsys.readouterr().out
-        with mock.patch("repro.parallel.engine._map_in_threads",
-                        side_effect=AssertionError("fell back to threads")):
-            assert main(args + ["--workers", "2"]) == 0
+        trace = str(pipeline_files["dir"] / "lineup-trace.jsonl")
+        assert main(args + ["--workers", "2", "--trace", trace]) == 0
         assert capsys.readouterr().out == serial
+        with open(trace, encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        completed = sorted(record["attrs"]["chunk"] for record in records
+                           if record["name"] == "parallel.chunk.complete")
+        assert completed == [0, 1]
 
 
 def test_sessionize_alias(pipeline_files):

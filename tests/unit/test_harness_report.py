@@ -6,11 +6,7 @@ import pytest
 
 from repro.core.smart_sra import SmartSRA
 from repro.evaluation.harness import run_trial, standard_heuristics, sweep
-from repro.evaluation.report import (
-    render_csv,
-    render_sweep_table,
-    render_trial_details,
-)
+from repro.evaluation.report import render_csv, render_sweep_table
 from repro.exceptions import EvaluationError
 from repro.sessions.navigation_oriented import NavigationHeuristic
 from repro.sessions.time_oriented import DurationHeuristic, PageStayHeuristic
@@ -96,11 +92,6 @@ class TestRendering:
         lines = csv.strip().splitlines()
         assert lines[0] == "lpp,heur1,heur2,heur3,heur4"
         assert len(lines) == 3
-
-    def test_details_mention_cache_rate(self, rendered_sweep):
-        details = render_trial_details(rendered_sweep)
-        assert "cache hit rate" in details
-        assert "matched" in details
 
 
 class TestMarkdown:

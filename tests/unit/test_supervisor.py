@@ -75,7 +75,7 @@ class TestSupervisedMapSerial:
         assert outcome.failures == []
 
     def test_explicit_chunk_size_survives_serial_plan(self):
-        # plan_execution lumps a serial plan into one chunk; checkpointed
+        # a serial run is one chunk by default; checkpointed
         # callers rely on the explicit size overriding that.
         outcome = supervised_map(_double, ITEMS, workers=None, chunk_size=1)
         assert outcome.stats.chunks == 16
@@ -93,16 +93,14 @@ class TestSupervisedMapSerial:
 
 class TestSupervisedMapProcess:
     def test_clean_run_matches_serial(self):
-        outcome = supervised_map(_double, ITEMS, workers=2, mode="process",
-                                 chunk_size=4)
+        outcome = supervised_map(_double, ITEMS, workers=2, chunk_size=4)
         assert outcome.results == EXPECTED
         assert outcome.stats.retries == 0
         assert outcome.stats.respawns == 0
 
     def test_transient_crash_recovers(self):
         with use_execution_faults("crash-chunk:1"):
-            outcome = supervised_map(_double, ITEMS, workers=2,
-                                     mode="process", chunk_size=4,
+            outcome = supervised_map(_double, ITEMS, workers=2, chunk_size=4,
                                      policy=RetryPolicy(max_retries=2,
                                                         backoff_base=0.01))
         assert outcome.results == EXPECTED
@@ -114,7 +112,7 @@ class TestSupervisedMapProcess:
     def test_hang_trips_deadline_and_recovers(self):
         with use_execution_faults("hang-chunk:2:30"):
             outcome = supervised_map(
-                _double, ITEMS, workers=2, mode="process", chunk_size=4,
+                _double, ITEMS, workers=2, chunk_size=4,
                 policy=RetryPolicy(max_retries=2, deadline=1.0,
                                    backoff_base=0.01))
         assert outcome.results == EXPECTED
@@ -129,7 +127,7 @@ class TestSupervisedMapProcess:
         # crashes, so the BrokenProcessPool dooms no innocent chunk.
         with use_execution_faults("slow-chunk:3:0.4:6", "crash-chunk:3:0:6"):
             outcome = supervised_map(
-                _double, ITEMS, workers=2, mode="process", chunk_size=4,
+                _double, ITEMS, workers=2, chunk_size=4,
                 policy=RetryPolicy(max_retries=1, backoff_base=0.01,
                                    on_failure="serial"))
         assert outcome.results == EXPECTED
@@ -144,7 +142,7 @@ class TestSupervisedMapProcess:
     def test_hard_crash_skip_quarantines(self):
         with use_execution_faults("slow-chunk:3:0.4:6", "crash-chunk:3:0:6"):
             outcome = supervised_map(
-                _double, ITEMS, workers=2, mode="process", chunk_size=4,
+                _double, ITEMS, workers=2, chunk_size=4,
                 policy=RetryPolicy(max_retries=0, backoff_base=0.01,
                                    on_failure="skip"))
         assert outcome.results == EXPECTED[:12]
@@ -166,7 +164,7 @@ class TestSupervisedMapProcess:
         with use_execution_faults("slow-chunk:0:0.5:99",
                                   "crash-chunk:1:0:99"):
             outcome = supervised_map(
-                _double, range(8), workers=2, mode="process", chunk_size=4,
+                _double, range(8), workers=2, chunk_size=4,
                 policy=RetryPolicy(max_retries=1, backoff_base=0.01,
                                    on_failure=on_failure))
         [failure] = outcome.failures
@@ -183,14 +181,13 @@ class TestSupervisedMapProcess:
         with use_execution_faults("crash-chunk:0:0:5"):
             with pytest.raises(ExecutionError, match="chunk"):
                 supervised_map(
-                    _double, ITEMS, workers=2, mode="process", chunk_size=4,
+                    _double, ITEMS, workers=2, chunk_size=4,
                     policy=RetryPolicy(max_retries=0, backoff_base=0.01,
                                        on_failure="raise"))
 
     def test_work_fn_error_propagates_not_retried(self):
         with pytest.raises(ValueError, match="deterministic bug"):
-            supervised_map(_boom, ITEMS, workers=2, mode="process",
-                           chunk_size=4)
+            supervised_map(_boom, ITEMS, workers=2, chunk_size=4)
 
 
 class TestSupervisorObservability:
@@ -206,8 +203,7 @@ class TestSupervisorObservability:
         registry = Registry()
         with use_registry(registry):
             with use_execution_faults("crash-chunk:1"):
-                supervised_map(_double, ITEMS, workers=2, mode="process",
-                               chunk_size=4,
+                supervised_map(_double, ITEMS, workers=2, chunk_size=4,
                                policy=RetryPolicy(max_retries=2,
                                                   backoff_base=0.01))
         counters = registry.snapshot()["counters"]
@@ -242,8 +238,7 @@ class TestSupervisorTraceAttribution:
         registry, sink = self._traced_registry()
         with use_registry(registry):
             with registry.span("cli.reconstruct"):
-                supervised_map(_double, ITEMS, workers=2,
-                               mode="process", chunk_size=4)
+                supervised_map(_double, ITEMS, workers=2, chunk_size=4)
         events = [record for record in sink.records
                   if record["type"] == "event"
                   and record["name"] == "parallel.chunk.complete"]
@@ -257,8 +252,7 @@ class TestSupervisorTraceAttribution:
         registry, sink = self._traced_registry()
         with use_registry(registry):
             with use_execution_faults("crash-chunk:1:0:99"):
-                supervised_map(_double, ITEMS, workers=2,
-                               mode="process", chunk_size=4,
+                supervised_map(_double, ITEMS, workers=2, chunk_size=4,
                                policy=RetryPolicy(max_retries=1,
                                                   backoff_base=0.01,
                                                   on_failure="serial"))
