@@ -91,6 +91,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import os
 import sys
@@ -1725,6 +1726,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    # What is alive now is import-time state (numpy, scipy, networkx, the
+    # parser) that lives as long as the process; frozen, it stays out of
+    # every full collection the command triggers.  Once per process: a
+    # host that calls main() repeatedly must not freeze its own garbage.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
     try:
         return _run_command(args)
     except BrokenPipeError:

@@ -10,8 +10,9 @@ referrer-id)`` with page URLs interned once per run into an integer
 :class:`SymbolTable`, and both Smart-SRA phases run as array passes over
 the whole multi-user batch at once.  ``Request``/``Session`` objects only
 appear at the boundary — ingest interns them into columns, and the final
-session index lists are materialized back through
-:meth:`~repro.sessions.model.Session.from_trusted_parts`.
+session index lists are handed, with the original requests, to an
+index-form :class:`~repro.sessions.model.SessionSet`, which writes them
+out without building a ``Session`` per row.
 
 Backend
 -------
@@ -78,7 +79,7 @@ import numpy as np
 from repro.core.config import SmartSRAConfig
 from repro.exceptions import ConfigurationError, ReconstructionError
 from repro.obs import SIZE_BUCKETS, get_registry
-from repro.sessions.model import Request, Session
+from repro.sessions.model import Request, Session, SessionSet
 from repro.topology.graph import WebGraph
 
 __all__ = [
@@ -190,9 +191,7 @@ class ColumnBatch:
             users.append(user_id)
             cursor += len(requests)
             user_starts.append(cursor)
-        pool: list[Request] = []
-        for __, requests in items:
-            pool.extend(requests)
+        pool = _request_pool(items)
         times = list(map(_GET_TIMESTAMP, pool))
         pages = list(map(symbols._ids.get, map(_GET_PAGE, pool)))
         if None in pages:     # only on first sight of off-topology pages
@@ -212,9 +211,10 @@ class PlaneResult:
 
     ``session_flat[session_offsets[i]:session_offsets[i + 1]]`` holds the
     ``i``-th session's request positions (batch-global, ascending-time);
-    sessions are ordered user by user (batch user order).  Materialization
-    back to :class:`~repro.sessions.model.Session` objects is the caller's
-    boundary step — benches time the plane up to exactly this point.
+    sessions are ordered user by user (batch user order).  This is the
+    form :func:`reconstruct_serial` hands to
+    :class:`~repro.sessions.model.SessionSet`; benches time the plane up to
+    exactly this point.
     """
 
     __slots__ = ("session_offsets", "session_flat", "user_session_counts")
@@ -649,29 +649,39 @@ def _candidates_as_result_numpy(batch: ColumnBatch, starts) -> PlaneResult:
 
 # -- materialization & drivers --------------------------------------------
 
-def materialize_sessions(items, result: PlaneResult) -> list[Session]:
-    """Turn index-level plane output back into ``Session`` objects.
-
-    Reuses the *original* ``Request`` objects (``items`` aligns with the
-    batch's users), so ``synthetic``/``referrer`` metadata survives
-    exactly and no new request allocation happens at the boundary.  One
-    C-level gather picks every referenced request; each session is then a
-    tuple slice, so the per-session Python cost is one constructor call.
-    """
-    offsets = result.session_offsets.tolist()
-    flat = result.session_flat.tolist()
+def _request_pool(items) -> list[Request]:
+    """Every user's requests concatenated: batch position -> request."""
     pool: list[Request] = []
     for __, requests in items:
         pool.extend(requests)
-    picked = tuple(map(pool.__getitem__, flat))
-    from_trusted = Session.from_trusted_parts
-    return [from_trusted(picked[lo:hi])
-            for lo, hi in zip(offsets, offsets[1:])]
+    return pool
 
 
-def reconstruct_serial(plane: ColumnarPlane, per_user) -> list[Session]:
-    """One batched plane pass over every user, then materialize."""
+def _session_set(items, result: PlaneResult) -> SessionSet:
+    """The plane's output as an index-form
+    :class:`~repro.sessions.model.SessionSet` over the *original*
+    ``Request`` objects (``items`` aligns with the batch's users), so
+    ``synthetic``/``referrer`` metadata survives exactly and no request
+    is allocated at the boundary.  Sessions are built only if a caller
+    asks for them; writing the set out does not."""
+    return SessionSet._from_index(_request_pool(items),
+                                  result.session_offsets.tolist(),
+                                  result.session_flat)
+
+
+def materialize_sessions(items, result: PlaneResult) -> list[Session]:
+    """Turn index-level plane output into ``Session`` objects now.
+
+    One C-level gather picks every referenced request; each session is
+    then a tuple slice, so the per-session Python cost is one constructor
+    call.  :func:`reconstruct_serial` does not call this: its set builds
+    the same sessions on first use.
+    """
+    return list(_session_set(items, result))
+
+
+def reconstruct_serial(plane: ColumnarPlane, per_user) -> SessionSet:
+    """One batched plane pass over every user, as an index-form set."""
     items = list(per_user.items())
     batch = ColumnBatch.from_user_requests(items, plane.symbols)
-    result = plane.run_batch(batch)
-    return materialize_sessions(items, result)
+    return _session_set(items, plane.run_batch(batch))

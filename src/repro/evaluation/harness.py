@@ -342,7 +342,9 @@ def sweep(topology: WebGraph, base_config: SimulationConfig, parameter: str,
             points in flight.
         resume: continue from an existing checkpoint, recomputing only
             the missing points.  The resumed sweep's report *and* final
-            metrics snapshot equal an uninterrupted run's.  The
+            metrics snapshot equal an uninterrupted run's: when metrics
+            are being collected, a point stored by a run that collected
+            none counts as missing.  The
             checkpoint is pinned to the heuristic lineup by name, so a
             resume with a different lineup is refused.
 
@@ -376,7 +378,11 @@ def sweep(topology: WebGraph, base_config: SimulationConfig, parameter: str,
         for index, value in enumerate(values):
             unit = store.load_unit("sweep-point",
                                    _point_key(parameter, index, value))
-            if unit is not None:
+            # a point stored without a snapshot (its run collected no
+            # metrics) has none to merge, so a collecting resume
+            # recomputes it rather than report too few.
+            if unit is not None and (unit.get("obs") is not None
+                                     or not registry.enabled):
                 done[index] = (_trial_from_payload(unit["payload"]),
                                unit.get("obs"))
 

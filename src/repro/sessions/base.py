@@ -83,7 +83,11 @@ class SessionReconstructor(ABC):
                 data plane (:mod:`repro.core.columnar`) over interned
                 int columns — same session *set*, deterministic but
                 possibly different construction order.  Only heuristics
-                with :attr:`supports_columnar` accept it.
+                with :attr:`supports_columnar` accept it.  Its set keeps
+                the plane's index form: ``Session`` objects are built on
+                demand (the first iteration, indexing or per-user
+                lookup), and ``len``, ``total_requests`` and ``save``
+                never build them.
 
         Raises:
             ReconstructionError: if any request has a negative timestamp.
@@ -118,7 +122,6 @@ class SessionReconstructor(ABC):
                 per_user.setdefault(request.user_id, []).append(request)
                 n_requests += 1
 
-            sessions: list[Session] = []
             with registry.span("sessions.reconstruct",
                                heuristic=self.name, users=len(per_user)), \
                     registry.timer("sessions.reconstruct.seconds",
@@ -132,23 +135,26 @@ class SessionReconstructor(ABC):
                                        heuristic=self.name), \
                             registry.timer("sessions.columnar.seconds",
                                            heuristic=self.name):
-                        sessions.extend(columnar.reconstruct_serial(
-                            plane, per_user))
+                        result = columnar.reconstruct_serial(plane, per_user)
                 else:
+                    sessions: list[Session] = []
                     for user_requests in per_user.values():
                         sessions.extend(
                             self.reconstruct_user(user_requests))
+                    result = SessionSet(sessions)
             if registry.enabled:
                 registry.counter("sessions.requests",
                                  heuristic=self.name).inc(n_requests)
                 registry.counter("sessions.reconstructed",
-                                 heuristic=self.name).inc(len(sessions))
+                                 heuristic=self.name).inc(len(result))
                 lengths = registry.histogram("sessions.length",
                                              SIZE_BUCKETS,
                                              heuristic=self.name)
-                for session in sessions:
-                    lengths.observe(len(session))
-            return SessionSet(sessions)
+                # from the lengths alone: a columnar result stays in its
+                # index form.
+                for length in result._lengths():
+                    lengths.observe(length)
+            return result
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

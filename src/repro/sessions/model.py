@@ -28,6 +28,8 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
+import numpy as np
+
 from repro._slots import slot_init
 from repro.exceptions import ReconstructionError
 
@@ -298,79 +300,138 @@ class SessionSet:
     Produced both by the agent simulator (ground truth) and by every
     heuristic (reconstruction output); consumed by the evaluation metrics.
     Iteration order is the construction order.
+
+    The per-user index is built on first use.  A set made by
+    :meth:`_from_index` (the columnar plane's and the sharded
+    coordinator's output) starts as a request pool plus index lists and
+    builds its :class:`Session` objects on first use too; ``len``,
+    ``bool``, :meth:`total_requests` and :meth:`save` never need them.
     """
 
-    __slots__ = ("_sessions", "_by_user")
+    __slots__ = ("_sessions", "_by_user", "_index")
 
     def __init__(self, sessions: Iterable[Session]) -> None:
-        self._sessions: tuple[Session, ...] = tuple(sessions)
-        by_user: dict[str, list[Session]] = {}
-        # read the request tuple directly: `Session.__bool__` and the
-        # `user_id` property are Python-level calls per session.
-        for session in self._sessions:
-            requests = session._requests
-            if requests:
-                by_user.setdefault(requests[0].user_id, []).append(session)
-        self._by_user: dict[str, tuple[Session, ...]] = {
-            user: tuple(group) for user, group in by_user.items()
-        }
+        self._sessions: tuple[Session, ...] | None = tuple(sessions)
+        self._by_user: dict[str, tuple[Session, ...]] | None = None
+        self._index: tuple | None = None
+
+    @classmethod
+    def _from_index(cls, pool: Sequence[Request], offsets: Sequence[int],
+                    flat: Sequence[int],
+                    order: Sequence[int] | None = None) -> "SessionSet":
+        """A set in index form: session ``i`` is the requests
+        ``pool[j] for j in flat[offsets[i]:offsets[i + 1]]``.
+
+        ``offsets`` is a list of ``int``; ``flat`` may be any integer
+        sequence and is kept as a numpy array, so the writer gathers by it
+        in C.  ``order``, when given, is a permutation of the session
+        numbers: the set's ``k``-th session is session ``order[k]``.  The
+        caller guarantees what :meth:`Session.from_trusted_parts` requires
+        of every session (one user, non-decreasing timestamps).  A request
+        shared by several sessions is one pool entry, which :meth:`save`
+        formats once.
+        """
+        built = cls.__new__(cls)
+        built._sessions = None
+        built._by_user = None
+        built._index = (pool, offsets, np.asarray(flat, dtype=np.intp),
+                        order)
+        return built
+
+    def _all(self) -> tuple[Session, ...]:
+        sessions = self._sessions
+        if sessions is None:
+            pool, offsets, flat, order = self._index
+            picked = tuple(map(pool.__getitem__, flat.tolist()))
+            from_trusted = Session.from_trusted_parts
+            built = [from_trusted(picked[lo:hi])
+                     for lo, hi in zip(offsets, offsets[1:])]
+            if order is not None:
+                built = list(map(built.__getitem__, order))
+            sessions = self._sessions = tuple(built)
+        return sessions
+
+    def _groups(self) -> dict[str, tuple[Session, ...]]:
+        groups = self._by_user
+        if groups is None:
+            by_user: dict[str, list[Session]] = {}
+            # read the request tuple directly: `Session.__bool__` and the
+            # `user_id` property are Python-level calls per session.
+            for session in self._all():
+                requests = session._requests
+                if requests:
+                    by_user.setdefault(requests[0].user_id,
+                                       []).append(session)
+            groups = self._by_user = {
+                user: tuple(group) for user, group in by_user.items()}
+        return groups
+
+    def _lengths(self) -> list[int]:
+        """Every session's length, in session-number order (the output
+        order only when no ``order`` permutes an index-form set)."""
+        if self._index is not None:
+            offsets = self._index[1]
+            return [hi - lo for lo, hi in zip(offsets, offsets[1:])]
+        return [len(session._requests) for session in self._sessions]
 
     # -- collection protocol ----------------------------------------------
 
     def __len__(self) -> int:
+        if self._index is not None:
+            return len(self._index[1]) - 1
         return len(self._sessions)
 
     def __iter__(self) -> Iterator[Session]:
-        return iter(self._sessions)
+        return iter(self._all())
 
     def __getitem__(self, index: int) -> Session:
-        return self._sessions[index]
+        return self._all()[index]
 
     def __bool__(self) -> bool:
-        return bool(self._sessions)
+        return len(self) > 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SessionSet):
             return NotImplemented
-        return self._sessions == other._sessions
+        return self._all() == other._all()
 
     def __repr__(self) -> str:
-        return (f"SessionSet({len(self._sessions)} sessions, "
-                f"{len(self._by_user)} users)")
+        return (f"SessionSet({len(self)} sessions, "
+                f"{len(self._groups())} users)")
 
     # -- views -------------------------------------------------------------
 
     @property
     def sessions(self) -> tuple[Session, ...]:
         """All member sessions, in construction order."""
-        return self._sessions
+        return self._all()
 
     def users(self) -> tuple[str, ...]:
         """Identities of all users that own at least one non-empty session."""
-        return tuple(self._by_user)
+        return tuple(self._groups())
 
     def for_user(self, user_id: str) -> tuple[Session, ...]:
         """Sessions belonging to ``user_id`` (empty tuple if unknown)."""
-        return self._by_user.get(user_id, ())
+        return self._groups().get(user_id, ())
 
     def page_vocabulary(self) -> frozenset[str]:
         """Every page id appearing anywhere in the set."""
-        return frozenset(page for session in self._sessions
+        return frozenset(page for session in self._all()
                          for page in session.pages)
 
     def total_requests(self) -> int:
         """Sum of session lengths."""
-        return sum(len(session) for session in self._sessions)
+        return sum(self._lengths())
 
     def mean_length(self) -> float:
         """Mean session length in requests (0.0 for an empty set)."""
-        if not self._sessions:
+        if not self:
             return 0.0
-        return self.total_requests() / len(self._sessions)
+        return self.total_requests() / len(self)
 
     def filtered(self, min_length: int = 1) -> "SessionSet":
         """Return a new set keeping only sessions of at least ``min_length``."""
-        return SessionSet(s for s in self._sessions if len(s) >= min_length)
+        return SessionSet(s for s in self._all() if len(s) >= min_length)
 
     # -- canonical form ----------------------------------------------------
 
@@ -386,7 +447,7 @@ class SessionSet:
         than a set.  Empty sessions normalize under the ``""`` user.
         """
         grouped: dict[str, list[tuple[tuple[float, str, bool], ...]]] = {}
-        for session in self._sessions:
+        for session in self._all():
             user, body = session.canonical_key()
             grouped.setdefault(user, []).append(body)
         return {user: sorted(bodies) for user, bodies in grouped.items()}
@@ -417,7 +478,7 @@ class SessionSet:
                     for request in session
                 ],
             }
-            for session in self._sessions
+            for session in self._all()
         ]
 
     @classmethod
@@ -438,11 +499,15 @@ class SessionSet:
         """Write the set to ``path`` as JSON.
 
         The file is byte-identical to ``json.dump(self.to_jsonable(), f)``
-        (the spec), but the cost scales with *distinct* request objects
-        rather than request occurrences: see :func:`_iter_json`.
+        (the spec), but the cost scales with *distinct* requests rather
+        than request occurrences (see the writer notes at the end of this
+        module).  An index-form set is written from its pool and index
+        lists, without building its sessions.
         """
+        rows = (_object_rows(self._sessions) if self._index is None
+                else _index_rows(*self._index))
         with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(_iter_json(self._sessions))
+            handle.writelines(_iter_json(rows))
 
     @classmethod
     def load(cls, path: str) -> "SessionSet":
@@ -451,37 +516,46 @@ class SessionSet:
             return cls.from_jsonable(json.load(handle))
 
 
-def _iter_json(sessions: Iterable[Session]) -> Iterator[str]:
-    """The text of ``json.dumps(SessionSet(sessions).to_jsonable())``, one
-    chunk per session.
+# -- the writer --------------------------------------------------------------
+#
+# Smart-SRA Phase 2 emits every maximal session of a candidate, so one
+# logged request appears in many output sessions (dozens of times per log
+# line on long candidates).  The writer formats each distinct request once
+# into its ``{"t": ..., "page": ..., "synthetic": ...}`` fragment and
+# sessions join the cached fragments.  It has two feeds.  An index-form
+# set formats its pool entry by entry and joins fragments by index.  An
+# object-backed set memoizes fragments by request ``id()`` as it walks its
+# sessions; deriving the index form from the objects first was measured
+# slower (docs/performance.md, "Writing sessions out").  The memo is keyed
+# by ``id()``, not by :class:`Request` equality: equality ignores
+# ``synthetic``, so an equality-keyed memo would write a synthetic request
+# as a real one.  The ids stay valid because the sessions keep every
+# request alive for the whole call.
 
-    Smart-SRA Phase 2 emits every maximal session of a candidate, so one
-    logged request object appears in many output sessions (dozens of times
-    per log line on long candidates).  Each distinct request *object* is
-    formatted once into its ``{"t": ..., "page": ..., "synthetic": ...}``
-    fragment and sessions join the cached fragments.  The memo is keyed by
-    ``id()``, not by :class:`Request` equality: equality ignores
-    ``synthetic``, so an equality-keyed memo would write a synthetic
-    request as a real one.  The ids stay valid because ``sessions`` keeps
-    every request alive for the whole call.
+
+class _Text:
+    """The writer's formatting rules, with one string memo per file.
 
     Exact ``str`` and finite exact ``float`` values take the same routes
     the ``json`` encoder takes (``encode_basestring_ascii`` and
     ``float.__repr__``); anything else goes through ``json.dumps``, so the
-    bytes never differ from the spec.
+    bytes never differ from ``json.dumps(to_jsonable())``.
     """
-    strings: dict[str, str] = {}
-    fragments: dict[int, str] = {}
 
-    def text(value: object) -> str:
+    __slots__ = ("_strings",)
+
+    def __init__(self) -> None:
+        self._strings: dict[str, str] = {}
+
+    def text(self, value: object) -> str:
         if type(value) is not str:
             return json.dumps(value)
-        encoded = strings.get(value)
+        encoded = self._strings.get(value)
         if encoded is None:
-            encoded = strings[value] = encode_basestring_ascii(value)
+            encoded = self._strings[value] = encode_basestring_ascii(value)
         return encoded
 
-    def fragment(request: Request) -> str:
+    def fragment(self, request: Request) -> str:
         t = request.timestamp
         t_text = (float.__repr__(t) if type(t) is float and math.isfinite(t)
                   else json.dumps(t))
@@ -489,19 +563,53 @@ def _iter_json(sessions: Iterable[Session]) -> Iterator[str]:
         synthetic_text = ("true" if synthetic is True else
                           "false" if synthetic is False else
                           json.dumps(synthetic))
-        return (f'{{"t": {t_text}, "page": {text(request.page)}, '
+        return (f'{{"t": {t_text}, "page": {self.text(request.page)}, '
                 f'"synthetic": {synthetic_text}}}')
 
-    separator = "["
+
+def _object_rows(sessions: Iterable[Session]
+                 ) -> Iterator[tuple[str, Iterable[str]]]:
+    """``(user text, request fragments)`` per session, fragments memoized
+    by request ``id()``."""
+    formats = _Text()
+    fragment = formats.fragment
+    fragments: dict[int, str] = {}
     for session in sessions:
-        requests = session.requests
+        requests = session._requests
         parts = []
         for request in requests:
             cached = fragments.get(id(request))
             if cached is None:
                 cached = fragments[id(request)] = fragment(request)
             parts.append(cached)
-        user = text(requests[0].user_id) if requests else '""'
+        yield (formats.text(requests[0].user_id) if requests else '""'), parts
+
+
+def _index_rows(pool: Sequence[Request], offsets: Sequence[int],
+                flat: np.ndarray, order: Sequence[int] | None
+                ) -> Iterator[tuple[str, Iterable[str]]]:
+    """``(user text, request fragments)`` per session of an index-form set:
+    every pool entry is formatted once, and one numpy gather lays the
+    fragments out in ``flat`` order, so a session's are one slice."""
+    formats = _Text()
+    text = formats.text
+    fragments = np.empty(len(pool), dtype=object)
+    fragments[:] = list(map(formats.fragment, pool))
+    pieces = fragments[flat].tolist()
+    for number in range(len(offsets) - 1) if order is None else order:
+        lo = offsets[number]
+        hi = offsets[number + 1]
+        if lo == hi:
+            yield '""', ()
+        else:
+            yield text(pool[flat[lo]].user_id), pieces[lo:hi]
+
+
+def _iter_json(rows: Iterable[tuple[str, Iterable[str]]]) -> Iterator[str]:
+    """The text of ``json.dumps(SessionSet(...).to_jsonable())``, one chunk
+    per session, from each session's ``(user text, request fragments)``."""
+    separator = "["
+    for user, parts in rows:
         yield (f'{separator}{{"user": {user}, "requests": '
                f'[{", ".join(parts)}]}}')
         separator = ", "

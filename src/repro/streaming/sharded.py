@@ -67,7 +67,9 @@ over live shards, and a durable session is *sealed* — released into the
 output — only once its end time is at or below that low-watermark (EOF
 drives every watermark to +inf).  The output is put in canonical order
 once, at the end, by :func:`~repro.streaming.wire.canonical_keys` over
-the retained ``OUT`` batches.
+the retained ``OUT`` batches, whose request tables and index lists
+become the output :class:`~repro.sessions.model.SessionSet` as they are
+(it writes them out without building a ``Session`` per row).
 
 Failure policy mirrors the governor: ``failover`` (default) replays as
 above, ``shed-shard`` abandons the shard's unsealed events (visibly, in
@@ -106,6 +108,7 @@ import traceback
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any
 
 from repro.exceptions import (ConfigurationError, ExecutionError,
@@ -1061,8 +1064,8 @@ class ShardedStreamingRuntime:
         if handle.pending:
             for batch in handle.pending:
                 self._batches.append(batch)
-                for session in batch.sessions:
-                    heapq.heappush(self._durable, session.end_time)
+                for end_time in batch.end_times:
+                    heapq.heappush(self._durable, end_time)
             handle.pending.clear()
         self._gauge("sharded.replay.events", handle.shard).set(
             log.event_count)
@@ -1176,15 +1179,24 @@ class ShardedStreamingRuntime:
         )
         # every durable session is sealed by now.  Sessions with equal
         # keys have equal end times, so they sealed in ACK order, which a
-        # stable sort over the batches in ACK order keeps.
-        sessions = [session for batch in self._batches
-                    for session in batch.sessions]
+        # stable sort over the batches in ACK order keeps.  The output
+        # set is the batches' request tables and index lists end to end,
+        # read in that order.
+        pool: list[Request] = []
+        lengths: list[int] = []
+        flat: list[int] = []
+        for batch in self._batches:
+            base = len(pool)
+            pool += batch.requests
+            lengths += batch.lengths
+            flat += [base + index for index in batch.indices]
         keys = wire.canonical_keys(self._batches)
-        ordered = [sessions[i] for i in
-                   sorted(range(len(sessions)), key=keys.__getitem__)]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        sessions = SessionSet._from_index(
+            pool, list(accumulate(lengths, initial=0)), flat, order)
         shard_stats = tuple(
             (h.done or {}).get("stats", {}) for h in self._handles)
-        return ShardedRunResult(sessions=SessionSet(ordered), stats=stats,
+        return ShardedRunResult(sessions=sessions, stats=stats,
                                 shard_stats=shard_stats,
                                 recovery_seconds=tuple(self._recoveries))
 

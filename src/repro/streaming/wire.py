@@ -23,11 +23,12 @@ interns them and ships fixed-width records over a byte stream:
   then each session as a list of indices into that table.  Smart-SRA
   emits every maximal session of a candidate, so one request appears
   in many sessions of a batch; it crosses the pipe once, and the
-  decoded sessions share one :class:`~repro.sessions.model.Request`
-  object per table entry.  The receiver keeps each decoded batch's
-  payload (:class:`SessionBatch`), so :func:`canonical_keys` can later
-  rank the tables and turn the index lists into byte sort keys without
-  rebuilding a key object per request occurrence;
+  receiver decodes one :class:`~repro.sessions.model.Request` object
+  per table entry and keeps the index lists as they came
+  (:class:`SessionBatch`), never a ``Session`` per row.  It also keeps
+  the payload, so :func:`canonical_keys` can later rank the tables and
+  turn the index lists into byte sort keys without rebuilding a key
+  object per request occurrence;
 * control frames (watermarks, capsules, acks) are small and
   infrequent, so they ride as canonical JSON.
 
@@ -44,6 +45,7 @@ from __future__ import annotations
 import json
 import struct
 from collections.abc import Iterable, Sequence
+from itertools import accumulate
 from typing import Any, Iterator
 
 from repro.exceptions import WireProtocolError
@@ -289,12 +291,18 @@ class SymbolDecoder:
         return self.decode_events(payload)[0]
 
     def decode_batch(self, payload: bytes) -> SessionBatch:
-        """Decode an OUT payload into its batch of sessions.
+        """Decode an OUT payload into its request table and index lists.
 
         One :class:`~repro.sessions.model.Request` is built per table
-        entry, so sessions of the batch share request objects exactly as
-        the sender's did.  The batch keeps ``payload`` and this decoder's
-        symbol table for :func:`canonical_keys`.
+        entry, so the sessions of the batch share request objects exactly
+        as the sender's did; no :class:`~repro.sessions.model.Session` is
+        built.  The batch keeps ``payload`` and this decoder's symbol
+        table for :func:`canonical_keys`.
+
+        Raises:
+            WireProtocolError: for a payload whose size disagrees with its
+                header, an empty session, an index outside the table or
+                an unknown symbol id.
         """
         if len(payload) < _BATCH.size:
             raise WireProtocolError(
@@ -314,6 +322,8 @@ class SymbolDecoder:
             raise WireProtocolError(
                 f"session batch payload is {len(payload)} bytes, want "
                 f"{lengths_end + total * _INDEX} for {total} indices")
+        if n_sessions and min(lengths) == 0:
+            raise WireProtocolError("session batch holds an empty session")
         indices = struct.unpack_from(f"!{total}I", payload, lengths_end)
         if total and max(indices) >= n_table:
             raise WireProtocolError(
@@ -324,30 +334,34 @@ class SymbolDecoder:
                     bool(synthetic))
             for timestamp, user_id, page_id, synthetic in _REQUEST.iter_unpack(
                 memoryview(payload)[_BATCH.size:table_end])]
-        sessions = []
-        start = 0
-        for length in lengths:
-            end = start + length
-            sessions.append(Session.from_trusted_parts(
-                tuple(map(requests.__getitem__, indices[start:end]))))
-            start = end
-        return SessionBatch(sessions, self._table, payload)
+        end_times = [requests[indices[end - 1]].timestamp
+                     for end in accumulate(lengths)]
+        return SessionBatch(requests, lengths, indices, end_times,
+                            self._table, payload)
 
 
 class SessionBatch:
-    """One decoded ``OUT`` frame: its sessions plus what they came from.
+    """One decoded ``OUT`` frame: its request table and index lists.
 
-    ``payload`` is the frame as received and ``symbols`` the receiving
-    decoder's symbol table, which only ever grows, so the table entries
-    and index lists stay readable for :func:`canonical_keys` after the
-    connection that carried them is gone.
+    Session ``i`` of the batch is the requests ``requests[j] for j in
+    indices[sum(lengths[:i]):sum(lengths[:i + 1])]``, and ``end_times[i]``
+    is the timestamp of its last one.  ``payload`` is the frame as
+    received and ``symbols`` the receiving decoder's symbol table, which
+    only ever grows, so the table entries and index lists stay readable
+    for :func:`canonical_keys` after the connection that carried them is
+    gone.
     """
 
-    __slots__ = ("sessions", "symbols", "payload")
+    __slots__ = ("requests", "lengths", "indices", "end_times", "symbols",
+                 "payload")
 
-    def __init__(self, sessions: list[Session], symbols: list[str],
-                 payload: bytes) -> None:
-        self.sessions = sessions
+    def __init__(self, requests: list[Request], lengths: Sequence[int],
+                 indices: Sequence[int], end_times: list[float],
+                 symbols: list[str], payload: bytes) -> None:
+        self.requests = requests
+        self.lengths = lengths
+        self.indices = indices
+        self.end_times = end_times
         self.symbols = symbols
         self.payload = payload
 

@@ -97,6 +97,24 @@ class TestSweepResume:
         # restored trials carry no simulation object (it was not re-run)
         assert all(trial.simulation is None for trial in restored.trials)
 
+    def test_collecting_resume_recomputes_points_stored_without_metrics(
+            self, tmp_path, graph):
+        baseline, base_obs = run_sweep(graph)
+        ckpt = str(tmp_path / "ckpt")
+        # no registry installed: the points are stored with "obs": null.
+        harness.sweep(graph, SimulationConfig(n_agents=15, seed=4), "stp",
+                      VALUES, checkpoint=ckpt)
+        store = CheckpointStore(ckpt)
+        units = store.completed_units("sweep-point")
+        assert len(units) == len(VALUES)
+        assert all(unit["obs"] is None for unit in units)
+        resumed, resumed_obs = run_sweep(graph, checkpoint=ckpt, resume=True)
+        assert rows(resumed) == rows(baseline)
+        assert resumed_obs == base_obs
+        # the recomputed points replaced the snapshot-less units.
+        assert all(unit["obs"] is not None
+                   for unit in store.completed_units("sweep-point"))
+
 
 class TestParallelSweep:
     def test_parallel_sweep_matches_serial(self, graph):

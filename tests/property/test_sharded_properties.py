@@ -232,6 +232,20 @@ def _sessions(bodies):
     return sessions
 
 
+def _bodies(batch: wire.SessionBatch) -> list[tuple[Request, ...]]:
+    """A decoded batch's sessions as tuples of its own request objects."""
+    bodies, start = [], 0
+    for length in batch.lengths:
+        bodies.append(tuple(batch.requests[i]
+                            for i in batch.indices[start:start + length]))
+        start += length
+    return bodies
+
+
+def _canonical_key(body: tuple[Request, ...]):
+    return Session.from_trusted_parts(body).canonical_key()
+
+
 class CoordinatorHarness:
     """A coordinator whose workers are played by the test.
 
@@ -289,16 +303,17 @@ class CoordinatorHarness:
 @given(out_schedule())
 def test_sealed_output_is_in_canonical_order(steps):
     harness = CoordinatorHarness()
-    durable: list[Session] = []
-    pending: list[list[Session]] = [[], []]
-    discarded: list[Session] = []
+    durable: list[tuple[Request, ...]] = []
+    pending: list[list[tuple[Request, ...]]] = [[], []]
+    discarded: list[tuple[Request, ...]] = []
     for shard, bodies, then in steps:
         # what the coordinator decodes is what it outputs, so collect the
-        # decoded objects straight from the shard's pending batches.
+        # decoded request objects straight from the shard's pending
+        # batches.
         before = len(harness.runtime._handles[shard].pending)
         harness.send(shard, _sessions(bodies))
         [batch] = harness.runtime._handles[shard].pending[before:]
-        pending[shard].extend(batch.sessions)
+        pending[shard].extend(_bodies(batch))
         if then == "ack":
             harness.ack(shard)
             durable.extend(pending[shard])
@@ -311,10 +326,13 @@ def test_sealed_output_is_in_canonical_order(steps):
         harness.ack(shard)
         durable.extend(pending[shard])
     result = harness.finish()
-    expected = sorted(durable, key=Session.canonical_key)
+    expected = sorted(durable, key=_canonical_key)
     assert len(result.sessions) == len(expected)
-    assert all(got is want for got, want in zip(result.sessions, expected))
-    assert not {id(s) for s in discarded} & {id(s) for s in result.sessions}
+    assert all(len(got) == len(want)
+               and all(g is w for g, w in zip(got, want))
+               for got, want in zip(result.sessions, expected))
+    assert not ({id(r) for body in discarded for r in body}
+                & {id(r) for s in result.sessions for r in s})
     assert result.stats.sealed_sessions == len(durable)
 
 
@@ -337,12 +355,12 @@ def test_keys_are_equal_exactly_when_canonical_keys_are(frames):
                 decoders[side].add_symbol(payload)
             else:
                 batches.append(decoders[side].decode_batch(payload))
-    sessions = [s for batch in batches for s in batch.sessions]
+    bodies = [body for batch in batches for body in _bodies(batch)]
     keys = wire.canonical_keys(batches)
-    assert len(keys) == len(sessions)
-    for left, left_key in zip(sessions, keys):
-        for right, right_key in zip(sessions, keys):
-            canonical = (left.canonical_key(), right.canonical_key())
+    assert len(keys) == len(bodies)
+    for left, left_key in zip(bodies, keys):
+        for right, right_key in zip(bodies, keys):
+            canonical = (_canonical_key(left), _canonical_key(right))
             assert (left_key == right_key) == (canonical[0] == canonical[1])
             assert (left_key < right_key) == (canonical[0] < canonical[1])
 

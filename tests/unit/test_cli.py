@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.sessions.model import SessionSet
 from repro.topology.io import load_graph
@@ -32,6 +37,41 @@ def test_topology_command(tmp_path, capsys):
     assert graph.page_count == 40
     printed = capsys.readouterr().out
     assert "pages: 40" in printed
+
+
+def test_commands_run_with_import_time_objects_frozen(tmp_path):
+    """``main`` freezes the import-time heap once per process, before the
+    command runs: a fresh interpreter sees a non-zero freeze count inside
+    the command, and a second ``main`` call does not freeze again."""
+    script = textwrap.dedent("""
+        import gc, sys
+        import repro.cli as cli
+        seen, freezes = [], []
+        real_command, real_freeze = cli._run_command, gc.freeze
+        def recording(args):
+            seen.append(gc.get_freeze_count())
+            return real_command(args)
+        def counting():
+            freezes.append(gc.get_freeze_count())
+            real_freeze()
+        cli._run_command, gc.freeze = recording, counting
+        for out in sys.argv[1:]:
+            assert cli.main(["topology", "--pages", "20", "--output",
+                             out]) == 0
+        print("frozen", len(freezes), *seen)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    completed = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "a.json"),
+         str(tmp_path / "b.json")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert completed.returncode == 0, completed.stderr
+    [line] = [line for line in completed.stdout.splitlines()
+              if line.startswith("frozen ")]
+    calls, first, second = map(int, line.split()[1:])
+    assert calls == 1
+    assert first > 0 and second > 0
 
 
 @pytest.mark.parametrize("family", ["hierarchical", "power-law"])

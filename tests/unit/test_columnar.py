@@ -1,11 +1,14 @@
 """Unit tests for the columnar data plane (:mod:`repro.core.columnar`).
 
-Covers the symbol table, column ingest, the
-materialization boundary, engine selection on the reconstructor facade
-and metric-counter parity between the object and columnar engines.
+Covers the symbol table, column ingest, the index-form boundary (a
+columnar result builds no ``Session`` until one is asked for), engine
+selection on the reconstructor facade and metric parity between the
+object and columnar engines.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -14,7 +17,7 @@ from repro.core.smart_sra import SmartSRA
 from repro.evaluation.harness import sweep
 from repro.exceptions import ConfigurationError, ReconstructionError
 from repro.obs import Registry, use_local_registry
-from repro.sessions.model import Request, Session
+from repro.sessions.model import Request, Session, SessionSet
 from repro.sessions.navigation_oriented import NavigationHeuristic
 from repro.sessions.time_oriented import DurationHeuristic, PageStayHeuristic
 from repro.simulator.config import SimulationConfig
@@ -138,6 +141,32 @@ class TestMaterialization:
             for request in session.requests:
                 assert id(request) in originals
 
+    def test_columnar_set_builds_sessions_only_on_demand(self, site,
+                                                         monkeypatch,
+                                                         tmp_path):
+        requests = _stream(site)
+        built = []
+        real = Session.from_trusted_parts
+        monkeypatch.setattr(Session, "from_trusted_parts", staticmethod(
+            lambda parts: built.append(parts) or real(parts)))
+        smart = SmartSRA(site)
+        registry = Registry()
+        with use_local_registry(registry):
+            sessions = smart.reconstruct(requests, engine="columnar")
+        path = str(tmp_path / "sessions.json")
+        sessions.save(path)
+        assert sessions
+        count, total = len(sessions), sessions.total_requests()
+        assert built == []
+        # the first caller that needs sessions builds every one, once.
+        twin = SessionSet(list(sessions))
+        assert len(built) == count == len(twin)
+        assert sessions.users() == twin.users()
+        assert len(built) == count
+        assert total == sum(len(session) for session in twin)
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == json.dumps(twin.to_jsonable())
+
     def test_trusted_parts_pages_are_lazy_and_cached(self):
         requests = (Request(timestamp=0.0, user_id="u", page="/a"),
                     Request(timestamp=1.0, user_id="u", page="/b"))
@@ -165,3 +194,27 @@ class TestCounterParity:
         obj = counters("object")
         col = counters("columnar")
         assert obj and obj == col
+
+    def test_session_series_match_object_engine(self, site):
+        """``sessions.reconstructed`` and the ``sessions.length``
+        histogram come from the index form's offsets on the columnar
+        engine and equal the object engine's."""
+        requests = _stream(site)
+        smart = SmartSRA(site)
+
+        def series(engine):
+            registry = Registry()
+            with use_local_registry(registry):
+                smart.reconstruct(requests, engine=engine)
+            snapshot = registry.snapshot()
+            picked = {}
+            for kind in ("counters", "histograms"):
+                for key, value in snapshot.get(kind, {}).items():
+                    if key.startswith(("sessions.reconstructed",
+                                       "sessions.length")):
+                        picked[key] = value
+            return picked
+
+        obj = series("object")
+        col = series("columnar")
+        assert len(obj) == 2 and obj == col

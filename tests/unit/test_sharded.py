@@ -30,6 +30,16 @@ from repro.streaming import wire
 from repro.topology.generators import random_site
 
 
+def _batch_sessions(batch: wire.SessionBatch) -> list[Session]:
+    """A decoded batch's sessions, over its own request objects."""
+    sessions, start = [], 0
+    for length in batch.lengths:
+        sessions.append(Session.from_trusted_parts(tuple(
+            batch.requests[i] for i in batch.indices[start:start + length])))
+        start += length
+    return sessions
+
+
 class TestWireProtocol:
 
     def test_event_roundtrip_interns_symbols_once(self):
@@ -187,7 +197,8 @@ class TestWireProtocol:
                     decoder.add_symbol(payload)
                 else:
                     assert kind == wire.OUT
-                    batches.append(decoder.decode_batch(payload).sessions)
+                    batches.append(_batch_sessions(
+                        decoder.decode_batch(payload)))
         assert reader.pending_bytes == 0
         return batches
 
@@ -210,6 +221,24 @@ class TestWireProtocol:
         assert second[0][0] is not first[3][0]
         # users and pages are interned once for the connection.
         assert len(decoder) == len(encoder) == 5
+
+    def test_session_batch_keeps_index_lists_and_end_times(self):
+        sent = self._batch()
+        out = bytearray()
+        wire.SymbolEncoder().encode_sessions(out, sent)
+        decoder = wire.SymbolDecoder()
+        batches = []
+        for kind, payload in wire.FrameReader().feed(bytes(out)):
+            if kind == wire.SYM:
+                decoder.add_symbol(payload)
+            else:
+                batches.append(decoder.decode_batch(payload))
+        [batch] = batches
+        # four distinct requests, three sessions sharing alice's first.
+        assert len(batch.requests) == 4
+        assert list(batch.lengths) == [2, 2, 3, 1]
+        assert list(batch.indices) == [0, 1, 0, 2, 0, 1, 2, 3]
+        assert batch.end_times == [s.end_time for s in sent]
 
     def test_session_batch_split_across_chunks_decodes(self):
         out = bytearray()
@@ -239,6 +268,10 @@ class TestWireProtocol:
                         + struct.pack("!II", 1, 1))
         with pytest.raises(WireProtocolError, match="index 1 outside"):
             decoder.decode_batch(out_of_range)
+        empty_session = (struct.pack("!II", 1, 2) + record
+                         + struct.pack("!III", 1, 0, 0))
+        with pytest.raises(WireProtocolError, match="empty session"):
+            decoder.decode_batch(empty_session)
         unknown_symbol = (struct.pack("!II", 1, 1)
                           + struct.pack("!dIIB", 1.0, 0, 99, 0)
                           + struct.pack("!II", 1, 0))
