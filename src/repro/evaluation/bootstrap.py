@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.evaluation.metrics import evaluate_reconstruction
+from repro.evaluation.metrics import _capture_relation, _maximum_matching
 from repro.exceptions import EvaluationError
 from repro.sessions.model import SessionSet
 
@@ -84,14 +84,16 @@ def bootstrap_accuracy(ground_truth: SessionSet, reconstructed: SessionSet,
         raise EvaluationError(
             "cannot bootstrap against an empty ground truth")
 
-    # Per-user sufficient statistics: (matched sessions, total sessions).
+    # Per-user sufficient statistics: (matched sessions, total sessions)
+    # over the user's non-empty real sessions; the filter matters for the
+    # user id "", whose group also holds every empty real session.
+    edges, groups = _capture_relation(ground_truth, reconstructed)
+    sessions = ground_truth.sessions
     per_user: list[tuple[int, int]] = []
     for user in users:
-        user_truth = SessionSet(ground_truth.for_user(user))
-        user_recon = SessionSet(reconstructed.for_user(user))
-        report = evaluate_reconstruction(
-            "bootstrap", user_truth, user_recon)
-        per_user.append((report.matched, report.total_real))
+        adjacency = [edges[index] for index in groups[user]
+                     if sessions[index]]
+        per_user.append((_maximum_matching(adjacency), len(adjacency)))
 
     total_matched = sum(matched for matched, __ in per_user)
     total_sessions = sum(total for __, total in per_user)

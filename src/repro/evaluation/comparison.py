@@ -16,14 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-try:                                    # optional: only the McNemar test
-    from scipy import stats             # needs scipy; everything else in
-except ImportError:                     # the package runs without it
-    stats = None
-
-from repro.evaluation.subsequence import contains
+from repro.evaluation.metrics import _capture_relation
 from repro.exceptions import EvaluationError
-from repro.sessions.model import Session, SessionSet
+from repro.sessions.model import SessionSet
 
 __all__ = ["McNemarResult", "compare_heuristics"]
 
@@ -73,23 +68,19 @@ class McNemarResult:
                 f"({verdict})")
 
 
-def _captured_flags(ground_truth: SessionSet, reconstructed: SessionSet,
-                    match_within_user: bool) -> list[bool]:
-    pool_by_user: dict[str, list[Session]] = {}
-    for session in reconstructed:
-        if session:
-            pool_by_user.setdefault(session.user_id, []).append(session)
-    all_sessions = [session for session in reconstructed if session]
-    flags = []
-    for real in ground_truth:
-        if not real:
-            flags.append(False)
-            continue
-        pool = (pool_by_user.get(real.user_id, []) if match_within_user
-                else all_sessions)
-        flags.append(any(contains(candidate.pages, real.pages)
-                         for candidate in pool))
-    return flags
+def _two_sided_p(k: int, n: int) -> float:
+    """Two-sided exact binomial p-value at p = ½ for ``k ≤ n / 2``:
+    ``min(1, 2·Σ_{i≤k} C(n, i) / 2ⁿ)``, 1.0 for ``n = 0``.
+
+    The binomial coefficients are summed exactly in integers, each from
+    the last (``C(n, i+1) = C(n, i)·(n-i) / (i+1)``), so one call costs
+    O(k) big-integer steps instead of ``k`` calls to ``math.comb``.
+    """
+    term = tail = 1
+    for i in range(k):
+        term = term * (n - i) // (i + 1)
+        tail += term
+    return min(1.0, 2 * tail / 2 ** n)
 
 
 def compare_heuristics(ground_truth: SessionSet,
@@ -106,20 +97,19 @@ def compare_heuristics(ground_truth: SessionSet,
     Raises:
         EvaluationError: for an empty ground truth.
     """
-    if stats is None:
-        raise EvaluationError(
-            "compare_heuristics needs scipy (McNemar's exact test); "
-            "install it or compare point estimates only")
     if len(ground_truth) == 0:
         raise EvaluationError("cannot compare against an empty ground truth")
 
-    flags_a = _captured_flags(ground_truth, reconstructed_a,
-                              match_within_user)
-    flags_b = _captured_flags(ground_truth, reconstructed_b,
-                              match_within_user)
+    flags = []
+    for reconstructed in (reconstructed_a, reconstructed_b):
+        edges, __ = _capture_relation(ground_truth, reconstructed,
+                                      match_within_user)
+        # an empty real session counts as not captured
+        flags.append([bool(real) and bool(hits)
+                      for real, hits in zip(ground_truth, edges)])
 
     both = only_a = only_b = neither = 0
-    for a, b in zip(flags_a, flags_b):
+    for a, b in zip(*flags):
         if a and b:
             both += 1
         elif a:
@@ -129,18 +119,11 @@ def compare_heuristics(ground_truth: SessionSet,
         else:
             neither += 1
 
-    discordant = only_a + only_b
-    if discordant == 0:
-        p_value = 1.0
-    else:
-        p_value = stats.binomtest(min(only_a, only_b), discordant,
-                                  0.5, alternative="two-sided").pvalue
-
     total = len(ground_truth)
     return McNemarResult(
         name_a=name_a, name_b=name_b,
         both=both, only_a=only_a, only_b=only_b, neither=neither,
-        p_value=float(p_value),
+        p_value=_two_sided_p(min(only_a, only_b), only_a + only_b),
         accuracy_a=(both + only_a) / total,
         accuracy_b=(both + only_b) / total,
     )

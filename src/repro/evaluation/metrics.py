@@ -26,11 +26,12 @@ some real session).
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Any
 
-from repro.evaluation.subsequence import SubsequenceIndex, contains
+from repro.evaluation.subsequence import contains
 from repro.exceptions import EvaluationError
 from repro.sessions.model import Session, SessionSet
 
@@ -131,28 +132,121 @@ def _maximum_matching(adjacency: list[list[int]]) -> int:
     """Size of a maximum bipartite matching (Kuhn's algorithm).
 
     ``adjacency[i]`` lists the right-side partner ids of left node ``i``.
-    Classic augmenting-path search; matching is computed per user, where
-    both sides are at most a few hundred sessions, so the recursion depth
-    (bounded by the matching size) stays far below the interpreter limit.
+    Each augmenting-path search is a depth-first walk over an explicit
+    stack of ``(left, remaining partners)`` frames, so a chain as deep as
+    the group (cross-user matching puts every real session in one group)
+    needs no interpreter recursion.
     """
     match_right: dict[int, int] = {}
-
-    def try_augment(left: int, visited: set[int]) -> bool:
-        for right in adjacency[left]:
-            if right in visited:
-                continue
-            visited.add(right)
-            occupant = match_right.get(right)
-            if occupant is None or try_augment(occupant, visited):
-                match_right[right] = left
-                return True
-        return False
-
     size = 0
-    for left in range(len(adjacency)):
-        if try_augment(left, set()):
-            size += 1
+    for root in range(len(adjacency)):
+        visited: set[int] = set()
+        stack = [(root, iter(adjacency[root]))]
+        # path[k] is the right node that frame k took to reach frame k + 1
+        path: list[int] = []
+        while stack:
+            for right in stack[-1][1]:
+                if right in visited:
+                    continue
+                visited.add(right)
+                path.append(right)
+                occupant = match_right.get(right)
+                if occupant is None:
+                    for (left, __), taken in zip(stack, path):
+                        match_right[taken] = left
+                    size += 1
+                    stack.clear()
+                else:
+                    stack.append((occupant, iter(adjacency[occupant])))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
     return size
+
+
+class _Codes(dict):
+    """Page id → one code point, assigned on first sight from U+0001 up
+    (U+0000 separates sessions); room for 1 114 111 distinct pages."""
+
+    def __missing__(self, page: str) -> str:
+        code = self[page] = chr(len(self) + 1)
+        return code
+
+
+def _pool(texts: list[str], members: list[int] | range
+          ) -> tuple[str, list[int], list[int] | range]:
+    """Encoded sessions joined by U+0000, their start offsets, and the
+    ``SessionSet`` index of each."""
+    starts = []
+    offset = 0
+    for text in texts:
+        starts.append(offset)
+        offset += len(text) + 1
+    return "\0".join(texts), starts, members
+
+
+def _capture_relation(ground_truth: SessionSet, reconstructed: SessionSet,
+                      match_within_user: bool = True
+                      ) -> tuple[list[list[int]], dict[str, list[int]]]:
+    """The capture relation ``R ⊏ H`` between two session sets.
+
+    Returns ``(edges, groups)``.  ``edges[i]`` lists, ascending, the
+    ``reconstructed`` indices whose session captures ground-truth session
+    ``i``.  ``groups`` maps a matching group to its ground-truth indices:
+    a real session is matched within its user's group when
+    ``match_within_user`` holds and it is non-empty, and in the ``""``
+    group otherwise.
+
+    A user's pool holds that user's non-empty reconstructed sessions; the
+    global pool holds every reconstructed session, empty ones included.
+    The empty needle is captured by every session of its pool.
+
+    Every page is one code point, so a session is a ``str`` and a pool is
+    its sessions joined by U+0000: each capture is a ``str.find`` hit,
+    mapped back to its session by ``bisect``, and the search resumes at
+    the next session's start.  :func:`~repro.evaluation.subsequence.
+    contains` is the specification this is property-tested against.
+    """
+    codes = _Codes()
+    encode = codes.__getitem__
+    texts = ["".join(map(encode, session.pages))
+             for session in reconstructed]
+    members_by_user: dict[str, list[int]] = {}
+    for index, session in enumerate(reconstructed):
+        if session:
+            members_by_user.setdefault(session.user_id, []).append(index)
+    pools = {user: _pool([texts[index] for index in members], members)
+             for user, members in members_by_user.items()}
+    no_pool = _pool([], [])
+    global_pool = None
+
+    edges: list[list[int]] = []
+    groups: dict[str, list[int]] = {}
+    for real_index, real in enumerate(ground_truth):
+        if match_within_user and real:
+            group = real.user_id
+            text, starts, members = pools.get(group, no_pool)
+        else:
+            group = ""
+            if global_pool is None:
+                global_pool = _pool(texts, range(len(texts)))
+            text, starts, members = global_pool
+        needle = "".join(map(encode, real.pages))
+        hits = []
+        if starts:
+            last = len(starts) - 1
+            at = text.find(needle)
+            while at != -1:
+                slot = bisect_right(starts, at) - 1
+                hits.append(members[slot])
+                if slot == last:
+                    break
+                at = text.find(needle, starts[slot + 1])
+        edges.append(hits)
+        groups.setdefault(group, []).append(real_index)
+    return edges, groups
 
 
 def real_accuracy(ground_truth: SessionSet, reconstructed: SessionSet,
@@ -200,64 +294,27 @@ def evaluate_reconstruction(heuristic: str, ground_truth: SessionSet,
         raise EvaluationError(
             "cannot evaluate against an empty ground truth")
 
-    captured = 0
+    edges, groups = _capture_relation(ground_truth, reconstructed,
+                                      match_within_user)
+    sizes = [len(session) for session in reconstructed]
     exact = 0
-    productive_indices: set[int] = set()
-    # capture_edges[i] lists the reconstructed-session indices capturing
-    # ground-truth session i; grouped per user for the matching step.
-    capture_edges: list[list[int]] = []
-    real_groups: dict[str, list[int]] = {}
-
-    # One SubsequenceIndex per candidate pool (per user, plus one global
-    # pool for cross-user matching and user-less real sessions).  The
-    # capture test is the hot path of every sweep point: the index answers
-    # each real session's query by probing only its rarest page's corpus
-    # occurrences instead of KMP-scanning every reconstructed session.
-    pages_by_user: dict[str, list[tuple[int, ...]]] = {}
-    globals_by_user: dict[str, list[int]] = {}
-    for index, session in enumerate(reconstructed):
-        if session:
-            pages_by_user.setdefault(session.user_id, []).append(
-                session.pages)
-            globals_by_user.setdefault(session.user_id, []).append(index)
-    user_indexes = {user: SubsequenceIndex(corpus)
-                    for user, corpus in pages_by_user.items()}
-    empty_index = SubsequenceIndex(())
-    global_index: SubsequenceIndex | None = None
-
-    for real_index, real in enumerate(ground_truth):
-        if match_within_user and real:
-            pool_index = user_indexes.get(real.user_id, empty_index)
-            to_global = globals_by_user.get(real.user_id, ())
-            group_key = real.user_id
-        else:
-            if global_index is None:
-                global_index = SubsequenceIndex(
-                    session.pages for session in reconstructed)
-            pool_index = global_index
-            to_global = range(len(reconstructed))
-            group_key = ""
-        edges = [to_global[local] for local in pool_index.find_all(real.pages)]
-        captured += bool(edges)
-        exact += any(reconstructed[index].pages == real.pages
-                     for index in edges)
-        productive_indices.update(edges)
-        capture_edges.append(edges)
-        real_groups.setdefault(group_key, []).append(real_index)
-
-    matched = sum(
-        _maximum_matching([capture_edges[real_index]
-                           for real_index in group])
-        for group in real_groups.values())
+    productive: set[int] = set()
+    for real, hits in zip(ground_truth, edges):
+        # a capture as long as the real session is the session verbatim
+        size = len(real)
+        exact += any(sizes[index] == size for index in hits)
+        productive.update(hits)
+    matched = sum(_maximum_matching([edges[index] for index in group])
+                  for group in groups.values())
 
     return AccuracyReport(
         heuristic=heuristic,
         total_real=len(ground_truth),
-        captured=captured,
+        captured=sum(map(bool, edges)),
         matched=matched,
         exact=exact,
         reconstructed_count=len(reconstructed),
-        productive=len(productive_indices),
+        productive=len(productive),
         mean_real_length=ground_truth.mean_length(),
         mean_reconstructed_length=reconstructed.mean_length(),
     )

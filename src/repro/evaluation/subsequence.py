@@ -7,21 +7,18 @@ The paper defines that a reconstructed session *H captures* a real session
 page-id alphabet, "adopted from ordinary string searching algorithm" (§5.1).
 
 :func:`find` implements Knuth-Morris-Pratt, linear in ``len(haystack) +
-len(needle)`` — real sessions are short but heur3 haystacks can grow long,
-and the evaluation performs millions of searches per sweep point.
-
-For repeated queries against a *fixed* corpus of haystacks,
-:class:`SubsequenceIndex` replaces the per-pair O(n·m) scan with a
-rarest-symbol postings lookup: each query only touches the haystack
-positions where its least frequent page occurs, instead of every position
-of every haystack.
+len(needle)``.  These functions are the readable specification: the
+evaluation finds every capture of a whole reconstruction at once, with
+``str.find`` over encoded sessions
+(``repro.evaluation.metrics._capture_relation``), and is property-tested
+against :func:`contains`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
-__all__ = ["find", "contains", "failure_function", "SubsequenceIndex"]
+__all__ = ["find", "contains", "failure_function"]
 
 
 def failure_function(needle: Sequence[str]) -> list[int]:
@@ -61,76 +58,3 @@ def find(haystack: Sequence[str], needle: Sequence[str]) -> int:
 def contains(haystack: Sequence[str], needle: Sequence[str]) -> bool:
     """Whether ``needle ⊏ haystack`` (contiguous, order-preserving)."""
     return find(haystack, needle) != -1
-
-
-class SubsequenceIndex:
-    """Inverted index answering ``needle ⊏ haystack?`` over a fixed corpus.
-
-    Build once over the corpus of haystacks, then query many needles —
-    the shape of the capture metric, where every ground-truth session is
-    tested against the same pool of reconstructed sessions.
-
-    Each query anchors on the needle's *rarest* symbol (fewest postings):
-    for a needle occurring at offset ``o`` of itself, every corpus
-    occurrence ``(haystack, position)`` of that symbol admits at most one
-    candidate window ``haystack[position-o : position-o+len(needle)]``,
-    verified by a direct tuple compare.  Work per query is proportional to
-    the rarest symbol's corpus frequency — typically a tiny fraction of
-    the ``Σ len(haystack)`` an exhaustive KMP scan walks — and a needle
-    using any page absent from the corpus costs O(len(needle)).
-
-    The exhaustive scan equivalence ``index.find_all(n) ==
-    [i for i, h in enumerate(corpus) if contains(h, n)]`` is
-    property-tested.
-    """
-
-    __slots__ = ("_sequences", "_postings")
-
-    def __init__(self, sequences: Iterable[Sequence[str]]) -> None:
-        self._sequences: list[tuple[str, ...]] = [
-            tuple(sequence) for sequence in sequences]
-        postings: dict[str, list[tuple[int, int]]] = {}
-        for hay_index, sequence in enumerate(self._sequences):
-            for position, symbol in enumerate(sequence):
-                postings.setdefault(symbol, []).append((hay_index, position))
-        self._postings = postings
-
-    def __len__(self) -> int:
-        return len(self._sequences)
-
-    @property
-    def sequences(self) -> list[tuple[str, ...]]:
-        """The indexed corpus, in construction order."""
-        return list(self._sequences)
-
-    def find_all(self, needle: Sequence[str]) -> list[int]:
-        """Ascending corpus indices of haystacks with ``needle ⊏ haystack``.
-
-        The empty needle matches every haystack, mirroring :func:`find`.
-        """
-        needle = tuple(needle)
-        if not needle:
-            return list(range(len(self._sequences)))
-        anchor_offset = 0
-        anchor: list[tuple[int, int]] | None = None
-        for offset, symbol in enumerate(needle):
-            posting = self._postings.get(symbol)
-            if posting is None:
-                return []
-            if anchor is None or len(posting) < len(anchor):
-                anchor = posting
-                anchor_offset = offset
-        width = len(needle)
-        sequences = self._sequences
-        hits: set[int] = set()
-        for hay_index, position in anchor:
-            if hay_index in hits:
-                continue
-            start = position - anchor_offset
-            if start >= 0 and sequences[hay_index][start:start + width] == needle:
-                hits.add(hay_index)
-        return sorted(hits)
-
-    def contains_any(self, needle: Sequence[str]) -> bool:
-        """Whether any corpus haystack captures ``needle``."""
-        return bool(self.find_all(needle))

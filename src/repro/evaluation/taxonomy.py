@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 
+from repro.evaluation.metrics import _capture_relation
 from repro.evaluation.subsequence import contains
 from repro.exceptions import EvaluationError
 from repro.sessions.model import Session, SessionSet
@@ -67,7 +68,14 @@ def classify_session(real: Session,
     for candidate in pool:
         if contains(candidate.pages, pages):
             return ErrorCategory.MERGED
-    seen = {page for candidate in pool for page in candidate.pages}
+    return _uncaptured_category(
+        pages, {page for candidate in pool for page in candidate.pages})
+
+
+def _uncaptured_category(pages: tuple[str, ...],
+                         seen: set[str]) -> ErrorCategory:
+    """Category of an uncaptured real session, given every page id of
+    its user's reconstructed sessions."""
     present = sum(1 for page in pages if page in seen)
     if present == len(pages):
         return ErrorCategory.SCATTERED
@@ -84,18 +92,29 @@ def error_breakdown(ground_truth: SessionSet,
     Raises:
         EvaluationError: for an empty ground truth.
     """
-    real_sessions = [session for session in ground_truth if session]
-    if not real_sessions:
+    if not any(ground_truth):
         raise EvaluationError(
             "cannot analyze an empty ground truth")
-    pool_by_user: dict[str, list[Session]] = {}
-    for session in reconstructed:
-        if session:
-            pool_by_user.setdefault(session.user_id, []).append(session)
+    edges, __ = _capture_relation(ground_truth, reconstructed)
+    sizes = [len(session) for session in reconstructed]
+    seen_by_user: dict[str, set[str]] = {}
     counts: Counter[ErrorCategory] = Counter()
-    for real in real_sessions:
-        counts[classify_session(real, pool_by_user.get(real.user_id, []))] \
-            += 1
+    for real, hits in zip(ground_truth, edges):
+        if not real:
+            continue
+        size = len(real)
+        if any(sizes[index] == size for index in hits):
+            counts[ErrorCategory.EXACT] += 1
+        elif hits:
+            counts[ErrorCategory.MERGED] += 1
+        else:
+            user = real.user_id
+            if user not in seen_by_user:
+                seen_by_user[user] = {
+                    page for session in reconstructed.for_user(user)
+                    for page in session.pages}
+            counts[_uncaptured_category(real.pages, seen_by_user[user])] \
+                += 1
     return {category: counts.get(category, 0)
             for category in ErrorCategory}
 

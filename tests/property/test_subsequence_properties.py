@@ -1,10 +1,13 @@
-"""Property tests for the ⊏ capture relation: KMP vs a naive oracle."""
+"""Property tests for the ⊏ capture relation: KMP vs a naive oracle, the
+evaluation's ``str.find`` relation vs KMP, and its maximum matching."""
 
 from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from repro.evaluation.subsequence import SubsequenceIndex, contains, find
+from repro.evaluation.metrics import _capture_relation, _maximum_matching
+from repro.evaluation.subsequence import contains, find
+from repro.sessions.model import Session, SessionSet
 
 _SYMBOLS = st.sampled_from(["A", "B", "C"])
 _SEQ = st.lists(_SYMBOLS, max_size=30)
@@ -51,26 +54,72 @@ def test_transitivity_with_slices(haystack, needle):
         assert contains(wider, needle)
 
 
-_CORPUS = st.lists(_SEQ, max_size=8)
+_USERS = st.sampled_from(["", "u", "v"])
+_SESSIONS = st.lists(st.tuples(_USERS, st.lists(_SYMBOLS, max_size=8)),
+                     max_size=8)
 
 
-@given(_CORPUS, _SEQ)
-def test_index_find_all_matches_exhaustive_scan(corpus, needle):
-    """The rarest-symbol postings index ≡ scanning every haystack."""
-    index = SubsequenceIndex(corpus)
-    expected = [i for i, haystack in enumerate(corpus)
-                if contains(haystack, needle)]
-    assert index.find_all(needle) == expected
-    assert index.contains_any(needle) == bool(expected)
+def _set(drawn):
+    return SessionSet(Session.from_pages(pages, user_id=user)
+                      for user, pages in drawn)
 
 
-@given(_CORPUS, st.integers(0, 7), st.integers(0, 29), st.integers(1, 29))
-def test_index_finds_every_planted_slice(corpus, pick, start, length):
-    """Any contiguous slice of a corpus member is found in that member."""
-    if not corpus:
+@given(_SESSIONS, st.lists(st.tuples(_USERS, _SEQ), max_size=6),
+       st.booleans())
+def test_relation_matches_exhaustive_scan(reconstructed, truth,
+                                          match_within_user):
+    """The ``str.find`` relation ≡ a KMP scan of every session of each
+    pool: within-user and global matching, empty sessions on either side,
+    repeated pages, and real sessions longer than every reconstructed
+    one (up to 30 pages against at most 8)."""
+    truth, reconstructed = _set(truth), _set(reconstructed)
+    edges, groups = _capture_relation(truth, reconstructed,
+                                      match_within_user)
+    expected_groups: dict[str, list[int]] = {}
+    for index, real in enumerate(truth):
+        within = match_within_user and bool(real)
+        pool = [position for position, session in enumerate(reconstructed)
+                if not within
+                or (session and session.user_id == real.user_id)]
+        assert edges[index] == [
+            position for position in pool
+            if contains(reconstructed[position].pages, real.pages)]
+        expected_groups.setdefault(real.user_id if within else "",
+                                   []).append(index)
+    assert groups == expected_groups
+
+
+@given(_SESSIONS, st.integers(0, 7), st.integers(0, 29), st.integers(1, 29))
+def test_relation_finds_every_planted_slice(reconstructed, pick, start,
+                                            length):
+    """Any contiguous slice of a reconstructed session is captured by
+    that session, within its user's pool and in the global pool."""
+    if not reconstructed:
         return
-    haystack = corpus[pick % len(corpus)]
-    needle = haystack[start % (len(haystack) + 1):][:length]
+    pick %= len(reconstructed)
+    user, pages = reconstructed[pick]
+    needle = pages[start % (len(pages) + 1):][:length]
     if not needle:
         return
-    assert (pick % len(corpus)) in SubsequenceIndex(corpus).find_all(needle)
+    truth = SessionSet([Session.from_pages(needle, user_id=user)])
+    reconstructed = _set(reconstructed)
+    for match_within_user in (True, False):
+        edges, __ = _capture_relation(truth, reconstructed,
+                                      match_within_user)
+        assert pick in edges[0]
+
+
+def _brute_force_matching(adjacency, used=frozenset()):
+    if not adjacency:
+        return 0
+    first, rest = adjacency[0], adjacency[1:]
+    return max([_brute_force_matching(rest, used)]
+               + [1 + _brute_force_matching(rest, used | {right})
+                  for right in first if right not in used])
+
+
+@given(st.lists(st.lists(st.integers(0, 6), max_size=4), max_size=7))
+def test_matching_is_maximum(adjacency):
+    """The explicit-stack augmenting-path search finds a maximum
+    matching of the capture graph (exhaustive check on small graphs)."""
+    assert _maximum_matching(adjacency) == _brute_force_matching(adjacency)

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
-from repro.evaluation.comparison import compare_heuristics
+import repro
+from repro.evaluation.comparison import _two_sided_p, compare_heuristics
 from repro.exceptions import EvaluationError, LogFormatError
 from repro.logs.anonymize import pseudonymize_hosts, truncate_ipv4_hosts
 from repro.logs.clf import CLFRecord
@@ -75,6 +81,75 @@ class TestCompareHeuristics:
                                     smart, naive, "heur4", "heur2")
         assert result.winner == "heur4"
         assert result.significant(0.01)
+
+
+# (k, n, scipy.stats.binomtest(k, n, 0.5).pvalue), computed once with
+# scipy 1.17.1 and frozen here: the stdlib p-value must not drift from it.
+SCIPY_BINOMTEST = [
+    (0, 1, 1.0),
+    (0, 2, 0.5),
+    (1, 2, 1.0),
+    (0, 5, 0.0625),
+    (2, 5, 1.0),
+    (1, 10, 0.021484375),
+    (3, 10, 0.34375),
+    (5, 10, 1.0),
+    (7, 20, 0.26317596435546875),
+    (10, 21, 1.0),
+    (12, 40, 0.01658900337497471),
+    (30, 100, 7.85013964559367e-05),
+    (45, 100, 0.36820161732669615),
+    (50, 100, 1.0),
+    (0, 200, 1.2446030555722283e-60),
+    (80, 200, 0.005685155996750306),
+    (99, 200, 0.9436515209907435),
+    (150, 333, 0.07934462030570755),
+    (180, 399, 0.056985439025828394),
+    (199, 399, 1.0),
+]
+
+
+class TestExactPValue:
+    @pytest.mark.parametrize("k, n, expected", SCIPY_BINOMTEST)
+    def test_matches_scipy_binomtest(self, k, n, expected):
+        assert _two_sided_p(k, n) == pytest.approx(expected, rel=1e-12)
+
+    def test_no_discordant_pairs_is_null(self):
+        assert _two_sided_p(0, 0) == 1.0
+
+
+_NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+import pytest
+sys.exit(pytest.main(sys.argv[1:]))
+"""
+
+
+def test_mcnemar_runs_without_scipy():
+    """McNemar is stdlib-only: its unit and property tests pass in a
+    process where every scipy import raises."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    source = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [source, os.environ.get("PYTHONPATH", "")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, "-p", "no:cacheprovider",
+         "tests/unit/test_comparison_anonymize.py::TestCompareHeuristics",
+         "tests/unit/test_comparison_anonymize.py::TestExactPValue",
+         "tests/property/test_statistics_tools_properties.py::"
+         "test_mcnemar_is_antisymmetric",
+         "tests/property/test_statistics_tools_properties.py::"
+         "test_mcnemar_self_comparison_is_null"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert completed.returncode == 0, completed.stdout + completed.stderr
+    assert "30 passed" in completed.stdout, completed.stdout
 
 
 def _record(host, t=0.0):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.evaluation.metrics import (
+    _maximum_matching,
     evaluate_reconstruction,
     real_accuracy,
     session_captured,
@@ -165,3 +166,30 @@ class TestEmptyCorpusEvaluation:
         from repro.evaluation.metrics import AccuracyReport
         recovered = AccuracyReport.from_dict(report.to_dict())
         assert recovered.accuracy == 1.0
+
+
+class TestDeepAugmentingChains:
+    """Cross-user matching puts every real session into one group, so an
+    augmenting path can run through thousands of sessions (regression:
+    the recursive search raised RecursionError there)."""
+
+    N = 2000
+
+    def test_matching_follows_a_chain_as_deep_as_the_group(self):
+        # left i takes right i; the last left forces every one of them
+        # over by one, an augmenting path N deep.
+        adjacency = [[i, i + 1] for i in range(self.N)] + [[0]]
+        assert _maximum_matching(adjacency) == self.N + 1
+
+    def test_global_matching_survives_a_deep_chain(self):
+        # R_i = [p_i] is captured by H_i = [p_(i-1), p_i] and H_(i+1);
+        # the last real session [p_-1] only by H_0.
+        pages = [f"p{i}" for i in range(-1, self.N + 1)]
+        pool = SessionSet(_s(pages[j:j + 2], user=f"h{j}")
+                          for j in range(self.N + 1))
+        truth = SessionSet([_s([pages[i + 1]], user=f"r{i}")
+                            for i in range(self.N)] + [_s([pages[0]])])
+        report = evaluate_reconstruction("h", truth, pool,
+                                         match_within_user=False)
+        assert report.matched == self.N + 1
+        assert report.captured == self.N + 1

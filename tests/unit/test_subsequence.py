@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from repro.evaluation.subsequence import (
-    SubsequenceIndex,
-    contains,
-    failure_function,
-    find,
-)
+from repro.evaluation.metrics import _capture_relation
+from repro.evaluation.subsequence import contains, failure_function, find
+from repro.sessions.model import Session, SessionSet
 
 
 class TestPaperExamples:
@@ -74,43 +71,49 @@ class TestContains:
         assert not contains(("A", "B", "C"), ("C", "B"))
 
 
-class TestSubsequenceIndex:
+class TestCaptureRelation:
+    """The one capture relation the evaluation reads (``str.find`` over
+    encoded sessions), checked against the KMP specification."""
+
     CORPUS = [("P9", "P1", "P3", "P5", "P8"),   # captures [P1,P3,P5]
               ("P1", "P9", "P3", "P5", "P8"),   # interrupted — no capture
               ("P1", "P3", "P5"),               # exact match
-              ()]                               # empty haystack
+              ()]                               # empty session
 
-    def test_find_all_matches_linear_scan(self):
-        index = SubsequenceIndex(self.CORPUS)
+    @staticmethod
+    def _edges(needle, corpus, match_within_user=False):
+        truth = SessionSet([Session.from_pages(needle)])
+        pool = SessionSet(Session.from_pages(pages) for pages in corpus)
+        edges, __ = _capture_relation(truth, pool, match_within_user)
+        return edges[0]
+
+    def test_relation_matches_linear_scan(self):
         needle = ("P1", "P3", "P5")
         expected = [i for i, hay in enumerate(self.CORPUS)
                     if contains(hay, needle)]
-        assert index.find_all(needle) == expected == [0, 2]
+        assert self._edges(needle, self.CORPUS) == expected == [0, 2]
 
-    def test_absent_symbol_short_circuits(self):
-        index = SubsequenceIndex(self.CORPUS)
-        assert index.find_all(("P1", "P77")) == []
+    def test_page_absent_from_pool_is_not_captured(self):
+        assert self._edges(("P1", "P77"), self.CORPUS) == []
 
-    def test_empty_needle_matches_every_sequence(self):
-        index = SubsequenceIndex(self.CORPUS)
-        assert index.find_all(()) == [0, 1, 2, 3]
+    def test_empty_real_session_is_captured_by_every_session(self):
+        # the empty needle matches the whole global pool, empty sessions
+        # included, whatever match_within_user says.
+        assert self._edges((), self.CORPUS) == [0, 1, 2, 3]
+        assert self._edges((), self.CORPUS, True) == [0, 1, 2, 3]
 
-    def test_contains_any(self):
-        index = SubsequenceIndex(self.CORPUS)
-        assert index.contains_any(("P3", "P5", "P8"))
-        assert not index.contains_any(("P8", "P5"))
+    def test_repeated_occurrences_report_a_session_once(self):
+        assert self._edges(("a", "b"), [("a", "b", "a", "b")]) == [0]
 
-    def test_duplicate_anchor_positions_dedupe_hits(self):
-        # the anchor symbol occurs twice in one haystack; the haystack
-        # must still be reported once.
-        index = SubsequenceIndex([("a", "b", "a", "b")])
-        assert index.find_all(("a", "b")) == [0]
+    def test_match_never_spans_two_sessions(self):
+        assert self._edges(("P5", "P8"), [("P5",), ("P8",)]) == []
 
-    def test_len_and_sequences(self):
-        index = SubsequenceIndex(self.CORPUS)
-        assert len(index) == 4
-        assert index.sequences == list(self.CORPUS)
-
-    def test_accepts_lists(self):
-        index = SubsequenceIndex([["x", "y"], ["y", "x"]])
-        assert index.find_all(["y", "x"]) == [1]
+    def test_within_user_pool_skips_other_users_and_empty_sessions(self):
+        truth = SessionSet([Session.from_pages(["A"], user_id="u"),
+                            Session.from_pages([], user_id="u")])
+        pool = SessionSet([Session.from_pages(["A"], user_id="v"),
+                           Session.from_pages([]),
+                           Session.from_pages(["X", "A"], user_id="u")])
+        edges, groups = _capture_relation(truth, pool)
+        assert edges == [[2], [0, 1, 2]]
+        assert groups == {"u": [0], "": [1]}
