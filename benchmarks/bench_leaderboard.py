@@ -1,8 +1,8 @@
 """Extension A15 — the full heuristic leaderboard at the Table 5 point.
 
 Ranks every heuristic in the library — the paper's four, the phase-1
-ablation, the adaptive timeout, and the combined-log referrer upper
-baseline — on one simulation, with bootstrap confidence intervals.  The
+ablation, the adaptive timeout, All-Maximal-Paths and the combined-log
+referrer upper baseline — on one simulation, with bootstrap confidence intervals.  The
 one-table summary of everything this repository measures.
 """
 
@@ -23,8 +23,11 @@ def test_leaderboard(benchmark, results_dir):
     by_name = {row.name: row for row in rows}
     # structural claims the whole repository rests on:
     assert rows[0].name == "referrer"          # richer logs win
-    reactive = [row for row in rows if row.name != "referrer"]
-    assert reactive[0].name == "heur4"         # Smart-SRA best reactive
+    # Smart-SRA is the best of the paper's own four heuristics; AMP, a
+    # later paper's (arXiv 1307.1927), may rank above it and stays listed.
+    paper = [row for row in rows if row.name in ("heur1", "heur2", "heur3",
+                                                 "heur4")]
+    assert paper[0].name == "heur4"
     assert by_name["heur4"].matched.low > by_name["heur3"].matched.high, \
         "Smart-SRA's CI must clear heur3's entirely at this scale"
 

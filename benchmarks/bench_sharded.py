@@ -12,8 +12,11 @@ Reading the numbers: the coordinator and the N workers share the
 visible cores (the results file records how many).  Where they number
 more than the cores they time-slice rather than parallelize, and the
 sweep point measures the *coordination overhead* of the runtime (pipes,
-framing, capsule acks), not a speedup.  The recovery column is
-hardware-independent either way.
+framing, progress acks), not a speedup.  A recovery is timed from the
+failover to the respawned worker's first ACK, which it sends only once
+its replay has passed the last ACK the coordinator absorbed; so it
+includes re-processing everything since the worker's last capsule, cut
+every half replay capacity (here: since the start of the stream).
 """
 
 from __future__ import annotations
@@ -133,7 +136,8 @@ def test_sharded_scaling_and_failover(workload, results_dir,
         f"(of {stats.fed} fed; ledger reconciles, asserted)",
         f"    recovery times:  "
         + ", ".join(f"{ms:.0f} ms" for ms in recoveries_ms)
-        + " (failover-to-first-ack)",
+        + " (failover to the first new ACK, incl. replay since the "
+        "last capsule)",
         f"    sealed output:   byte-identical to serial "
         f"(canonical digest, asserted)",
         "",

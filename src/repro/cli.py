@@ -303,22 +303,24 @@ def build_parser() -> argparse.ArgumentParser:
             "--on-shard-failure", choices=["failover", "shed-shard",
                                            "raise"], default=None,
             help="what to do when a shard worker dies or wedges: "
-                 "failover (respawn from the acked capsule and replay "
-                 "the unsealed tail, default), shed-shard (abandon the "
+                 "failover (respawn from the last capsule and replay "
+                 "the logged tail, default), shed-shard (abandon the "
                  "shard's pending events, counted), or raise")
         command_parser.add_argument(
             "--ack-interval", type=int, default=None, metavar="N",
-            help="events between worker progress acks; smaller means "
-                 "less replay after a crash, more capsule traffic")
+            help="events between worker progress acks (24 bytes each); "
+                 "an ack makes emitted sessions durable and advances "
+                 "sealing")
         command_parser.add_argument(
             "--shard-lease", type=float, default=None, metavar="SECONDS",
             help="wall-clock quiet period with work outstanding after "
                  "which a worker is declared wedged and failed over")
         command_parser.add_argument(
             "--replay-capacity", type=int, default=None, metavar="N",
-            help="unacked events retained per shard for failover "
-                 "replay; routing backpressures when a shard's log is "
-                 "full")
+            help="events retained per shard since its last capsule for "
+                 "failover replay; a worker cuts a capsule every half "
+                 "capacity, and routing backpressures when a shard's "
+                 "log is full")
 
     strm = sub.add_parser("stream",
                           help="incremental (streaming) reconstruction, "
@@ -1349,24 +1351,27 @@ def _chaos_shard_selftest(args: argparse.Namespace) -> int:
     if args.as_json:
         print(json.dumps({**result, "ok": ok}, indent=1, sort_keys=True))
         return 0 if ok else 1
-    stats = result["stats"]
     print(f"shard selftest: {result['requests']} requests over "
           f"{result['shards']} shards with faults "
           f"{'; '.join(result['specs'])}", file=sys.stderr)
-    print(f"  ledger: routed {stats['routed']}, "
-          f"replayed {stats['replayed']}, shed {stats['shed']} "
-          f"({'reconciles' if result['reconciled'] else 'DOES NOT RECONCILE'})",
-          file=sys.stderr)
-    print(f"  failovers {stats['failovers']} "
-          f"(respawns {stats['respawns']}, wedged {stats['wedged']}, "
-          f"deaths {stats['worker_deaths']}, "
-          f"shards shed {stats['shed_shards']}) -> "
-          f"{'recovered' if result['recovered'] else 'NO FAILOVER FIRED'}",
-          file=sys.stderr)
-    verdict = ("identical to serial" if result["identical"]
-               else "DIVERGED from serial")
-    print(f"  sealed output ({result['sessions']} sessions): {verdict}",
-          file=sys.stderr)
+    for run in result["runs"]:
+        stats = run["stats"]
+        print(f"  replay capacity {run['replay_capacity']} (a capsule every "
+              f"{run['checkpoint_interval']} events):", file=sys.stderr)
+        print(f"    ledger: routed {stats['routed']}, "
+              f"replayed {stats['replayed']}, shed {stats['shed']} "
+              f"({'reconciles' if run['reconciled'] else 'DOES NOT RECONCILE'})",
+              file=sys.stderr)
+        print(f"    failovers {stats['failovers']} "
+              f"(respawns {stats['respawns']}, wedged {stats['wedged']}, "
+              f"deaths {stats['worker_deaths']}, "
+              f"shards shed {stats['shed_shards']}) -> "
+              f"{'recovered' if run['recovered'] else 'NO FAILOVER FIRED'}",
+              file=sys.stderr)
+        verdict = ("identical to serial" if run["identical"]
+                   else "DIVERGED from serial")
+        print(f"    sealed output ({run['sessions']} sessions): {verdict}",
+              file=sys.stderr)
     return 0 if ok else 1
 
 

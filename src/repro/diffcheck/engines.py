@@ -234,10 +234,12 @@ def _amp_optimized(ctx: EngineContext) -> SessionSet:
 def _streaming_sharded_chaos(ctx: EngineContext) -> SessionSet:
     """The sharded runtime with both workers killed mid-stream.
 
-    Each shard's worker is crashed once at a low event ordinal; failover
-    must restore acked state, replay the unsealed tail and still produce
-    sealed output byte-identical to serial.  This is the repo's hardest
-    determinism claim exercised on every diffcheck corpus case.
+    Each shard's worker is crashed once at a low event ordinal, after it
+    cut a capsule (one every 4 events); failover must restore the
+    capsule, replay quietly up to the last ACK, re-derive the unsealed
+    tail and still produce sealed output byte-identical to serial.  This
+    is the repo's hardest determinism claim exercised on every diffcheck
+    corpus case.
     """
     from repro.parallel import RetryPolicy
     from repro.streaming import ShardedConfig, ShardedStreamingRuntime
@@ -246,7 +248,8 @@ def _streaming_sharded_chaos(ctx: EngineContext) -> SessionSet:
                         backoff_cap=0.1, seed=ctx.seed)
     runtime = ShardedStreamingRuntime(
         ctx.topology, ctx.config,
-        sharded=ShardedConfig(shards=2, ack_interval=16, retry=retry),
+        sharded=ShardedConfig(shards=2, ack_interval=4, replay_capacity=8,
+                              retry=retry),
         governor=GovernorConfig(memory_budget=1 << 30))
     with use_execution_faults("kill-worker:0:5", "kill-worker:1:9"):
         result = runtime.run(ctx.requests,

@@ -129,41 +129,70 @@ class AccuracyReport:
 
 
 def _maximum_matching(adjacency: list[list[int]]) -> int:
-    """Size of a maximum bipartite matching (Kuhn's algorithm).
+    """Size of a maximum bipartite matching (Hopcroft–Karp).
 
     ``adjacency[i]`` lists the right-side partner ids of left node ``i``.
-    Each augmenting-path search is a depth-first walk over an explicit
-    stack of ``(left, remaining partners)`` frames, so a chain as deep as
-    the group (cross-user matching puts every real session in one group)
-    needs no interpreter recursion.
+    A greedy pass matches every left node it can to a free partner; then
+    each phase layers the graph by a breadth-first search from the free
+    left nodes and augments along layered paths until none is left, so
+    the search costs O(E·√V), not Kuhn's O(V·E) when cross-user matching
+    puts every real session in one group.  Paths are walked over an
+    explicit stack of ``(left, remaining partners)`` frames, so a chain
+    as deep as the group needs no interpreter recursion.
     """
+    match_left: list[int | None] = [None] * len(adjacency)
     match_right: dict[int, int] = {}
-    size = 0
-    for root in range(len(adjacency)):
-        visited: set[int] = set()
-        stack = [(root, iter(adjacency[root]))]
-        # path[k] is the right node that frame k took to reach frame k + 1
-        path: list[int] = []
-        while stack:
-            for right in stack[-1][1]:
-                if right in visited:
-                    continue
-                visited.add(right)
-                path.append(right)
+    for left, partners in enumerate(adjacency):
+        for right in partners:
+            if right not in match_right:
+                match_right[right] = left
+                match_left[left] = right
+                break
+    size = len(match_right)
+    while True:
+        free = [left for left, right in enumerate(match_left)
+                if right is None and adjacency[left]]
+        layer = [-1] * len(adjacency)
+        for left in free:
+            layer[left] = 0
+        queue = list(free)
+        reachable = False
+        for left in queue:
+            for right in adjacency[left]:
                 occupant = match_right.get(right)
                 if occupant is None:
-                    for (left, __), taken in zip(stack, path):
-                        match_right[taken] = left
-                    size += 1
-                    stack.clear()
+                    reachable = True
+                elif layer[occupant] < 0:
+                    layer[occupant] = layer[left] + 1
+                    queue.append(occupant)
+        if not reachable:
+            return size
+        for root in free:
+            stack = [(root, iter(adjacency[root]))]
+            # path[k] is the right node that frame k took to reach k + 1
+            path: list[int] = []
+            while stack:
+                left, partners = stack[-1]
+                for right in partners:
+                    occupant = match_right.get(right)
+                    if occupant is None:
+                        path.append(right)
+                        for (node, __), taken in zip(stack, path):
+                            match_right[taken] = node
+                            match_left[node] = taken
+                        size += 1
+                        stack.clear()
+                        break
+                    if layer[occupant] == layer[left] + 1:
+                        path.append(right)
+                        stack.append((occupant, iter(adjacency[occupant])))
+                        break
                 else:
-                    stack.append((occupant, iter(adjacency[occupant])))
-                break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-    return size
+                    # no augmenting path through ``left`` in this phase.
+                    layer[left] = -1
+                    stack.pop()
+                    if path:
+                        path.pop()
 
 
 class _Codes(dict):

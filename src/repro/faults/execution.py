@@ -111,6 +111,10 @@ _WEDGE_SECONDS = 3600.0
 #: exit status of a fault-crashed worker (distinctive in core dumps/strace).
 _CRASH_EXIT_STATUS = 23
 
+#: the shard selftest's second replay capacity: with its ACK every 16
+#: events, a capsule every 32, so the default kills land past capsules.
+SELFTEST_REPLAY_CAPACITY = 64
+
 
 @dataclass(frozen=True, slots=True)
 class ExecutionFault:
@@ -431,8 +435,15 @@ def run_shard_selftest(specs: list[str] | None = None, *, shards: int = 2,
     end: the sealed output is byte-identical — by canonical digest — to
     the serial governed run of the same workload, the sharded ledger
     reconciles (fed == routed + replayed + shed), and at least one
-    failover actually happened when a fault was armed.  Returns a plain
-    dict with the three verdicts plus the runtime counters.
+    failover actually happened when a fault was armed.
+
+    The stream runs twice: at the default replay capacity, where no
+    worker cuts a capsule before the default kills, and at
+    :data:`SELFTEST_REPLAY_CAPACITY` events, where every shard cuts a
+    capsule every 32 events, so the same kills land past capsules and
+    failover restores them.  Returns a plain dict: the three verdicts
+    over both runs, and each run's own verdicts and runtime counters
+    under ``"runs"``.
     """
     from repro.sessions.model import SessionSet
     from repro.simulator.adversarial import adversarial_workload
@@ -461,30 +472,41 @@ def run_shard_selftest(specs: list[str] | None = None, *, shards: int = 2,
         specs = ["kill-worker:0:40", f"kill-worker:{shards - 1}:60"]
     shard_kinds = ("kill-worker", "wedge-worker", "drop-pipe")
     armed = any(spec.split(":", 1)[0] in shard_kinds for spec in specs)
-    with use_execution_faults(*specs):
-        runtime = ShardedStreamingRuntime(
-            topology, governor=governor,
-            sharded=ShardedConfig(shards=shards, ack_interval=16,
-                                  lease=lease))
-        result = runtime.run(workload)
-    stats = result.stats
-    disturbed = stats.failovers + stats.shed_shards
+    runs = []
+    for capacity in (ShardedConfig().replay_capacity,
+                     SELFTEST_REPLAY_CAPACITY):
+        sharded = ShardedConfig(shards=shards, ack_interval=16, lease=lease,
+                                replay_capacity=capacity)
+        with use_execution_faults(*specs):
+            result = ShardedStreamingRuntime(
+                topology, governor=governor, sharded=sharded).run(workload)
+        stats = result.stats
+        runs.append({
+            "replay_capacity": capacity,
+            "checkpoint_interval": sharded.checkpoint_interval,
+            "identical": result.sessions.canonical_digest() == expected,
+            "reconciled": stats.reconciles(),
+            "recovered": (stats.failovers + stats.shed_shards >= 1
+                          if armed else True),
+            "requests": stats.fed,
+            "sessions": len(result.sessions),
+            "stats": {
+                "routed": stats.routed,
+                "replayed": stats.replayed,
+                "shed": stats.shed,
+                "failovers": stats.failovers,
+                "respawns": stats.respawns,
+                "wedged": stats.wedged,
+                "worker_deaths": stats.worker_deaths,
+                "shed_shards": stats.shed_shards,
+            },
+        })
     return {
-        "identical": result.sessions.canonical_digest() == expected,
-        "reconciled": stats.reconciles(),
-        "recovered": (disturbed >= 1) if armed else True,
+        "identical": all(run["identical"] for run in runs),
+        "reconciled": all(run["reconciled"] for run in runs),
+        "recovered": all(run["recovered"] for run in runs),
         "specs": list(specs),
         "shards": shards,
-        "requests": stats.fed,
-        "sessions": len(result.sessions),
-        "stats": {
-            "routed": stats.routed,
-            "replayed": stats.replayed,
-            "shed": stats.shed,
-            "failovers": stats.failovers,
-            "respawns": stats.respawns,
-            "wedged": stats.wedged,
-            "worker_deaths": stats.worker_deaths,
-            "shed_shards": stats.shed_shards,
-        },
+        "requests": runs[0]["requests"],
+        "runs": runs,
     }

@@ -385,9 +385,7 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
 
     #: the replay state this class adds to the base pipeline's (see
     #: :meth:`state`); the idle heap is derived from ``user_last``, and
-    #: spilled users must be absent.  Every dict is keyed by user id, and
-    #: each code path that changes a user's entries marks the user in
-    #: ``_touched`` (see :meth:`delta`).
+    #: spilled users must be absent.
     STATE_FIELDS: ClassVar[dict[str, str]] = {
         "quarantine": "requests",
         **dict.fromkeys(
@@ -646,8 +644,6 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
                 f"out-of-order request for quarantined user {user!r}: "
                 f"{request.timestamp} after {channel[-1].timestamp}")
         channel.append(request)
-        if self._touched is not None:
-            self._touched.add(user)
         self._fed += 1
         self._m_fed.inc()
         cost = request_cost(request)
@@ -673,8 +669,6 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
         cap is precisely the bound the governor already promises.
         """
         channel = self._quarantine[user]
-        if self._touched is not None:
-            self._touched.add(user)
         if reopen:
             self._quarantine[user] = []
             self._quarantine_bytes[user] = 0
@@ -713,8 +707,6 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
     def _spill_user(self, user: str) -> None:
         """Move ``user``'s cold buffer to disk (no sessions emitted)."""
         buffer = self._buffers.pop(user)
-        if self._touched is not None:
-            self._touched.add(user)
         self._spill_store.spill(user, buffer)
         freed = self._user_bytes.pop(user, 0)
         self._tracked -= freed

@@ -69,11 +69,6 @@ __all__ = [
 Finisher = Callable[[Sequence[Request]], list[Session]]
 
 
-def _rows(requests: Iterable[Request]) -> list[list[Any]]:
-    """The ``"requests"`` codec's wire form of a request list."""
-    return [[r.timestamp, r.page, r.referrer, r.synthetic] for r in requests]
-
-
 def _capture_fields(owner: object,
                     fields: Mapping[str, str]) -> dict[str, Any]:
     """Encode ``owner``'s declared state fields (``key`` names attribute
@@ -87,7 +82,9 @@ def _capture_fields(owner: object,
     for key, codec in fields.items():
         value = getattr(owner, "_" + key)
         if codec == "requests":
-            value = {user: _rows(requests) for user, requests in value.items()}
+            value = {user: [[r.timestamp, r.page, r.referrer, r.synthetic]
+                            for r in requests]
+                     for user, requests in value.items()}
         elif isinstance(value, dict):
             value = value.copy()
         state[key] = value
@@ -108,105 +105,6 @@ def _apply_fields(owner: object, fields: Mapping[str, str],
         elif isinstance(value, dict):
             value = value.copy()
         setattr(owner, "_" + key, value)
-
-
-# Deltas.  Every dict-valued state field is keyed by user id, and the
-# pipeline records each user whose entries it changes (``_touched``), so a
-# delta visits only those users.  ``base`` remembers, per dict field and
-# user, what the last delta reported: the value for ``"plain"``, the list
-# object and its length for ``"requests"`` (buffers only ever grow by
-# ``append`` until they are replaced or removed).  A change of a dict
-# field is ``{"set": {user: value}, "del": [user]}``, plus
-# ``"append": {user: rows}`` for ``"requests"``; a scalar field's change
-# is its value.
-
-_ABSENT = object()
-
-
-def _requests_delta(value: dict[str, list[Request]],
-                    base: dict[str, Any],
-                    touched: Iterable[str]) -> dict[str, Any]:
-    change: dict[str, Any] = {}
-    for user in touched:
-        requests = value.get(user)
-        sent = base.get(user)
-        if requests is None:
-            if sent is not None:
-                del base[user]
-                change.setdefault("del", []).append(user)
-            continue
-        if sent is not None and sent[0] is requests:
-            if len(requests) == sent[1]:
-                continue
-            change.setdefault("append", {})[user] = _rows(
-                requests[sent[1]:])
-        else:
-            change.setdefault("set", {})[user] = _rows(requests)
-        base[user] = (requests, len(requests))
-    return change
-
-
-def _plain_delta(value: dict[str, Any], base: dict[str, Any],
-                 touched: Iterable[str]) -> dict[str, Any]:
-    change: dict[str, Any] = {}
-    for user in touched:
-        current = value.get(user, _ABSENT)
-        sent = base.get(user, _ABSENT)
-        if current is _ABSENT:
-            if sent is not _ABSENT:
-                del base[user]
-                change.setdefault("del", []).append(user)
-        elif sent is _ABSENT or current != sent:
-            base[user] = current
-            change.setdefault("set", {})[user] = current
-    return change
-
-
-def _fold_requests(target: dict[str, Any], change: Mapping[str, Any]) -> None:
-    _fold_plain(target, change)
-    for user, rows in change.get("append", {}).items():
-        target[user].extend(rows)
-
-
-def _fold_plain(target: dict[str, Any], change: Mapping[str, Any]) -> None:
-    for user in change.get("del", ()):
-        del target[user]
-    target.update(change.get("set", {}))
-
-
-#: codec -> (delta capture, fold) of a dict field.
-DELTA_RULES: dict[str, tuple[Callable[..., dict[str, Any]],
-                             Callable[..., None]]] = {
-    "requests": (_requests_delta, _fold_requests),
-    "plain": (_plain_delta, _fold_plain),
-}
-
-
-def _capture_delta(owner: object, fields: Mapping[str, str],
-                   base: dict[str, dict[str, Any]],
-                   touched: Iterable[str]) -> dict[str, Any]:
-    """The change of every declared field since ``base``, which advances
-    to the current state; only ``touched`` users are visited."""
-    delta: dict[str, Any] = {}
-    for key, codec in fields.items():
-        value = getattr(owner, "_" + key)
-        if isinstance(value, dict):
-            value = DELTA_RULES[codec][0](value, base.setdefault(key, {}),
-                                          touched)
-        delta[key] = value
-    return delta
-
-
-def _fold_fields(state: dict[str, Any], fields: Mapping[str, str],
-                 delta: Mapping[str, Any]) -> None:
-    """Fold a :func:`_capture_delta` delta into the JSON state it was
-    taken against, in place.  A missing field folds as an empty one."""
-    for key, codec in fields.items():
-        change = delta[key]
-        if isinstance(change, dict):
-            DELTA_RULES[codec][1](state.setdefault(key, {}), change)
-        else:
-            state[key] = change
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,8 +186,6 @@ class StreamingReconstructor:
     #: the replay state this class owns, key -> codec (see
     #: :func:`_capture_fields`): every attribute that changes as events
     #: flow, except the reorder buffer, which :meth:`state` requires empty.
-    #: Dict fields are keyed by user id, and each code path that changes a
-    #: user's entries marks the user in ``_touched`` (see :meth:`delta`).
     STATE_FIELDS: ClassVar[dict[str, str]] = {
         "buffers": "requests",
         **dict.fromkeys(("max_seen", "flush_watermark", "emitted", "fed",
@@ -324,10 +220,6 @@ class StreamingReconstructor:
         self._closed = 0
         self._late_dropped = 0
         self._duplicates_dropped = 0
-        # while tracking changes (see track_changes): the users whose
-        # state changed since the delta base, and that base.
-        self._touched: set[str] | None = None
-        self._delta_base: dict[str, dict[str, Any]] = {}
         reg = registry if registry is not None else get_registry()
         self._registry = reg
         self._m_fed = reg.counter("stream.requests.fed")
@@ -441,8 +333,6 @@ class StreamingReconstructor:
             if gap > self.config.max_gap or span > self.config.max_duration:
                 emitted = self._finish(request.user_id)
         self._buffers.setdefault(request.user_id, []).append(request)
-        if self._touched is not None:
-            self._touched.add(request.user_id)
         self._fed += 1
         self._m_fed.inc()
         self._g_buffered.inc()
@@ -485,8 +375,6 @@ class StreamingReconstructor:
         return emitted
 
     def _finish(self, user_id: str) -> list[Session]:
-        if self._touched is not None:
-            self._touched.add(user_id)
         candidate = self._buffers.pop(user_id, None)
         if not candidate:
             return []
@@ -509,7 +397,7 @@ class StreamingReconstructor:
         return fields
 
     def _require_capturable(self) -> None:
-        """Raise unless :meth:`state` and :meth:`delta` can be taken."""
+        """Raise unless :meth:`state` can be taken."""
         if self._reorder:
             raise ExecutionError("cannot capture a pipeline with a "
                                  "non-empty reorder buffer")
@@ -529,58 +417,8 @@ class StreamingReconstructor:
         return _capture_fields(self, self.replay_fields())
 
     def restore(self, state: Mapping[str, Any]) -> None:
-        """Replace this pipeline's reconstruction state with ``state``;
-        a pipeline tracking changes takes it as its new delta base."""
+        """Replace this pipeline's reconstruction state with ``state``."""
         _apply_fields(self, self.replay_fields(), state)
-        if self._touched is not None:
-            self.track_changes()
-
-    def track_changes(self) -> None:
-        """Make the current state the base of :meth:`delta`, and from now
-        on record every user whose state changes.
-
-        Raises:
-            ExecutionError: as :meth:`state`.
-        """
-        self._require_capturable()
-        fields = self.replay_fields()
-        users: set[str] = set()
-        for key in fields:
-            value = getattr(self, "_" + key)
-            if isinstance(value, dict):
-                users.update(value)
-        # a delta of every user against an empty base builds the base.
-        self._delta_base = {}
-        _capture_delta(self, fields, self._delta_base, users)
-        self._touched = set()
-
-    def delta(self) -> dict[str, Any]:
-        """What changed in :meth:`state` since the delta base, which then
-        moves to the current state.
-
-        :meth:`fold` turns the state the base was taken at into the
-        current :meth:`state`.  Every dict field of a fresh pipeline is
-        empty, so the first delta after construction folds into ``{}``.
-        The cost is proportional to the users changed since the base and
-        their new requests, not to the buffered state.
-
-        Raises:
-            ExecutionError: when not tracking changes, and as
-                :meth:`state`.
-        """
-        if self._touched is None:
-            raise ExecutionError("delta() needs track_changes() first")
-        self._require_capturable()
-        delta = _capture_delta(self, self.replay_fields(), self._delta_base,
-                               self._touched)
-        self._touched.clear()
-        return delta
-
-    @classmethod
-    def fold(cls, state: dict[str, Any], delta: Mapping[str, Any]) -> None:
-        """Fold a :meth:`delta` into the JSON ``state`` it extends, in
-        place; ``delta`` must not be used afterwards."""
-        _fold_fields(state, cls.replay_fields(), delta)
 
     @property
     def max_seen(self) -> float:

@@ -28,38 +28,43 @@ except that each ACK leaves as soon as it is cut.
 
 Crash safety rests on three pieces:
 
-* **Acked capsules.**  The coordinator keeps, per shard, the last acked
-  capsule: the schema stamp, the pipeline's own ``state()`` (its
-  declared replay state — a pure function of the events processed so
-  far) and the worker registry's ``snapshot()``, so a respawned worker
-  resumes both its sessions and its metrics exactly where the ACK left
-  them.  Every ``ack_interval`` events (and after every watermark flush)
-  a worker ships only a capsule *delta* inside its ACK: the pipeline's
-  ``delta()`` since the last capsule it sent (or the CAP it was restored
-  from), plus the registry snapshot.  :func:`fold_capsule`, called by
-  :meth:`ReplayLog.ack`, folds it into the full capsule, so an ACK costs
-  the events since the previous one, not the buffered state.
+* **Progress ACKs and rare capsules.**  Every ``ack_interval`` events
+  (and after every watermark flush) a worker sends a 24-byte progress
+  ACK: its event ordinal, watermark index and event-time watermark.
   Because the pipe is FIFO, an ACK for event ``k`` proves the
   coordinator already holds every session emitted by events ``<= k``;
-  those sessions become *durable* and the events are trimmed from the
-  replay log.
-* **Bounded replay logs.**  Unacked events (and watermark marks) are
-  retained per shard in a bounded, in-memory :class:`ReplayLog`.  A full
-  log is backpressure: the coordinator stops routing to that shard until
-  it acks or its lease expires.
-* **Lease supervision and replay.**  A shard with outstanding work that
-  produces no frames within ``lease`` seconds is wedged; a pipe that
+  those sessions become *durable*.  Far less often — once
+  :attr:`ShardedConfig.checkpoint_interval` events (half the replay
+  capacity) have passed since the last one — the worker also cuts a
+  full **capsule** right after the ACK: the schema stamp, the pipeline's
+  own ``state()`` (its declared replay state — a pure function of the
+  events processed so far) and the worker registry's ``snapshot()``.
+  The coordinator keeps the capsule bytes as they came, without parsing
+  them, and trims the shard's replay log to the capsule's stamp.
+* **Bounded replay logs.**  The events (and watermark marks) routed
+  since the last capsule are retained per shard in a bounded, in-memory
+  :class:`ReplayLog`.  A full log is backpressure: the coordinator stops
+  routing to that shard until it cuts a capsule or its lease expires.
+* **Lease supervision and replay.**  A shard with outstanding work —
+  bytes not yet written to it, an EOF, or a full replay log waiting on
+  its next capsule — that produces no frames within ``lease`` seconds
+  is wedged; a pipe that
   reaches EOF is dead.  The lease clock restarts whenever bytes reach
   the worker, a frame comes back, or work is queued for a shard that
   owed nothing — so a pause in the input, however long, is never read
   as a wedge.  Either way the coordinator discards the shard's
   *pending* (post-ACK) sessions, respawns the worker after a
-  :class:`~repro.parallel.supervisor.RetryPolicy` backoff, restores the
-  last capsule, and replays the logged events in order.  The respawned
-  worker re-derives exactly the sessions that were discarded — so a run
-  with injected worker kills produces byte-identical sealed output
-  (by :meth:`~repro.sessions.model.SessionSet.canonical_digest`) to an
-  unkilled single-threaded run.
+  :class:`~repro.parallel.supervisor.RetryPolicy` backoff, hands it the
+  last capsule together with the stamp of the last ACK, and replays the
+  logged events in order.  Replay is deterministic, so up to that ACK
+  the respawned worker re-derives sessions the coordinator already
+  holds: it encodes none of them and sends no ACK until it passes the
+  stamp.  After it, it re-derives exactly the sessions that were
+  discarded — so a run with injected worker kills produces
+  byte-identical sealed output (by
+  :meth:`~repro.sessions.model.SessionSet.canonical_digest`) to an
+  unkilled single-threaded run, and re-processes at most one replay
+  capacity of events.
 
 Sealing follows the watermark rule: each ACK carries the shard's event
 time watermark; the coordinator's global low-watermark is the minimum
@@ -119,8 +124,7 @@ from repro.obs import Registry, get_registry
 from repro.parallel.supervisor import RetryPolicy
 from repro.sessions.model import Request, SessionSet
 from repro.streaming import wire
-from repro.streaming.governor import (GovernedStreamingReconstructor,
-                                      GovernorConfig)
+from repro.streaming.governor import GovernorConfig
 from repro.streaming.pipeline import streaming_phase1, streaming_smart_sra
 
 __all__ = [
@@ -136,14 +140,13 @@ __all__ = [
     "shard_for",
     "capsule_from",
     "restore_capsule",
-    "fold_capsule",
 ]
 
 #: what to do when a shard worker dies or wedges.
 SHARD_FAILURE_POLICIES = ("failover", "shed-shard", "raise")
 
-#: schema version of capsules.
-REPLAY_SCHEMA = 2
+#: schema version of capsules and of the CAP payload that carries them.
+REPLAY_SCHEMA = 3
 
 #: bytes read from a pipe per syscall.
 _READ_CHUNK = 1 << 16
@@ -173,12 +176,18 @@ class ShardedConfig:
     Attributes:
         shards: number of worker processes (users hash across them).
         on_shard_failure: one of :data:`SHARD_FAILURE_POLICIES`.
-        ack_interval: events between worker capsules/ACKs.  Smaller
-            means less replay after a crash but more capsule traffic.
+        ack_interval: events between a worker's progress ACKs (one also
+            follows every watermark flush).  An ACK makes the sessions
+            emitted so far durable and advances sealing; it is 24 bytes
+            of progress, never state.
         lease: seconds a shard with outstanding work may stay silent
             before the coordinator declares it wedged.
-        replay_capacity: maximum *unacked* events retained per shard;
-            reaching it backpressures routing to that shard.
+        replay_capacity: maximum events retained per shard since its
+            last capsule; reaching it backpressures routing to that
+            shard.  A worker cuts a capsule every
+            :attr:`checkpoint_interval` events, half this capacity, so
+            the log normally stays under it, and a crash re-processes at
+            most this many events.
         max_watermark_lag: event-time seconds a shard's watermark may
             trail the routed head before ``/health`` degrades.
     """
@@ -214,6 +223,15 @@ class ShardedConfig:
             raise ConfigurationError(
                 f"max_watermark_lag must be > 0, got "
                 f"{self.max_watermark_lag}")
+
+    @property
+    def checkpoint_interval(self) -> int:
+        """Events between a worker's capsules: half ``replay_capacity``,
+        rounded down to a multiple of ``ack_interval`` and never below
+        it."""
+        half = self.replay_capacity // 2
+        return max(self.ack_interval,
+                   half - half % self.ack_interval)
 
 
 class ShardLedger:
@@ -302,10 +320,14 @@ class ShardLedger:
 
 
 class ReplayLog:
-    """Bounded per-shard log of unacked events and watermark marks.
+    """Bounded per-shard log of the events and watermarks routed since
+    the shard's last capsule, and that capsule's bytes.
 
-    Lives in coordinator memory: a dead coordinator ends the run, so
-    nothing outlives it that a replay could use.
+    Entries are the routed :data:`~repro.streaming.wire.Event` tuples
+    and the broadcast watermark values, in routing order; their ordinals
+    and watermark indices are implicit, counting on from the capsule's
+    stamp.  Lives in coordinator memory: a dead coordinator ends the
+    run, so nothing outlives it that a replay could use.
     """
 
     def __init__(self, shard: int, capacity: int) -> None:
@@ -314,65 +336,80 @@ class ReplayLog:
                 f"replay capacity must be >= 1, got {capacity}")
         self.shard = shard
         self.capacity = capacity
-        # entries: ["evt", ordinal, ts, user, page, referrer, synthetic]
-        #       or ["wm", wm_index, value]
-        self.entries: deque[list[Any]] = deque()
-        self.capsule: dict[str, Any] | None = None
+        self.entries: deque[wire.Event | float] = deque()
+        #: the last capsule's CAP payload as the worker sent it.
+        self.capsule: bytes | None = None
+        #: the ``(ordinal, wm_index)`` the first entry follows.
+        self.stamp = (0, 0)
         self._events = 0
 
     @property
     def event_count(self) -> int:
-        """Unacked events currently held (the bounded quantity)."""
+        """Events currently held (the bounded quantity)."""
         return self._events
 
-    def append_event(self, ordinal: int, timestamp: float, user: str,
-                     page: str, referrer: str | None,
-                     synthetic: bool) -> bool:
+    @property
+    def full(self) -> bool:
+        """At capacity: routing to the shard waits for its next capsule."""
+        return self._events >= self.capacity
+
+    def append_event(self, event: wire.Event) -> bool:
         """Retain one routed event; False when the log is at capacity."""
-        if self._events >= self.capacity:
+        if self.full:
             return False
-        self.entries.append(["evt", ordinal, timestamp, user, page,
-                             referrer, synthetic])
+        self.entries.append(event)
         self._events += 1
         return True
 
-    def append_watermark(self, wm_index: int, value: float) -> None:
+    def append_watermark(self, value: float) -> None:
         """Retain one broadcast watermark (watermarks are never bounded)."""
-        self.entries.append(["wm", wm_index, value])
+        self.entries.append(value)
 
     def clear(self) -> None:
         """Drop every retained entry (the shard was shed)."""
         self.entries.clear()
         self._events = 0
 
-    def ack(self, ordinal: int, wm_index: int,
-            delta: dict[str, Any] | None = None) -> int:
-        """Trim entries covered by an ACK and fold its capsule ``delta``
-        (see :func:`fold_capsule`); returns the trimmed event count."""
-        trimmed = 0
-        entries = self.entries
-        while entries:
-            head = entries[0]
-            if head[0] == "evt" and head[1] <= ordinal:
-                entries.popleft()
-                self._events -= 1
-                trimmed += 1
-            elif head[0] == "wm" and head[1] <= wm_index:
-                entries.popleft()
+    def checkpoint(self, capsule: bytes) -> int:
+        """Adopt a worker's capsule payload and drop the entries its
+        stamp covers; returns the dropped event count.
+
+        Raises:
+            ExecutionError: when the stamp is behind the log's, or past
+                what the log holds.
+        """
+        ordinal, wm_index = target = wire.capsule_stamp(capsule)
+        done, wm_done = self.stamp
+        if ordinal < done or wm_index < wm_done:
+            raise ExecutionError(
+                f"shard {self.shard} capsule at {list(target)} is behind "
+                f"the replay log at {list(self.stamp)}")
+        consumed = 0
+        for entry in self.entries:
+            if type(entry) is tuple:
+                if done == ordinal:
+                    break
+                done += 1
+            elif wm_done < wm_index:
+                wm_done += 1
             else:
                 break
-        if delta is not None:
-            self.capsule = fold_capsule(self.capsule, delta, ordinal,
-                                        wm_index)
+            consumed += 1
+        if (done, wm_done) != target:
+            raise ExecutionError(
+                f"shard {self.shard} capsule at {list(target)} is past "
+                f"the replay log, which ends at {[done, wm_done]}")
+        trimmed = ordinal - self.stamp[0]
+        for _ in range(consumed):
+            self.entries.popleft()
+        self._events -= trimmed
+        self.capsule = capsule
+        self.stamp = target
         return trimmed
 
-    def recover(self) -> tuple[dict[str, Any] | None, list[list[Any]]]:
-        """State to rebuild a worker from: ``(capsule, entries)``.
-
-        The returned capsule is the log's own, the base the respawned
-        worker's next delta folds into; do not mutate it.
-        """
-        return self.capsule, [list(entry) for entry in self.entries]
+    def recover(self) -> tuple[bytes | None, list[wire.Event | float]]:
+        """State to rebuild a worker from: ``(capsule, entries)``."""
+        return self.capsule, list(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +421,7 @@ def capsule_from(pipeline: Any) -> dict[str, Any]:
 
     ``state()`` needs an empty reorder buffer and no spilled users: shard
     workers run with ``reorder_window=0`` (the coordinator reorders
-    *before* routing) and skip ACKs while any cold buffer is on disk
+    *before* routing) and cut no capsule while any cold buffer is on disk
     (spill files die with the worker).
     """
     return {"schema": REPLAY_SCHEMA, "state": pipeline.state()}
@@ -396,35 +433,6 @@ def restore_capsule(pipeline: Any, capsule: dict[str, Any]) -> None:
         raise ExecutionError(
             f"capsule schema {capsule.get('schema')!r} != {REPLAY_SCHEMA}")
     pipeline.restore(capsule["state"])
-
-
-def fold_capsule(capsule: dict[str, Any] | None, delta: dict[str, Any],
-                 ordinal: int, wm_index: int) -> dict[str, Any]:
-    """Fold an ACK's capsule delta into the acked ``capsule``, in place.
-
-    ``delta`` holds the worker pipeline's ``delta()`` (``state``), its
-    registry ``snapshot()`` (``metrics``) and the ``[ordinal, wm_index]``
-    stamp of the capsule it extends (``base``; ``None`` for a fresh
-    worker, whose state folds from empty).  The result is the full
-    capsule at ``ordinal`` / ``wm_index``, as :func:`capsule_from` plus
-    those stamps would have cut it.
-
-    Raises:
-        ExecutionError: when ``base`` is not ``capsule``'s stamp.
-    """
-    stamp = (None if capsule is None
-             else [capsule["ordinal"], capsule["wm_index"]])
-    if delta["base"] != stamp:
-        raise ExecutionError(
-            f"capsule delta extends {delta['base']!r}, but the acked "
-            f"capsule is at {stamp!r}")
-    if capsule is None:
-        capsule = {"schema": REPLAY_SCHEMA, "state": {}}
-    GovernedStreamingReconstructor.fold(capsule["state"], delta["state"])
-    capsule["metrics"] = delta["metrics"]
-    capsule["ordinal"] = ordinal
-    capsule["wm_index"] = wm_index
-    return capsule
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +448,7 @@ def _write_all(fd: int, data: bytes) -> None:
 
 def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
                  close_fds: tuple[int, ...], ack_interval: int,
-                 builder: Any) -> None:
+                 checkpoint_interval: int, builder: Any) -> None:
     """Body of one shard worker process (forked; never returns)."""
     for fd in close_fds:
         try:
@@ -453,36 +461,34 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
     encoder = wire.SymbolEncoder()
     registry = Registry()
     pipeline = builder(registry)
-    pipeline.track_changes()
     ordinal = 0
     wm_index = 0
-    # the stamp of the capsule the coordinator folds the next delta into:
-    # the last one sent, or the restored CAP (None: the empty state).
-    base: list[int] | None = None
+    # the ordinal of the last capsule cut or restored.
+    capsule_at = 0
+    # a respawned worker replays what the coordinator's last ACK already
+    # covers: until it passes that stamp it is quiet — no OUT, no ACK.
+    acked_ordinal = acked_wm = 0
+    quiet = False
 
-    def progress_document() -> dict[str, Any]:
-        return {"ordinal": ordinal, "wm_index": wm_index,
-                "watermark": pipeline.max_seen}
-
-    def maybe_ack(out: bytearray) -> None:
-        nonlocal base
+    def progress(out: bytearray) -> None:
+        nonlocal capsule_at
         # spilled cold buffers live in this process's temp dir and die
-        # with it — a capsule taken now could not be replayed, so keep
-        # the previous one and let the log carry the extra events; the
-        # delta base stays put until the next ACK.
+        # with it — a capsule taken now could not be replayed, so send
+        # neither frame until the spill clears.
         if pipeline.has_spilled:
             return
-        document = progress_document()
-        # the registry rides along, so a respawned worker's metrics
-        # resume where this incarnation's stood at the ACK.
-        document["delta"] = {"base": base, "state": pipeline.delta(),
-                             "metrics": registry.snapshot()}
-        base = [ordinal, wm_index]
-        out += wire.json_frame(wire.ACK, document)
+        out += wire.progress_frame(ordinal, wm_index, pipeline.max_seen)
+        if ordinal - capsule_at >= checkpoint_interval:
+            # after the ACK, so the coordinator never holds a capsule
+            # newer than the sessions it holds.  The registry rides
+            # along, so a respawned worker's metrics resume here.
+            capsule = capsule_from(pipeline)
+            capsule["metrics"] = registry.snapshot()
+            out += wire.capsule_frame(ordinal, wm_index, capsule)
+            capsule_at = ordinal
         # an ACK leaves as soon as it is cut, with the sessions it makes
         # durable: a worker that fell a whole pipe chunk behind must not
-        # hold its progress (and the coordinator's replay trim) back for
-        # the rest of the chunk.
+        # hold its progress back for the rest of the chunk.
         _write_all(up_fd, out)
         out.clear()
 
@@ -509,33 +515,45 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
                             os.close(down_fd)
                             os.close(up_fd)
                             os._exit(0)
-                        encoder.encode_sessions(out, pipeline.feed(
-                            Request(ts, user, page, synthetic, referrer)))
-                        if ordinal % ack_interval == 0:
-                            maybe_ack(out)
+                        sessions = pipeline.feed(
+                            Request(ts, user, page, synthetic, referrer))
+                        if quiet:
+                            if ordinal <= acked_ordinal:
+                                continue
+                            quiet = False
+                        encoder.encode_sessions(out, sessions)
+                        if (ordinal % ack_interval == 0
+                                or ordinal - capsule_at
+                                >= checkpoint_interval):
+                            progress(out)
                 elif kind == wire.SYM:
                     decoder.add_symbol(payload)
                 elif kind == wire.CAP:
-                    capsule = wire.decode_json(payload)
-                    # restore() also rebases the pipeline's deltas.
-                    restore_capsule(pipeline, capsule)
-                    registry.merge_snapshot(capsule["metrics"])
-                    ordinal = int(capsule["ordinal"])
-                    wm_index = int(capsule["wm_index"])
-                    base = [ordinal, wm_index]
+                    (acked_ordinal, acked_wm), stamp, capsule = \
+                        wire.decode_resume(payload)
+                    if capsule is not None:
+                        restore_capsule(pipeline, capsule)
+                        registry.merge_snapshot(capsule["metrics"])
+                        ordinal, wm_index = stamp
+                        capsule_at = ordinal
+                    quiet = True
                 elif kind == wire.WM:
                     watermark = wire.decode_watermark(payload)
                     wm_index += 1
-                    encoder.encode_sessions(out, pipeline.flush(watermark))
-                    maybe_ack(out)
+                    sessions = pipeline.flush(watermark)
+                    if quiet:
+                        if wm_index <= acked_wm:
+                            continue
+                        quiet = False
+                    encoder.encode_sessions(out, sessions)
+                    progress(out)
                 elif kind == wire.EOF:
                     encoder.encode_sessions(out, pipeline.flush())
-                    document = progress_document()
-                    document["watermark"] = math.inf
-                    document["stats"] = dataclasses.asdict(pipeline.stats())
-                    document["snapshot"] = registry.snapshot()
-                    out += wire.json_frame(wire.DONE, document)
-                    _write_all(up_fd, out)
+                    _write_all(up_fd, out + wire.json_frame(wire.DONE, {
+                        "ordinal": ordinal, "wm_index": wm_index,
+                        "watermark": math.inf,
+                        "stats": dataclasses.asdict(pipeline.stats()),
+                        "snapshot": registry.snapshot()}))
                     os._exit(0)
             if out:
                 _write_all(up_fd, out)
@@ -592,8 +610,10 @@ class ShardedRunResult:
         shard_stats: each worker's final
             :class:`~repro.streaming.governor.GovernedStreamingStats`
             as a plain dict (empty for shed shards).
-        recovery_seconds: wall-clock failover-to-first-ACK time of every
-            recovery, in occurrence order.
+        recovery_seconds: wall-clock time from each failover to the
+            respawned worker's first ACK — sent once its replay of the
+            events since the last capsule has passed the last ACK the
+            coordinator absorbed — in occurrence order.
     """
 
     sessions: SessionSet
@@ -607,8 +627,8 @@ class _ShardHandle:
 
     __slots__ = ("shard", "proc", "down_fd", "up_fd", "encoder", "decoder",
                  "reader", "outbound", "batch", "pending", "watermark",
-                 "last_inbound", "last_sent", "incarnation", "state",
-                 "eof_sent", "events_sent", "wm_sent", "done", "failed_at")
+                 "acked", "last_inbound", "last_sent", "incarnation",
+                 "state", "eof_sent", "events_sent", "done", "failed_at")
 
     def __init__(self, shard: int) -> None:
         self.shard = shard
@@ -624,13 +644,14 @@ class _ShardHandle:
         # OUT batches received since the last ACK (not yet durable)
         self.pending: list[wire.SessionBatch] = []
         self.watermark = -math.inf
+        # the (ordinal, wm_index) stamp of the last ACK absorbed
+        self.acked = (0, 0)
         self.last_inbound = 0.0
         self.last_sent = 0.0
         self.incarnation = 0
         self.state = "new"          # new | running | done | shed
         self.eof_sent = False
         self.events_sent = 0
-        self.wm_sent = 0
         self.done: dict[str, Any] | None = None
         self.failed_at: float | None = None
 
@@ -736,9 +757,8 @@ class ShardedStreamingRuntime:
         return streaming_smart_sra(self._topology, self._config,
                                    governor=self.governor, **options)
 
-    def _spawn(self, handle: _ShardHandle,
-               capsule: dict[str, Any] | None,
-               entries: list[list[Any]]) -> None:
+    def _spawn(self, handle: _ShardHandle, capsule: bytes | None,
+               entries: list[wire.Event | float]) -> None:
         down_read, down_write = os.pipe()
         up_read, up_write = os.pipe()
         os.set_blocking(down_write, False)
@@ -753,7 +773,7 @@ class ShardedStreamingRuntime:
             target=_worker_main,
             args=(handle.shard, handle.incarnation, down_read, up_write,
                   tuple(close_fds), self.sharded.ack_interval,
-                  self._build_pipeline),
+                  self.sharded.checkpoint_interval, self._build_pipeline),
             daemon=True,
             name=f"repro-shard-{handle.shard}.{handle.incarnation}")
         proc.start()
@@ -770,24 +790,22 @@ class ShardedStreamingRuntime:
         handle.last_inbound = time.monotonic()
         handle.last_sent = handle.last_inbound
         self._gauge("sharded.shard.alive", handle.shard).set(1)
-        if capsule is not None:
-            handle.outbound += wire.json_frame(wire.CAP, capsule)
+        if capsule is not None or handle.acked != (0, 0):
+            handle.outbound += wire.resume_frame(handle.acked, capsule)
         # consecutive logged events travel in ACK-span EVT frames, exactly
         # as they were first routed.
         span = self.sharded.ack_interval
         events: list[wire.Event] = []
         for entry in entries:
-            if entry[0] == "evt":
-                _, _, ts, user, page, referrer, synthetic = entry
-                events.append((float(ts), user, page, referrer,
-                               bool(synthetic)))
+            if type(entry) is tuple:
+                events.append(entry)
                 if len(events) == span:
                     handle.encoder.encode_events(handle.outbound, events)
                     events.clear()
             else:
                 handle.encoder.encode_events(handle.outbound, events)
                 events.clear()
-                handle.outbound += wire.watermark_frame(float(entry[2]))
+                handle.outbound += wire.watermark_frame(entry)
         handle.encoder.encode_events(handle.outbound, events)
         if handle.eof_sent:
             handle.outbound += wire.frame(wire.EOF)
@@ -887,9 +905,7 @@ class ShardedStreamingRuntime:
         now = time.monotonic()
         for handle in self._handles:
             if handle.state == "running":
-                handle.wm_sent += 1
-                self._logs[handle.shard].append_watermark(
-                    handle.wm_sent, watermark)
+                self._logs[handle.shard].append_watermark(watermark)
                 handle.send(wire.watermark_frame(watermark), now)
         # hand the watermark over now, so sealing is as prompt as when
         # every event was pumped on its own.
@@ -904,22 +920,21 @@ class ShardedStreamingRuntime:
                                                      self._ledger.shards)
         handle = self._handles[shard]
         log = self._logs[shard]
-        # a full replay log is backpressure: wait for an ACK (or for the
-        # lease supervisor to declare the shard wedged) before routing
-        # more events at it.
-        while (handle.state == "running"
-               and log.event_count >= log.capacity):
+        # a full replay log is backpressure: wait for a capsule (or for
+        # the lease supervisor to declare the shard wedged) before
+        # routing more events at it.
+        while handle.state == "running" and log.full:
             self._pump(_PUMP_TIMEOUT)
         if not self._ledger.route(shard):
             self._count("sharded.events.shed")
             return
         handle.events_sent += 1
         timestamp = request.timestamp
-        log.append_event(handle.events_sent, timestamp, user, request.page,
-                         request.referrer, request.synthetic)
+        event = (timestamp, user, request.page, request.referrer,
+                 request.synthetic)
+        log.append_event(event)
         batch = handle.batch
-        batch.append((timestamp, user, request.page, request.referrer,
-                      request.synthetic))
+        batch.append(event)
         self._routed_unreported += 1
         if timestamp > self._head:
             self._head = timestamp
@@ -951,7 +966,10 @@ class ShardedStreamingRuntime:
         self._frame_batches()
         now = self._last_pump = time.monotonic()
         for handle in self._handles:
-            if (handle.state == "running" and handle.outstanding
+            # a shard whose log is full owes a capsule: its lease runs
+            # even when every byte routed to it has been written.
+            if (handle.state == "running"
+                    and (handle.outstanding or self._logs[handle.shard].full)
                     and handle.quiet_for(now) > self.sharded.lease):
                 self._wedged += 1
                 self._count("sharded.wedged")
@@ -1022,13 +1040,20 @@ class ShardedStreamingRuntime:
         if kind == wire.ACK:
             self._registry.counter("sharded.ack.bytes",
                                    shard=str(handle.shard)).inc(len(payload))
-            document = wire.decode_json(payload)
-            self._absorb_progress(handle, document,
-                                  delta=document.get("delta"))
+            self._absorb_progress(handle, *wire.decode_progress(payload))
+            return
+        if kind == wire.CAP:
+            self._registry.counter("sharded.capsule.bytes",
+                                   shard=str(handle.shard)).inc(len(payload))
+            log = self._logs[handle.shard]
+            log.checkpoint(payload)
+            self._gauge("sharded.replay.events", handle.shard).set(
+                log.event_count)
             return
         if kind == wire.DONE:
             document = wire.decode_json(payload)
-            self._absorb_progress(handle, document, delta=None)
+            self._absorb_progress(handle, int(document["ordinal"]),
+                                  int(document["wm_index"]), math.inf)
             handle.done = document
             handle.state = "done"
             handle.watermark = math.inf
@@ -1046,14 +1071,10 @@ class ShardedStreamingRuntime:
         raise WireProtocolError(
             f"unexpected frame kind {kind} from shard {handle.shard}")
 
-    def _absorb_progress(self, handle: _ShardHandle,
-                         document: dict[str, Any],
-                         delta: dict[str, Any] | None) -> None:
-        log = self._logs[handle.shard]
-        trimmed = log.ack(int(document["ordinal"]),
-                          int(document["wm_index"]), delta)
-        self._ledger.ack(handle.shard, trimmed)
-        watermark = float(document["watermark"])
+    def _absorb_progress(self, handle: _ShardHandle, ordinal: int,
+                         wm_index: int, watermark: float) -> None:
+        self._ledger.ack(handle.shard, ordinal - handle.acked[0])
+        handle.acked = (ordinal, wm_index)
         if watermark > handle.watermark:
             handle.watermark = watermark
         if handle.failed_at is not None:
@@ -1067,8 +1088,6 @@ class ShardedStreamingRuntime:
                 for end_time in batch.end_times:
                     heapq.heappush(self._durable, end_time)
             handle.pending.clear()
-        self._gauge("sharded.replay.events", handle.shard).set(
-            log.event_count)
         if math.isfinite(handle.watermark):
             self._gauge("sharded.shard.watermark", handle.shard).set(
                 handle.watermark)

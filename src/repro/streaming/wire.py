@@ -29,8 +29,16 @@ interns them and ships fixed-width records over a byte stream:
   the payload, so :func:`canonical_keys` can later rank the tables and
   turn the index lists into byte sort keys without rebuilding a key
   object per request occurrence;
-* control frames (watermarks, capsules, acks) are small and
-  infrequent, so they ride as canonical JSON.
+* a progress ``ACK`` goes up every ``ack_interval`` events and after
+  every watermark flush, so it is a fixed 24-byte record (uint64
+  ordinal, uint64 watermark index, float64 watermark), never JSON;
+* a state capsule (``CAP``) is a 16-byte ``[ordinal, wm_index]`` stamp
+  followed by canonical JSON.  A worker cuts one only every half replay
+  capacity; the coordinator keeps its bytes as they came and, to
+  restore a respawned worker, sends them back behind the stamp of the
+  last progress ACK it absorbed.  The coordinator reads the stamps and
+  never parses the JSON.  ``WM`` is one float64; ``DONE`` (once per
+  worker) is JSON.
 
 Both directions of the pipe use the same framing and the same ``SYM``
 interning (worker → coordinator for the users and pages of emitted
@@ -55,7 +63,9 @@ __all__ = [
     "SYM", "EVT", "WM", "EOF", "CAP", "OUT", "ACK", "DONE", "ERR",
     "Event", "FrameReader", "SymbolEncoder", "SymbolDecoder",
     "SessionBatch", "canonical_keys", "frame", "json_frame", "decode_json",
-    "watermark_frame", "decode_watermark",
+    "watermark_frame", "decode_watermark", "progress_frame",
+    "decode_progress", "capsule_frame", "capsule_stamp", "resume_frame",
+    "decode_resume",
 ]
 
 # coordinator -> worker
@@ -63,11 +73,11 @@ SYM = 1   #: intern the UTF-8 payload as the next symbol id
 EVT = 2   #: one or more requests, fixed-width records
 WM = 3    #: flush watermark (float64)
 EOF = 4   #: end of stream — flush everything and send DONE
-CAP = 5   #: state capsule (JSON), sent before replaying into a respawn
+CAP = 5   #: state capsule: cut by a worker, sent back to restore a respawn
 
 # worker -> coordinator
 OUT = 6   #: one emission batch of sessions (binary request table)
-ACK = 7   #: progress acknowledgement + refreshed capsule (JSON)
+ACK = 7   #: progress acknowledgement (binary ordinal, wm_index, watermark)
 DONE = 8  #: final stats + obs snapshot (JSON)
 ERR = 9   #: fatal, deterministic worker error (UTF-8 traceback)
 
@@ -76,6 +86,8 @@ _KINDS = frozenset((SYM, EVT, WM, EOF, CAP, OUT, ACK, DONE, ERR))
 _HEADER = struct.Struct("!BI")
 _EVENT = struct.Struct("!diiiB")
 _WM = struct.Struct("!d")
+_STAMP = struct.Struct("!QQ")        # ordinal, wm_index
+_PROGRESS = struct.Struct("!QQd")    # ordinal, wm_index, watermark
 _BATCH = struct.Struct("!II")        # table entries, sessions
 _REQUEST = struct.Struct("!dIIB")    # timestamp, user id, page id, synthetic
 _INDEX = 4                           # bytes per uint32 length or index
@@ -92,11 +104,14 @@ def frame(kind: int, payload: bytes = b"") -> bytes:
     return _HEADER.pack(kind, len(payload)) + payload
 
 
+def _canonical_json(document: Any) -> bytes:
+    return json.dumps(document, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
 def json_frame(kind: int, document: Any) -> bytes:
     """Serialize ``document`` as a canonical-JSON frame of ``kind``."""
-    payload = json.dumps(document, sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
-    return frame(kind, payload)
+    return frame(kind, _canonical_json(document))
 
 
 def decode_json(payload: bytes) -> Any:
@@ -118,6 +133,58 @@ def decode_watermark(payload: bytes) -> float:
         raise WireProtocolError(
             f"watermark payload is {len(payload)} bytes, want {_WM.size}")
     return float(_WM.unpack(payload)[0])
+
+
+def progress_frame(ordinal: int, wm_index: int, watermark: float) -> bytes:
+    """Serialize a progress ACK: the worker has processed every event up
+    to ``ordinal`` and every watermark up to ``wm_index``, and the newest
+    event time it has seen is ``watermark``."""
+    return frame(ACK, _PROGRESS.pack(ordinal, wm_index, watermark))
+
+
+def decode_progress(payload: bytes) -> tuple[int, int, float]:
+    """Decode an ACK payload to ``(ordinal, wm_index, watermark)``."""
+    if len(payload) != _PROGRESS.size:
+        raise WireProtocolError(
+            f"progress payload is {len(payload)} bytes, want "
+            f"{_PROGRESS.size}")
+    return _PROGRESS.unpack(payload)
+
+
+def capsule_frame(ordinal: int, wm_index: int, document: Any) -> bytes:
+    """Serialize a worker's capsule: its ``[ordinal, wm_index]`` stamp,
+    then ``document`` as canonical JSON."""
+    return frame(CAP, _STAMP.pack(ordinal, wm_index)
+                 + _canonical_json(document))
+
+
+def capsule_stamp(payload: bytes) -> tuple[int, int]:
+    """The ``(ordinal, wm_index)`` stamp of a :func:`capsule_frame`
+    payload, read without parsing its JSON."""
+    if len(payload) < _STAMP.size:
+        raise WireProtocolError(
+            f"capsule payload is {len(payload)} bytes, shorter than its "
+            f"{_STAMP.size}-byte stamp")
+    return _STAMP.unpack_from(payload)
+
+
+def resume_frame(acked: tuple[int, int], capsule: bytes | None) -> bytes:
+    """The CAP frame that restores a respawned worker: the stamp of the
+    last ACK the coordinator absorbed, then the last capsule payload
+    exactly as the worker sent it (nothing before the first capsule)."""
+    return frame(CAP, _STAMP.pack(*acked) + (capsule or b""))
+
+
+def decode_resume(payload: bytes
+                  ) -> tuple[tuple[int, int], tuple[int, int] | None, Any]:
+    """Decode a :func:`resume_frame` payload to ``(acked stamp, capsule
+    stamp, capsule document)``; the last two are ``None`` before the
+    first capsule."""
+    acked = capsule_stamp(payload)
+    body = payload[_STAMP.size:]
+    if not body:
+        return acked, None, None
+    return acked, capsule_stamp(body), decode_json(body[_STAMP.size:])
 
 
 class FrameReader:

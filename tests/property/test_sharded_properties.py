@@ -283,9 +283,8 @@ class CoordinatorHarness:
             self.runtime._on_frame(handle, kind, payload)
 
     def ack(self, shard: int) -> None:
-        self.runtime._absorb_progress(
-            self.runtime._handles[shard],
-            {"ordinal": 0, "wm_index": 0, "watermark": 0.0}, delta=None)
+        self.runtime._absorb_progress(self.runtime._handles[shard], 0, 0,
+                                      0.0)
 
     def fail(self, shard: int) -> None:
         self.runtime._fail(self.runtime._handles[shard], "killed by test")

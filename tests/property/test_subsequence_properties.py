@@ -3,7 +3,7 @@ evaluation's ``str.find`` relation vs KMP, and its maximum matching."""
 
 from __future__ import annotations
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.evaluation.metrics import _capture_relation, _maximum_matching
 from repro.evaluation.subsequence import contains, find
@@ -123,3 +123,33 @@ def test_matching_is_maximum(adjacency):
     """The explicit-stack augmenting-path search finds a maximum
     matching of the capture graph (exhaustive check on small graphs)."""
     assert _maximum_matching(adjacency) == _brute_force_matching(adjacency)
+
+
+def _kuhn_matching(adjacency):
+    """Kuhn's algorithm, one augmenting-path search per left node with a
+    fresh visited set: the matching the Hopcroft–Karp search replaced,
+    kept as its reference."""
+    match_right = {}
+
+    def augment(left, visited):
+        for right in adjacency[left]:
+            if right in visited:
+                continue
+            visited.add(right)
+            if right not in match_right or augment(match_right[right],
+                                                   visited):
+                match_right[right] = left
+                return True
+        return False
+
+    return sum(augment(left, set()) for left in range(len(adjacency)))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 40).flatmap(lambda rights: st.lists(
+    st.lists(st.integers(0, rights - 1), max_size=6, unique=True),
+    max_size=60)))
+def test_matching_size_equals_kuhns(adjacency):
+    """On random bipartite graphs, sparse and dense, with more left than
+    right nodes and the reverse, the matching is as large as Kuhn's."""
+    assert _maximum_matching(adjacency) == _kuhn_matching(adjacency)

@@ -477,6 +477,21 @@ def test_chaos_overload_selftest_json(capsys):
     assert document["bounded"] is True
 
 
+def test_chaos_shard_selftest_kills_on_both_sides_of_a_capsule(capsys):
+    # the default kills (ordinals 40 and 60) land before any capsule at
+    # the default replay capacity, and past capsules every 32 events at
+    # the selftest's small one.
+    assert main(["chaos", "--shard-selftest", "--json"]) == 0
+    import json as json_module
+    document = json_module.loads(capsys.readouterr().out)
+    assert document["ok"] is True
+    runs = document["runs"]
+    assert [run["checkpoint_interval"] for run in runs] == [32768, 32]
+    for run in runs:
+        assert run["identical"] and run["reconciled"] and run["recovered"]
+        assert run["stats"]["failovers"] == 2
+
+
 def test_chaos_selftests_mutually_exclusive(capsys):
     assert main(["chaos", "--exec-selftest", "--overload-selftest"]) == 2
     assert "mutually exclusive" in capsys.readouterr().err

@@ -25,13 +25,7 @@ from repro.streaming.governor import (
     parse_memory_budget,
     request_cost,
 )
-from repro.streaming.pipeline import DELTA_RULES, StreamingReconstructor
 from repro.topology.generators import random_site
-
-
-def _wire(document):
-    """``document`` after a trip through JSON, as ACK frames carry it."""
-    return json.loads(json.dumps(document))
 
 
 def _signature(sessions):
@@ -491,60 +485,6 @@ class TestReplayState:
         restored.restore(state)
         state["buffers"]["u"].clear()
         assert restored.state()["buffers"]["u"][0][1] == "mutated"
-
-    def test_every_state_codec_has_a_delta_rule(self):
-        # a codec without one would let its fields escape the ACK deltas.
-        for cls in (StreamingReconstructor, GovernedStreamingReconstructor):
-            assert set(cls.replay_fields().values()) <= DELTA_RULES.keys()
-
-    def test_deltas_fold_into_the_state(self):
-        pipeline = GovernedStreamingReconstructor(
-            lambda candidate: [Session(candidate)], governor=GovernorConfig(
-                memory_budget=1500, per_user_cap=8, quarantine_after=2,
-                quarantine_cap=64), late_policy="drop", dedup=True,
-            registry=Registry())
-        pipeline.track_changes()
-        folded = {}
-        for index, request in enumerate(self._stream()):
-            pipeline.feed(request)
-            if index % 7 == 0:
-                pipeline.fold(folded, _wire(pipeline.delta()))
-                assert folded == _wire(pipeline.state())
-        pipeline.fold(folded, _wire(pipeline.delta()))
-        assert folded == _wire(pipeline.state())
-
-    def test_delta_sees_a_channel_flushed_by_other_users_load(self):
-        pipeline = streaming_phase1(governor=GovernorConfig(
-            memory_budget=1000, per_user_cap=4, quarantine_after=1,
-            quarantine_cap=64), registry=Registry())
-        pipeline.track_changes()
-        for step in range(14):     # 4 strike the cap, 10 fill the channel
-            pipeline.feed(Request(float(step), "crawler", "P1"))
-        folded = {}
-        pipeline.fold(folded, _wire(pipeline.delta()))
-        assert len(folded["quarantine"]["crawler"]) == 10
-        # two other users push tracked bytes over the high watermark:
-        # their candidates are evicted, then the untouched crawler's
-        # channel is flushed.
-        pipeline.feed(Request(20.0, "u0", "P1"))
-        pipeline.feed(Request(21.0, "u1", "P1"))
-        assert pipeline.stats().quarantine_flushes == 1
-        pipeline.fold(folded, _wire(pipeline.delta()))
-        assert folded == _wire(pipeline.state())
-        assert folded["quarantine"]["crawler"] == []
-
-    def test_delta_needs_tracking_and_refuses_spilled_users(self, tmp_path):
-        pipeline = streaming_phase1(governor=GovernorConfig(
-            memory_budget=600, overload_policy="block",
-            spill_dir=str(tmp_path)), registry=Registry())
-        with pytest.raises(ExecutionError, match="track_changes"):
-            pipeline.delta()
-        pipeline.track_changes()
-        for step in range(12):
-            pipeline.feed(Request(float(step), f"u{step}", "P1"))
-        assert pipeline.has_spilled
-        with pytest.raises(ExecutionError, match="spilled"):
-            pipeline.delta()
 
     def test_state_refuses_spilled_users(self, tmp_path):
         pipeline = streaming_phase1(governor=GovernorConfig(

@@ -9,7 +9,6 @@ raise policies).  The heavy kill/wedge failover scenarios live in
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 import time
@@ -278,6 +277,15 @@ class TestWireProtocol:
         with pytest.raises(WireProtocolError, match="symbol id 99"):
             decoder.decode_batch(unknown_symbol)
 
+    def test_progress_ack_is_a_fixed_binary_record(self):
+        frame = wire.progress_frame(1 << 40, 7, -math.inf)
+        assert len(frame) == 5 + 24
+        [(kind, payload)] = wire.FrameReader().feed(frame)
+        assert kind == wire.ACK
+        assert wire.decode_progress(payload) == (1 << 40, 7, -math.inf)
+        with pytest.raises(WireProtocolError, match="want 24"):
+            wire.decode_progress(payload[:-1])
+
     def test_infinite_watermark_survives_the_wire(self):
         _, payload = next(iter(
             wire.FrameReader().feed(wire.watermark_frame(math.inf))))
@@ -316,6 +324,15 @@ class TestShardedConfig:
     def test_degenerate_configs_are_rejected(self, overrides):
         with pytest.raises(ConfigurationError):
             ShardedConfig(**overrides)
+
+    @pytest.mark.parametrize("ack_interval, replay_capacity, expected", [
+        (256, 65536, 32768), (64, 65536, 32768), (24, 64, 24),
+        (16, 100, 48), (16, 16, 16), (16, 40, 16), (1, 7, 3)])
+    def test_checkpoint_interval_is_half_the_log_in_ack_spans(
+            self, ack_interval, replay_capacity, expected):
+        config = ShardedConfig(ack_interval=ack_interval,
+                               replay_capacity=replay_capacity)
+        assert config.checkpoint_interval == expected
 
 
 class TestShardLedger:
@@ -369,95 +386,82 @@ class TestShardLedger:
             ledger.ack(0, 2)
 
 
-def _wire(document):
-    """``document`` as the coordinator decodes it off the pipe."""
-    return wire.decode_json(json.dumps(document).encode("utf-8"))
+def _events(first: int, last: int) -> list[wire.Event]:
+    return [(float(t), "u", "/p", None, False) for t in range(first, last + 1)]
+
+
+def _capsule(ordinal: int, wm_index: int, state=None) -> bytes:
+    """A worker's CAP payload stamped ``[ordinal, wm_index]``."""
+    [(kind, payload)] = wire.FrameReader().feed(wire.capsule_frame(
+        ordinal, wm_index, {"schema": REPLAY_SCHEMA, "state": state}))
+    assert kind == wire.CAP
+    return payload
 
 
 class TestReplayLog:
 
-    def _tracked(self):
-        pipeline = streaming_phase1(governor=GovernorConfig(per_user_cap=4),
-                                    registry=Registry())
-        pipeline.track_changes()
-        return pipeline
-
-    def _delta(self, pipeline, base):
-        return _wire({"base": base, "state": pipeline.delta(),
-                      "metrics": {}})
-
     def test_append_ack_trims_to_the_boundary(self):
         log = ReplayLog(0, capacity=8)
-        for ordinal in range(1, 6):
-            assert log.append_event(ordinal, float(ordinal), "u", "/p",
-                                    None, False)
-        log.append_watermark(1, 3.0)
+        for event in _events(1, 3):
+            assert log.append_event(event)
+        log.append_watermark(3.0)
+        for event in _events(4, 5):
+            assert log.append_event(event)
         assert log.event_count == 5
-        pipeline = self._tracked()
-        trimmed = log.ack(3, 1, self._delta(pipeline, None))
-        assert trimmed == 3
+        capsule = _capsule(3, 1)
+        assert log.checkpoint(capsule) == 3
         assert log.event_count == 2
-        assert log.capsule == {"schema": REPLAY_SCHEMA,
-                               "state": _wire(pipeline.state()),
-                               "metrics": {},
-                               "ordinal": 3, "wm_index": 1}
+        assert log.capsule is capsule
+        assert log.stamp == (3, 1)
+        assert log.recover() == (capsule, _events(4, 5))
+        # a capsule at an event boundary keeps a later watermark.
+        log.append_watermark(6.0)
+        log.append_event(_events(6, 6)[0])
+        assert log.checkpoint(_capsule(5, 1)) == 2
+        assert log.recover()[1] == [6.0, _events(6, 6)[0]]
 
-    def test_ack_folds_each_delta_into_the_full_capsule(self):
-        log = ReplayLog(0, capacity=64)
-        pipeline = self._tracked()
-        base = None
-        stream = [Request(float(t), f"u{t % 3}", f"P{t % 5}")
-                  for t in range(0, 4000, 97)]
-        for ordinal, request in enumerate(stream, start=1):
-            log.append_event(ordinal, request.timestamp, request.user_id,
-                             request.page, None, False)
-            pipeline.feed(request)
-            if ordinal % 5 == 0:
-                pipeline.flush(request.timestamp - 600.0)
-                log.ack(ordinal, 0, self._delta(pipeline, base))
-                base = [ordinal, 0]
-                assert log.capsule["state"] == _wire(pipeline.state())
-                assert log.capsule["ordinal"] == ordinal
-        assert pipeline.stats().cap_strikes and pipeline.stats().evictions
-
-    def test_recover_returns_the_folded_capsule(self):
+    def test_recover_returns_the_capsule_bytes(self):
         log = ReplayLog(0, capacity=8)
-        pipeline = self._tracked()
-        pipeline.feed(Request(0.0, "u", "/p"))
-        log.append_event(1, 0.0, "u", "/p", None, False)
-        log.ack(1, 0, self._delta(pipeline, None))
-        pipeline.feed(Request(1.0, "u", "/q"))
-        log.append_event(2, 1.0, "u", "/q", None, False)
-        log.ack(2, 0, self._delta(pipeline, [1, 0]))
-        log.append_event(3, 2.0, "v", "/p", None, False)
-        capsule, entries = log.recover()
-        assert capsule["state"] == _wire(pipeline.state())
-        assert capsule["ordinal"] == 2
-        assert entries == [["evt", 3, 2.0, "v", "/p", None, False]]
-        restored = streaming_phase1(governor=GovernorConfig(per_user_cap=4),
-                                    registry=Registry())
-        restore_capsule(restored, capsule)
-        assert restored.state() == pipeline.state()
-        # the next delta of the worker restored from it folds on.
-        restored.track_changes()
-        restored.feed(Request(2.0, "v", "/p"))
-        log.ack(3, 0, self._delta(restored, [2, 0]))
-        assert log.capsule["state"] == _wire(restored.state())
+        assert log.recover() == (None, [])
+        for event in _events(1, 2):
+            log.append_event(event)
+        state = {"buffers": {"u": [[1.0, "/p", None, False]]}}
+        capsule = _capsule(2, 0, state)
+        log.checkpoint(capsule)
+        log.append_event(_events(3, 3)[0])
+        kept, entries = log.recover()
+        assert kept == capsule and entries == _events(3, 3)
+        # the coordinator hands the bytes back as they came, behind the
+        # stamp of its last ACK; the worker reads both stamps back.
+        [(kind, payload)] = wire.FrameReader().feed(
+            wire.resume_frame((3, 0), kept))
+        assert kind == wire.CAP
+        assert wire.decode_resume(payload) == (
+            (3, 0), (2, 0), {"schema": REPLAY_SCHEMA, "state": state})
+        [(_, payload)] = wire.FrameReader().feed(
+            wire.resume_frame((1, 1), None))
+        assert wire.decode_resume(payload) == ((1, 1), None, None)
 
-    def test_a_delta_on_another_base_is_refused(self):
+    def test_a_capsule_off_the_log_is_refused(self):
         log = ReplayLog(0, capacity=8)
-        pipeline = self._tracked()
-        log.ack(0, 1, self._delta(pipeline, None))
-        with pytest.raises(ExecutionError, match="extends"):
-            log.ack(0, 2, self._delta(pipeline, [5, 0]))
-        with pytest.raises(ExecutionError, match="extends"):
-            ReplayLog(1, capacity=8).ack(0, 1, self._delta(pipeline, [0, 1]))
+        for event in _events(1, 4):
+            log.append_event(event)
+        with pytest.raises(ExecutionError, match="past the replay log"):
+            log.checkpoint(_capsule(5, 0))
+        with pytest.raises(ExecutionError, match="past the replay log"):
+            log.checkpoint(_capsule(2, 1))
+        log.checkpoint(_capsule(3, 0))
+        with pytest.raises(ExecutionError, match="behind"):
+            log.checkpoint(_capsule(2, 0))
+        with pytest.raises(WireProtocolError, match="stamp"):
+            log.checkpoint(b"\x00" * 15)
 
     def test_capacity_refuses_further_events(self):
         log = ReplayLog(0, capacity=2)
-        assert log.append_event(1, 1.0, "u", "/p", None, False)
-        assert log.append_event(2, 2.0, "u", "/p", None, False)
-        assert not log.append_event(3, 3.0, "u", "/p", None, False)
+        first, second, third = _events(1, 3)
+        assert log.append_event(first)
+        assert log.append_event(second)
+        assert not log.append_event(third)
         assert log.event_count == 2
 
 
@@ -563,8 +567,33 @@ class TestShardedRuntime:
                 == self._serial_digest(topology, requests))
         assert len(result.shard_stats) == 2
         counters = registry.snapshot()["counters"]
-        assert all(counters[f"sharded.ack.bytes{{shard={shard}}}"] > 0
-                   for shard in (0, 1))
+        # progress ACKs only: 24 bytes each, and no capsule is due before
+        # half the default replay capacity.
+        for shard in (0, 1):
+            acked = counters[f"sharded.ack.bytes{{shard={shard}}}"]
+            assert acked > 0 and acked % 24 == 0
+            assert f"sharded.capsule.bytes{{shard={shard}}}" not in counters
+
+    def test_small_replay_capacity_cuts_capsules_and_bounds_the_log(
+            self, sharded_world):
+        topology, requests = sharded_world
+        registry = Registry()
+        runtime = ShardedStreamingRuntime(
+            topology, sharded=ShardedConfig(shards=2, ack_interval=16,
+                                            replay_capacity=40),
+            registry=registry)
+        result = runtime.run(requests, flush_interval=300.0)
+        assert result.stats.reconciles()
+        assert (result.sessions.canonical_digest()
+                == self._serial_digest(topology, requests))
+        snapshot = registry.snapshot()
+        for shard in (0, 1):
+            assert snapshot["counters"][
+                f"sharded.capsule.bytes{{shard={shard}}}"] > 0
+        # the log keeps only what came after the last capsule: fewer
+        # events than one checkpoint interval (16 here).
+        for log in runtime._logs:
+            assert log.stamp[0] > 0 and log.event_count < 16
 
     def test_single_shard_degenerates_to_serial(self, sharded_world):
         topology, requests = sharded_world
@@ -599,6 +628,25 @@ class TestShardedRuntime:
         assert (stats.wedged, stats.failovers, stats.shed_shards) == (0, 0, 0)
         assert stats.fed == stats.routed == 9
         assert stats.sealed_sessions == 2
+
+    def test_worker_wedged_behind_a_full_log_is_leased_out(
+            self, sharded_world):
+        # every routed byte is in the pipe and no EOF is due yet; only
+        # the full log says the coordinator is waiting on the worker.
+        from repro.faults.execution import use_execution_faults
+        from repro.parallel import RetryPolicy
+        topology, requests = sharded_world
+        runtime = ShardedStreamingRuntime(
+            topology, registry=Registry(),
+            sharded=ShardedConfig(shards=1, ack_interval=8,
+                                  replay_capacity=16, lease=0.5,
+                                  retry=RetryPolicy(backoff_base=0.0)))
+        with use_execution_faults("wedge-worker:0:20"):
+            result = runtime.run(requests)
+        assert (result.stats.wedged, result.stats.failovers) == (1, 1)
+        assert result.stats.reconciles()
+        assert (result.sessions.canonical_digest()
+                == self._serial_digest(topology, requests))
 
     def test_requires_topology_for_smart_sra(self):
         with pytest.raises(ConfigurationError):

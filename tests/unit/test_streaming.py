@@ -141,24 +141,6 @@ class TestReplayState:
                 == expected)
         assert second.stats() == reference.stats()
 
-    def test_deltas_fold_into_the_state(self, chain_site):
-        stream = [Request(0.0, "u", "A"), Request(MIN, "v", "A"),
-                  Request(2 * MIN, "u", "B"), Request(3 * MIN, "u", "B"),
-                  Request(40 * MIN, "v", "B"), Request(41 * MIN, "u", "C")]
-        pipeline = streaming_smart_sra(chain_site, dedup=True)
-        pipeline.track_changes()
-        folded = {}
-        for request in stream:
-            pipeline.feed(request)
-            if request.timestamp == 3 * MIN:
-                pipeline.flush(15 * MIN)
-            pipeline.fold(folded, pipeline.delta())
-            assert folded == pipeline.state()
-        pipeline.flush()
-        pipeline.fold(folded, pipeline.delta())
-        assert folded == pipeline.state()
-        assert folded["buffers"] == {}
-
     def test_state_refuses_a_non_empty_reorder_buffer(self, chain_site):
         pipeline = streaming_smart_sra(chain_site, reorder_window=MIN)
         pipeline.feed(Request(0.0, "u", "A"))
