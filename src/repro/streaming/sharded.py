@@ -146,7 +146,7 @@ __all__ = [
 SHARD_FAILURE_POLICIES = ("failover", "shed-shard", "raise")
 
 #: schema version of capsules and of the CAP payload that carries them.
-REPLAY_SCHEMA = 3
+REPLAY_SCHEMA = 4
 
 #: bytes read from a pipe per syscall.
 _READ_CHUNK = 1 << 16
@@ -1057,7 +1057,6 @@ class ShardedStreamingRuntime:
             handle.done = document
             handle.state = "done"
             handle.watermark = math.inf
-            self._registry.merge_snapshot(document.get("snapshot", {}))
             self._close_handle(handle)
             if handle.proc is not None:
                 handle.proc.join(timeout=5.0)
@@ -1170,6 +1169,11 @@ class ShardedStreamingRuntime:
         self._count("sharded.sessions.sealed", sealed)
 
     def _finalize(self) -> ShardedRunResult:
+        # worker metrics merge in shard order, not DONE arrival order, so
+        # the merged (last-write-wins) gauges are the same on every run.
+        for handle in self._handles:
+            if handle.done is not None:
+                self._registry.merge_snapshot(handle.done["snapshot"])
         self._advance_seal()
         if self._durable:
             raise ExecutionError(

@@ -83,10 +83,10 @@ def _run(*faults: str) -> dict:
             data = saved.read()
     finally:
         os.unlink(path)
-    # gauges merge last-write-wins, so the merged ones depend on which
-    # shard finished last; each worker's own final snapshot does not.
+    # worker snapshots merge in shard order, so the merged gauges are
+    # the last shard's, whichever worker finished last.
     return {"result": result, "saved": data,
-            "merged": _pipeline_series(registry.snapshot())["counters"],
+            "merged": _pipeline_series(registry.snapshot()),
             "workers": [_pipeline_series(handle.done["snapshot"])
                         for handle in runtime._handles],
             "capsule_stamps": [log.stamp for log in runtime._logs]}

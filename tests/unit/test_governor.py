@@ -121,6 +121,22 @@ class TestPassThrough:
         assert stats.shed_requests == 0
         assert stats.peak_tracked_bytes > 0
 
+    def test_bookkeeping_is_bounded_by_the_buffered_state(self):
+        # 50 000 requests from 5 users, one second apart: every candidate
+        # closes on δ long before the cap or the budget binds.
+        pipeline = streaming_phase1(governor=GovernorConfig(),
+                                    registry=Registry())
+        for step in range(50_000):
+            pipeline.feed(Request(float(step), f"u{step % 5}", "P1"))
+        stats = pipeline.stats()
+        assert stats.evictions == stats.cap_strikes == 0
+        assert stats.closed_requests > 45_000
+        bound = stats.active_users + stats.buffered_requests
+        sizes = {name: len(value) for name, value in vars(pipeline).items()
+                 if isinstance(value, (list, dict))}
+        assert "_buffers" in sizes and "_user_bytes" in sizes
+        assert all(size <= bound for size in sizes.values()), (sizes, bound)
+
     def test_factory_returns_governed_variant(self):
         pipeline = streaming_phase1(governor=GovernorConfig())
         assert isinstance(pipeline, GovernedStreamingReconstructor)
@@ -467,9 +483,9 @@ class TestReplayState:
         assert before.keys() == after.keys()
         changed = {name for name in after if after[name] != before[name]}
         declared = {"_" + key for key in driven.state()}
-        # the idle heap is derived from _user_last on restore; _reorder
-        # and _spilled are empty by state()'s precondition.
-        assert changed - declared == {"_idle_heap"}
+        # nothing is derived: the eviction order is read from _buffers;
+        # _reorder and _spilled are empty by state()'s precondition.
+        assert changed - declared == set()
         assert not driven._reorder and not driven._spilled
 
     def test_state_shares_no_object_with_the_pipeline(self):
@@ -478,7 +494,7 @@ class TestReplayState:
         pipeline.feed(Request(0.0, "u", "P1"))
         state = pipeline.state()
         state["buffers"]["u"][0][1] = "mutated"
-        state["user_last"]["u"] = 99.0
+        state["user_bytes"]["u"] = 99
         assert pipeline.state() != state
         restored = streaming_phase1(governor=GovernorConfig(),
                                     registry=Registry())
