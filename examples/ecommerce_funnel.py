@@ -7,7 +7,7 @@ them against the site's link structure.  This example:
 1. builds a hierarchical site (a catalog tree with cross links) — the shape
    of a typical shop,
 2. simulates a population and reconstructs sessions with Smart-SRA,
-3. mines frequent navigation paths and association rules from the
+3. mines frequent navigation paths and frequent page pairs from the
    reconstructed sessions,
 4. flags "shortcut candidates": frequent 3-step paths whose endpoints are
    not directly linked — pages the site should probably connect.
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro import SimulationConfig, SmartSRA, hierarchical_site, simulate_population
 from repro.mining.apriori import apriori
-from repro.mining.rules import association_rules
 from repro.mining.sequential import frequent_sequences
 
 
@@ -53,10 +52,11 @@ def main() -> None:
         print("  (none above the support threshold)")
 
     itemsets = apriori(sessions, min_support=0.005, max_size=2)
-    rules = association_rules(itemsets, min_confidence=0.4)
-    print("\nstrongest association rules (visited-together pages):")
-    for rule in rules[:8]:
-        print(f"  {rule}")
+    pairs = sorted((i for i in itemsets if len(i) == 2),
+                   key=lambda i: (-i.support, i.pages))
+    print("\nmost frequent visited-together page pairs:")
+    for itemset in pairs[:8]:
+        print(f"  {itemset.support:6.2%}  {' + '.join(itemset.pages)}")
 
 
 if __name__ == "__main__":

@@ -1731,10 +1731,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    # What is alive now is import-time state (numpy, scipy, networkx, the
-    # parser) that lives as long as the process; frozen, it stays out of
-    # every full collection the command triggers.  Once per process: a
-    # host that calls main() repeatedly must not freeze its own garbage.
+    # What is alive now is import-time state (numpy, the parser) that
+    # lives as long as the process; frozen, it stays out of every full
+    # collection the command triggers.  Once per process: a host that
+    # calls main() repeatedly must not freeze its own garbage.
     if gc.get_freeze_count() == 0:
         gc.freeze()
     try:

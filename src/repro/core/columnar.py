@@ -630,7 +630,12 @@ def _split_numpy(times, user_starts, max_gap: float, max_duration: float):
             cut[up] += 1
         cuts.append(gather[cut])
         cur = cut
-    return np.unique(np.concatenate([seg_starts] + cuts))
+    # sorted and deduplicated by hand: ``np.unique`` imports ``numpy.ma``
+    # on its first call, a one-off cost larger than a short batch's work.
+    starts = np.sort(np.concatenate([seg_starts] + cuts))
+    keep = np.ones(starts.size, dtype=bool)
+    keep[1:] = starts[1:] != starts[:-1]
+    return starts[keep]
 
 
 def _sizes_numpy(starts, n: int):

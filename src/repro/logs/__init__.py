@@ -43,9 +43,6 @@ from repro.logs.ingest import (
     report_from_registry,
 )
 from repro.logs.reader import iter_clf_lines, read_clf_file, records_to_requests
-from repro.logs.robots import HostBehavior, RobotDetector
-from repro.logs.rotation import iter_log_file, read_rotated_logs, rotation_order
-from repro.logs.stream import FollowStats, follow_log
 from repro.logs.users import IdentityAddressMap, UserAddressMap, partition_by_user
 from repro.logs.writer import requests_to_records, write_clf_file, write_combined_file
 
@@ -76,13 +73,6 @@ __all__ = [
     "UserAddressMap",
     "IdentityAddressMap",
     "partition_by_user",
-    "RobotDetector",
-    "HostBehavior",
-    "read_rotated_logs",
-    "iter_log_file",
-    "rotation_order",
     "pseudonymize_hosts",
     "truncate_ipv4_hosts",
-    "follow_log",
-    "FollowStats",
 ]

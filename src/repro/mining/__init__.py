@@ -4,28 +4,18 @@ The paper motivates session reconstruction as the *input* step for pattern
 discovery: "discovering useful patterns from these sessions by using
 pattern discovery techniques like apriori" (§1), with applications in
 pre-fetching, link prediction, site reorganization and personalization.
-This package implements those consumers, which also power the
-``bench_downstream_mining`` extension benchmark (how much do reconstruction
-errors distort the mined patterns?):
+This package implements the pattern miners and the pre-fetching
+predictor, which also power the ``bench_downstream_mining`` extension
+benchmark (how much do reconstruction errors distort the mined patterns?):
 
 * :mod:`repro.mining.apriori` — frequent page-set mining;
 * :mod:`repro.mining.sequential` — frequent contiguous navigation patterns;
-* :mod:`repro.mining.rules` — association rules over frequent page sets;
 * :mod:`repro.mining.prediction` — a Markov next-page recommender for
   pre-fetching / link prediction.
 """
 
 from repro.mining.apriori import FrequentItemset, apriori
-from repro.mining.clustering import SessionCluster, cluster_sessions, jaccard
-from repro.mining.navigation_tree import NavigationTree, TreeNode
-from repro.mining.pagerank import rank_divergence, structural_pagerank, usage_rank
 from repro.mining.prediction import KthOrderMarkovPredictor, MarkovPredictor
-from repro.mining.rules import AssociationRule, association_rules
-from repro.mining.sequence_rules import (
-    SequentialRule,
-    mine_sequential_rules,
-    sequential_rules,
-)
 from repro.mining.sequential import SequentialPattern, frequent_sequences
 
 __all__ = [
@@ -33,19 +23,6 @@ __all__ = [
     "FrequentItemset",
     "frequent_sequences",
     "SequentialPattern",
-    "association_rules",
-    "AssociationRule",
     "MarkovPredictor",
     "KthOrderMarkovPredictor",
-    "SessionCluster",
-    "cluster_sessions",
-    "jaccard",
-    "NavigationTree",
-    "TreeNode",
-    "structural_pagerank",
-    "usage_rank",
-    "rank_divergence",
-    "SequentialRule",
-    "sequential_rules",
-    "mine_sequential_rules",
 ]

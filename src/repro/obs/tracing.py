@@ -20,8 +20,8 @@ sink (an open file, ``sys.stderr``, an in-memory list via
 The format is deliberately boring — ``jq`` and a text editor are the
 intended consumers::
 
-    {"type": "event", "name": "follow.rotation", "ts": ..., "span": 3, ...}
-    {"type": "span", "name": "ingest", "id": 3, "parent": 1, "dur_s": ...}
+    {"type": "event", "name": "parallel.chunk.retry", "ts": ..., "span": 3}
+    {"type": "span", "name": "parallel.chunk", "id": 3, "parent": 1, ...}
 
 Spans are single-threaded per tracer (the stack is not thread-local); give
 each worker its own tracer when fanning out.

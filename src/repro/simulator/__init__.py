@@ -27,11 +27,6 @@ from repro.simulator.clock import StayTimeSampler
 from repro.simulator.config import PAPER_SIMULATION_DEFAULTS, SimulationConfig
 from repro.simulator.pages import select_content_pages
 from repro.simulator.population import SimulationResult, simulate_population
-from repro.simulator.validation import (
-    ValidationCheck,
-    ValidationReport,
-    validate_simulation,
-)
 
 __all__ = [
     "SimulationConfig",
@@ -46,7 +41,4 @@ __all__ = [
     "simulate_nat_pool",
     "adversarial_workload",
     "select_content_pages",
-    "validate_simulation",
-    "ValidationReport",
-    "ValidationCheck",
 ]

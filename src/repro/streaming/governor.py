@@ -785,6 +785,13 @@ class GovernedStreamingReconstructor(StreamingReconstructor):
             for user in sorted(self._quarantine):
                 emitted.extend(
                     self._flush_quarantine_channel(user, reopen=False))
+        # the flushed watermark now rejects everything an eviction
+        # watermark at or below it would, so those entries go; quarantined
+        # users keep theirs (``_accept`` reads quarantine only through it).
+        floor = self._flush_watermark
+        self._evict_watermarks = {
+            user: mark for user, mark in self._evict_watermarks.items()
+            if mark > floor or user in self._quarantine}
         self._g_tracked.set(self._tracked)
         return emitted
 

@@ -425,11 +425,6 @@ class StreamingReconstructor:
         """The newest event time fed so far (``-inf`` before any)."""
         return self._max_seen
 
-    @property
-    def has_spilled(self) -> bool:
-        """Whether user buffers are spilled to disk (never, ungoverned)."""
-        return False
-
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> StreamingStats:

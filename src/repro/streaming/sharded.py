@@ -81,7 +81,9 @@ above, ``shed-shard`` abandons the shard's unsealed events (visibly, in
 the ledger), ``raise`` turns the first worker loss into
 :class:`~repro.exceptions.ExecutionError`.  The
 :class:`ShardedStreamingStats` ledger reconciles exactly:
-``fed == routed + replayed + shed``.
+``fed == routed + replayed + shed``.  The governor's ``block`` policy is
+refused at construction: a spilled buffer is worker-local, so no capsule
+could carry it.
 
 Byte-identity scope
 -------------------
@@ -153,6 +155,15 @@ _READ_CHUNK = 1 << 16
 
 #: select timeout of the coordinator loop, seconds.
 _PUMP_TIMEOUT = 0.05
+
+#: why workers cannot run the spilling governor: a spilled buffer lives in
+#: the worker's own spill dir, outside every capsule, so the replay log
+#: cannot trim past it, the lease reads the full log as a wedge, and the
+#: shard is shed after its retries.
+_BLOCK_REFUSED = (
+    "overload_policy='block' cannot run sharded: spilled buffers stay in "
+    "the worker's spill dir, outside the capsules failover restores — "
+    "use --overload-policy evict with --shards, or block without --shards")
 
 
 def shard_for(user_id: str, n_shards: int) -> int:
@@ -421,8 +432,8 @@ def capsule_from(pipeline: Any) -> dict[str, Any]:
 
     ``state()`` needs an empty reorder buffer and no spilled users: shard
     workers run with ``reorder_window=0`` (the coordinator reorders
-    *before* routing) and cut no capsule while any cold buffer is on disk
-    (spill files die with the worker).
+    *before* routing) and never spill (the runtime refuses
+    ``overload_policy="block"``).
     """
     return {"schema": REPLAY_SCHEMA, "state": pipeline.state()}
 
@@ -472,11 +483,6 @@ def _worker_main(shard: int, incarnation: int, down_fd: int, up_fd: int,
 
     def progress(out: bytearray) -> None:
         nonlocal capsule_at
-        # spilled cold buffers live in this process's temp dir and die
-        # with it — a capsule taken now could not be replayed, so send
-        # neither frame until the spill clears.
-        if pipeline.has_spilled:
-            return
         out += wire.progress_frame(ordinal, wm_index, pipeline.max_seen)
         if ordinal - capsule_at >= checkpoint_interval:
             # after the ACK, so the coordinator never holds a capsule
@@ -718,6 +724,8 @@ class ShardedStreamingRuntime:
         # caller opts into a real budget.
         self.governor = (governor if governor is not None
                          else GovernorConfig(memory_budget=1 << 30))
+        if self.governor.overload_policy == "block":
+            raise ConfigurationError(_BLOCK_REFUSED)
         self._topology = topology
         self._config = config
         self._heuristic = heuristic
@@ -1309,14 +1317,8 @@ def audit_sharded_config(sharded: ShardedConfig,
             checks.append(("ok",
                            f"replay capacity covers the governor budget "
                            f"({log_bytes}B >= {governor.memory_budget}B)"))
-        if (sharded.on_shard_failure == "shed-shard"
-                and governor.overload_policy == "block"):
-            checks.append((
-                "warn",
-                "on-shard-failure=shed-shard with governor policy=block is "
-                "deadlock-prone: a blocked worker stops acking, the lease "
-                "sheds the shard, and blocked events are silently gone — "
-                "use policy=evict with shed-shard, or keep failover"))
+        if governor.overload_policy == "block":
+            checks.append(("FAIL", _BLOCK_REFUSED))
         else:
             checks.append(("ok",
                            f"failure policy {sharded.on_shard_failure!r} is "

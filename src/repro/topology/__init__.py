@@ -28,7 +28,6 @@ from repro.topology.generators import (
     random_site,
 )
 from repro.topology.graph import WebGraph
-from repro.topology.html import extract_links, graph_from_html_dir
 from repro.topology.io import (
     graph_from_adjacency_lines,
     graph_from_jsonable,
@@ -54,6 +53,4 @@ __all__ = [
     "graph_from_adjacency_lines",
     "save_graph",
     "load_graph",
-    "extract_links",
-    "graph_from_html_dir",
 ]

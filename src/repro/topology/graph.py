@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 
-import networkx as nx
-
 from repro.exceptions import TopologyError
 
 __all__ = ["WebGraph", "AdjacencyIndex"]
@@ -268,45 +266,7 @@ class WebGraph:
             digest.update(b"\x00")
         return digest.hexdigest()[:16]
 
-    # -- interop -------------------------------------------------------------
-
-    def to_networkx(self) -> "nx.DiGraph":
-        """Export as a :class:`networkx.DiGraph`.
-
-        Start pages carry a ``start=True`` node attribute.
-        """
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._succ)
-        graph.add_edges_from(self.edges())
-        for page in self._start_pages:
-            graph.nodes[page]["start"] = True
-        return graph
-
-    @classmethod
-    def from_networkx(cls, graph: "nx.DiGraph",
-                      start_pages: Iterable[str] | None = None) -> "WebGraph":
-        """Build from a :class:`networkx.DiGraph`.
-
-        Args:
-            graph: source digraph; node names are coerced to ``str``.
-            start_pages: explicit start pages.  When omitted, nodes carrying
-                a truthy ``start`` attribute are used; when none carry it,
-                nodes with in-degree zero are used; when there are none of
-                those either, all pages become start pages.
-        """
-        nodes = [str(node) for node in graph.nodes]
-        edges = [(str(src), str(dst)) for src, dst in graph.edges
-                 if str(src) != str(dst)]
-        if start_pages is None:
-            flagged = [str(node) for node, data in graph.nodes(data=True)
-                       if data.get("start")]
-            if flagged:
-                start_pages = flagged
-            else:
-                roots = [str(node) for node in graph.nodes
-                         if graph.in_degree(node) == 0]
-                start_pages = roots if roots else nodes
-        return cls(edges, pages=nodes, start_pages=start_pages)
+    # -- construction --------------------------------------------------------
 
     @classmethod
     def from_adjacency(cls, adjacency: Mapping[str, Iterable[str]],

@@ -1,8 +1,32 @@
-"""Shared fixtures: the paper's literal examples and small simulated worlds."""
+"""Shared fixtures: the paper's literal examples and small simulated worlds.
+
+Every run of the suite has scipy and networkx blocked: numpy is the only
+runtime dependency, so no library code and no test may import either.
+"""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
+
+#: top-level packages no test process may import.
+BLOCKED_PACKAGES = ("scipy", "networkx")
+
+
+class _BlockedPackages:
+    """A meta-path finder that refuses :data:`BLOCKED_PACKAGES`."""
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in BLOCKED_PACKAGES:
+            raise ImportError(f"{name} is blocked: repro does not depend "
+                              f"on it")
+        return None
+
+
+# installed before the library is imported below, so an import of either
+# package anywhere in repro fails here rather than passing unseen.
+sys.meta_path.insert(0, _BlockedPackages())
 
 from repro.evaluation.experiments import (
     paper_example_topology,

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.smart_sra import SmartSRA
 from repro.sessions.navigation_oriented import NavigationHeuristic
+from tests.simulator_validation import validate_simulation
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,5 @@ class TestSection4Claims:
 
     def test_statistical_validation_passes(self, small_simulation):
         """The simulator matches its own configured distributions."""
-        from repro.simulator.validation import validate_simulation
         report = validate_simulation(small_simulation)
         assert report.passed, str(report)

@@ -18,12 +18,13 @@ import time
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.faults.execution import use_execution_faults
 from repro.obs import Registry
 from repro.sessions.model import Request, SessionSet
 from repro.simulator.adversarial import adversarial_workload
 from repro.streaming import (ShardedConfig, ShardedStreamingRuntime,
-                             streaming_smart_sra)
+                             audit_sharded_config, streaming_smart_sra)
 from repro.streaming.governor import GovernorConfig
 from repro.parallel import RetryPolicy
 from repro.topology.generators import random_site
@@ -259,3 +260,32 @@ def test_fewer_events_than_an_ack_span_all_seal(topology, uniform_stream):
     assert result.stats.sealed_sessions > 0
     assert (result.sessions.canonical_digest()
             == serial_digest(topology, stream))
+
+
+def test_spilling_governor_is_refused_not_shed(topology, uniform_stream,
+                                               tmp_path):
+    # A spilled buffer lives in the worker's own spill dir, outside every
+    # capsule.  Run sharded, this configuration used to leave the replay
+    # log untrimmed until the lease read it as a wedge and shed the shard:
+    # 0 of the serial run's sessions sealed, 892 events shed, and the
+    # audit called it ok.  It is refused up front now.
+    governor = GovernorConfig(memory_budget=1200, per_user_cap=64,
+                              overload_policy="block",
+                              spill_dir=str(tmp_path / "spill"))
+    serial = streaming_smart_sra(topology, governor=governor,
+                                 registry=Registry())
+    sessions = serial.feed_many(uniform_stream)
+    sessions.extend(serial.flush())
+    assert len(sessions) == 666
+    assert serial.stats().spill_writes > 0
+    sharded = ShardedConfig(shards=1, ack_interval=8, replay_capacity=128,
+                            lease=2.0, retry=RetryPolicy(
+                                max_retries=2, backoff_base=0.01,
+                                backoff_cap=0.05, seed=0))
+    audit = audit_sharded_config(sharded, governor)
+    assert not audit.ok
+    assert any(level == "FAIL" and "block" in message
+               for level, message in audit.checks)
+    with pytest.raises(ConfigurationError, match="block"):
+        ShardedStreamingRuntime(topology, sharded=sharded, governor=governor,
+                                registry=Registry())

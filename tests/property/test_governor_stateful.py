@@ -11,6 +11,8 @@ drops and ``state()`` -> ``restore()`` restarts, under ``evict`` and
 * after every feed (and so after every rebalance) tracked bytes sit at or
   below the high watermark of the effective budget, which the
   ``governor.budget_bytes`` gauge reports;
+* every quarantined user holds an eviction watermark, and after a flush
+  no other user holds one at or below the flushed watermark;
 * the users a feed evicted or spilled are the oldest-idle ones, by
   ``(tail timestamp, user id)`` over the buffers the rebalance saw;
 * after a restart, the restored pipeline emits exactly what the original
@@ -173,6 +175,9 @@ class GovernorMachine(RuleBasedStateMachine):
         if self.shadow is not None:
             assert (_rows(self.shadow.flush(self.clock - offset))
                     == _rows(emitted))
+        floor = self.pipeline._flush_watermark
+        assert all(mark > floor or user in self.pipeline._quarantine
+                   for user, mark in self.pipeline._evict_watermarks.items())
 
     @precondition(lambda self: self.ordinal >= 15)
     @rule()
@@ -183,6 +188,7 @@ class GovernorMachine(RuleBasedStateMachine):
         stats = self.pipeline.stats()
         assert stats.tracked_bytes == stats.buffered_requests == 0
         assert stats.spilled_requests == stats.quarantine_buffered == 0
+        assert self.pipeline._evict_watermarks == {}
 
     @precondition(lambda self: not self.pipeline.has_spilled)
     @rule(factor=st.sampled_from((0.25, 0.5, 0.75)))
@@ -213,6 +219,11 @@ class GovernorMachine(RuleBasedStateMachine):
         assert self.registry.value("governor.budget_bytes") == self._budget()
         if self.shadow is not None:
             assert self.shadow.stats() == stats
+
+    @invariant()
+    def quarantined_users_are_watermarked(self):
+        assert (self.pipeline._quarantine.keys()
+                <= self.pipeline._evict_watermarks.keys())
 
 
 def test_governor_state_machine(tmp_path):

@@ -1,4 +1,4 @@
-"""Property tests for clustering, statistics, taxonomy, LCS, and trees."""
+"""Property tests for statistics, taxonomy and LCS."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from repro.evaluation.similarity import lcs_length, session_overlap
 from repro.evaluation.statistics import describe
 from repro.evaluation.subsequence import contains
 from repro.evaluation.taxonomy import ErrorCategory, classify_session
-from repro.mining.clustering import cluster_sessions, jaccard
-from repro.mining.navigation_tree import NavigationTree
 from repro.sessions.model import Session, SessionSet
 
 _PAGES = st.sampled_from([f"P{i}" for i in range(6)])
@@ -24,34 +22,6 @@ def session_sets(draw):
         pages = draw(st.lists(_PAGES, min_size=1, max_size=6))
         sessions.append(Session.from_pages(pages, user_id=f"u{index % 3}"))
     return SessionSet(sessions)
-
-
-@settings(max_examples=60, deadline=None)
-@given(session_sets(), st.floats(0.05, 1.0))
-def test_clusters_partition_the_sessions(sessions, similarity):
-    clusters = cluster_sessions(sessions, similarity=similarity)
-    clustered = [session for cluster in clusters
-                 for session in cluster.sessions]
-    assert sorted(s.pages for s in clustered) == sorted(
-        s.pages for s in sessions)
-
-
-@settings(max_examples=60, deadline=None)
-@given(session_sets(), st.floats(0.05, 1.0))
-def test_cluster_sizes_descend(sessions, similarity):
-    clusters = cluster_sessions(sessions, similarity=similarity)
-    sizes = [len(cluster) for cluster in clusters]
-    assert sizes == sorted(sizes, reverse=True)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sets(_PAGES), st.sets(_PAGES))
-def test_jaccard_bounds_and_symmetry(first, second):
-    a, b = frozenset(first), frozenset(second)
-    value = jaccard(a, b)
-    assert 0.0 <= value <= 1.0
-    assert value == jaccard(b, a)
-    assert jaccard(a, a) == 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,34 +77,3 @@ def test_taxonomy_is_total_and_consistent(real_pages, pool_pages):
     if category is ErrorCategory.LOST:
         seen = {page for candidate in pool for page in candidate.pages}
         assert not (set(real.pages) & seen)
-
-
-@settings(max_examples=60, deadline=None)
-@given(session_sets())
-def test_navigation_tree_support_is_antitone_in_prefix_length(sessions):
-    tree = NavigationTree(sessions)
-    for session in sessions:
-        pages = list(session.pages)
-        supports = [tree.support(pages[:length])
-                    for length in range(len(pages) + 1)]
-        assert supports == sorted(supports, reverse=True)
-        assert supports[0] == tree.session_count
-        assert supports[-1] >= 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(session_sets())
-def test_navigation_tree_children_sum_to_at_most_parent(sessions):
-    tree = NavigationTree(sessions)
-    for path, support in tree.walk():
-        children = tree.continuations(path)
-        assert sum(children.values()) <= support
-
-
-@settings(max_examples=60, deadline=None)
-@given(session_sets(), st.floats(0.1, 1.0))
-def test_frequent_paths_are_real_prefixes(sessions, min_support):
-    tree = NavigationTree(sessions)
-    for path, support in tree.frequent_paths(min_support=min_support):
-        assert tree.support(path) == support
-        assert support >= min_support * tree.session_count - 1e-9

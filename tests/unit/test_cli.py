@@ -374,6 +374,18 @@ def test_stream_block_policy_spills(pipeline_files, capsys):
     assert "spills" in capsys.readouterr().out
 
 
+def test_stream_refuses_block_policy_with_shards(pipeline_files, capsys):
+    code = main(["stream", "--log", pipeline_files["log"],
+                 "--topology", pipeline_files["site"],
+                 "--output", str(pipeline_files["dir"] / "x.json"),
+                 "--shards", "2", "--memory-budget", "4k",
+                 "--overload-policy", "block",
+                 "--spill-dir", str(pipeline_files["dir"] / "spill")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "block" in err
+
+
 def test_stream_phase1_needs_no_topology(pipeline_files):
     out = str(pipeline_files["dir"] / "phase1.json")
     assert main(["stream", "--log", pipeline_files["log"],

@@ -205,6 +205,32 @@ class TestEvictPolicy:
         assert stats.late_dropped == before + 1
         assert stats.reconciles()
 
+    def test_eviction_watermarks_follow_live_users(self):
+        """Soak: 20 000 users, each struck at the per-user cap (every
+        1000th into quarantine), flushed every 100 users at a watermark
+        trailing the stream by 60 s.  After each flush the eviction
+        watermarks cover no more users than are buffered or quarantined,
+        however many users were ever evicted."""
+        governor = GovernorConfig(memory_budget=16384, per_user_cap=2)
+        pipeline = streaming_phase1(governor=governor, late_policy="drop")
+        clock, peak = 0.0, 0
+        for user in range(20_000):
+            for _ in range(9 if user % 1000 == 0 else 3):
+                clock += 2.0
+                pipeline.feed(Request(clock, f"u{user}", "A"))
+                peak = max(peak, len(pipeline._evict_watermarks))
+            if user % 100 == 99:
+                pipeline.flush(clock - 60.0)
+                live = len(pipeline._buffers) + len(pipeline._quarantine)
+                assert len(pipeline._evict_watermarks) <= live, user
+        stats = pipeline.stats()
+        assert stats.evictions >= 20_000
+        assert len(pipeline._quarantine) == 20
+        assert peak < 300       # a flush interval's users, not every user
+        pipeline.flush()
+        assert pipeline._evict_watermarks == {}
+        assert pipeline.stats().reconciles()
+
 
 # -- shed / raise policies ---------------------------------------------------
 

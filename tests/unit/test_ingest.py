@@ -172,16 +172,6 @@ class TestCombinedBadDate:
             "# line 1 fault=bad-timestamp: invalid date/time: "
             "day is out of range for month")
 
-    def test_follow_log_counts_bad_timestamp(self, tmp_path):
-        from repro.logs.stream import FollowStats, follow_log
-        path = tmp_path / "access.log"
-        path.write_text(f"{GOOD}\n{self.LINE}\n", encoding="utf-8")
-        stats = FollowStats()
-        records = list(follow_log(str(path), poll_interval=0.01,
-                                  idle_timeout=0.02, stats=stats))
-        assert len(records) == 1
-        assert stats.fault_counts == {"bad-timestamp": 1}
-
     def test_strict_raises_the_date_error(self):
         with pytest.raises(LogFormatError) as caught:
             list(ingest_lines([GOOD, self.LINE], policy="strict"))

@@ -1,4 +1,4 @@
-"""Unit tests for the mining package (apriori, sequences, rules, Markov)."""
+"""Unit tests for the mining package (apriori, sequences, Markov)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.exceptions import EvaluationError
 from repro.mining.apriori import apriori
 from repro.mining.prediction import MarkovPredictor
-from repro.mining.rules import association_rules
 from repro.mining.sequential import frequent_sequences, pattern_overlap
 from repro.sessions.model import Session, SessionSet
 
@@ -113,37 +112,6 @@ class TestPatternOverlap:
 
     def test_both_empty(self):
         assert pattern_overlap([], []) == 1.0
-
-
-class TestAssociationRules:
-    def test_confidence_and_lift(self, shop_sessions):
-        itemsets = apriori(shop_sessions, min_support=0.25)
-        rules = association_rules(itemsets, min_confidence=0.7)
-        by_key = {(rule.antecedent, rule.consequent): rule for rule in rules}
-        rule = by_key[(("list",), ("home",))]
-        assert rule.confidence == 1.0      # every "list" session has "home"
-        assert rule.lift == pytest.approx(1.0)  # home is in every session
-
-    def test_min_confidence_filters(self, shop_sessions):
-        itemsets = apriori(shop_sessions, min_support=0.25)
-        strict = association_rules(itemsets, min_confidence=0.99)
-        loose = association_rules(itemsets, min_confidence=0.3)
-        assert len(strict) < len(loose)
-
-    def test_rejects_non_closed_input(self, shop_sessions):
-        itemsets = apriori(shop_sessions, min_support=0.25)
-        pairs_only = [item for item in itemsets if len(item.pages) == 2]
-        with pytest.raises(EvaluationError, match="downward"):
-            association_rules(pairs_only, min_confidence=0.1)
-
-    def test_rejects_bad_confidence(self):
-        with pytest.raises(EvaluationError):
-            association_rules([], min_confidence=0.0)
-
-    def test_str_rendering(self, shop_sessions):
-        itemsets = apriori(shop_sessions, min_support=0.25)
-        rules = association_rules(itemsets, min_confidence=0.7)
-        assert "=>" in str(rules[0])
 
 
 class TestMarkovPredictor:

@@ -16,7 +16,6 @@ from repro.core import SmartSRA
 from repro.evaluation import run_trial
 from repro.logs import IngestReport, ingest_lines
 from repro.logs.ingest import report_from_registry
-from repro.logs.stream import FollowStats, follow_log
 from repro.obs import Registry, use_registry
 from repro.sessions import DurationHeuristic, Request
 from repro.simulator import SimulationConfig, simulate_population
@@ -71,24 +70,6 @@ class TestIngestInstrumentation:
         with use_registry(registry):
             list(ingest_lines([GOOD, GOOD]))
         assert registry.value("ingest.lines.parsed") == 2
-
-
-class TestFollowInstrumentation:
-    def test_follow_stats_from_registry_matches(self, tmp_path):
-        log = tmp_path / "grow.log"
-        log.write_text(GOOD + BAD + "\n" + GOOD)
-        registry = Registry()
-        stats = FollowStats()
-        records = list(follow_log(str(log), idle_timeout=0.0,
-                                  _sleep=lambda _t: None, stats=stats,
-                                  registry=registry))
-        assert len(records) == 2
-        rebuilt = FollowStats.from_registry(registry)
-        assert rebuilt.lines == stats.lines == 4
-        assert rebuilt.parsed == stats.parsed == 2
-        assert rebuilt.blank == stats.blank == 1
-        assert rebuilt.malformed == stats.malformed == 1
-        assert rebuilt.fault_counts == stats.fault_counts
 
 
 class TestStreamingInstrumentation:

@@ -1,15 +1,10 @@
-"""Unit tests for page-rank divergence and session-set operations."""
+"""Unit tests for session-set operations."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import EvaluationError
-from repro.mining.pagerank import (
-    rank_divergence,
-    structural_pagerank,
-    usage_rank,
-)
 from repro.sessions.model import Session, SessionSet
 from repro.sessions.ops import (
     concatenate,
@@ -18,66 +13,10 @@ from repro.sessions.ops import (
     split_by_user,
     within_window,
 )
-from repro.topology.graph import WebGraph
 
 
 def _s(pages, user="u0", start=0.0, gap=60.0):
     return Session.from_pages(pages, user_id=user, start=start, gap=gap)
-
-
-@pytest.fixture()
-def hub_site():
-    """hub links to a, b, c; everything links back to hub."""
-    return WebGraph([("hub", "a"), ("hub", "b"), ("hub", "c"),
-                     ("a", "hub"), ("b", "hub"), ("c", "hub")],
-                    start_pages=["hub"])
-
-
-class TestStructuralPagerank:
-    def test_sums_to_one(self, hub_site):
-        scores = structural_pagerank(hub_site)
-        assert sum(scores.values()) == pytest.approx(1.0)
-
-    def test_hub_dominates(self, hub_site):
-        scores = structural_pagerank(hub_site)
-        assert scores["hub"] > max(scores["a"], scores["b"], scores["c"])
-
-    def test_rejects_bad_damping(self, hub_site):
-        with pytest.raises(EvaluationError):
-            structural_pagerank(hub_site, damping=1.0)
-
-
-class TestUsageRank:
-    def test_visit_distribution(self):
-        sessions = SessionSet([_s(["a", "a", "b"]), _s(["b"])])
-        ranks = usage_rank(sessions)
-        assert ranks["a"] == 0.5
-        assert ranks["b"] == 0.5
-
-    def test_rejects_empty(self):
-        with pytest.raises(EvaluationError):
-            usage_rank(SessionSet([]))
-
-
-class TestRankDivergence:
-    def test_flags_unvisited_hub_as_overlinked(self, hub_site):
-        # everyone visits a and b, nobody uses the hub's prominence.
-        sessions = SessionSet([_s(["a"]), _s(["b"]), _s(["a"])])
-        divergence = rank_divergence(hub_site, sessions, top=4)
-        overlinked_pages = [page for page, __ in divergence["overlinked"]]
-        underlinked_pages = [page for page, __ in divergence["underlinked"]]
-        assert "hub" in overlinked_pages
-        assert "a" in underlinked_pages
-
-    def test_deltas_signed_correctly(self, hub_site):
-        sessions = SessionSet([_s(["a"])])
-        divergence = rank_divergence(hub_site, sessions, top=4)
-        assert all(delta < 0 for __, delta in divergence["overlinked"])
-        assert all(delta > 0 for __, delta in divergence["underlinked"])
-
-    def test_rejects_bad_top(self, hub_site):
-        with pytest.raises(EvaluationError):
-            rank_divergence(hub_site, SessionSet([_s(["a"])]), top=0)
 
 
 class TestOps:

@@ -510,12 +510,14 @@ class TestShardedAudit:
                    and "--replay-capacity" in message
                    for level, message in audit.checks)
 
-    def test_shed_shard_with_blocking_governor_warns(self):
+    @pytest.mark.parametrize("policy", ["failover", "shed-shard"])
+    def test_blocking_governor_fails(self, policy):
         audit = audit_sharded_config(
-            ShardedConfig(shards=1, on_shard_failure="shed-shard"),
+            ShardedConfig(shards=1, on_shard_failure=policy),
             GovernorConfig(memory_budget=1 << 20, overload_policy="block",
                            spill_dir="/tmp"))
-        assert any(level == "warn" and "deadlock-prone" in message
+        assert not audit.ok
+        assert any(level == "FAIL" and "block" in message
                    for level, message in audit.checks)
 
     def test_benign_config_is_all_ok(self):

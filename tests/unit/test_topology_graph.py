@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import networkx as nx
 import pytest
 
 from repro.exceptions import TopologyError
@@ -109,32 +108,6 @@ class TestRestriction:
     def test_start_pages_promoted_when_lost(self, diamond):
         sub = diamond.restricted_to(["B", "D"])
         assert sub.start_pages == {"B", "D"}
-
-
-class TestNetworkxInterop:
-    def test_roundtrip(self, diamond):
-        back = WebGraph.from_networkx(diamond.to_networkx())
-        assert back == diamond
-
-    def test_start_attribute_export(self, diamond):
-        nx_graph = diamond.to_networkx()
-        assert nx_graph.nodes["A"].get("start") is True
-        assert "start" not in nx_graph.nodes["B"]
-
-    def test_from_networkx_infers_roots(self):
-        nx_graph = nx.DiGraph([("A", "B"), ("B", "C")])
-        graph = WebGraph.from_networkx(nx_graph)
-        assert graph.start_pages == {"A"}
-
-    def test_from_networkx_all_pages_fallback(self):
-        nx_graph = nx.DiGraph([("A", "B"), ("B", "A")])
-        graph = WebGraph.from_networkx(nx_graph)
-        assert graph.start_pages == {"A", "B"}
-
-    def test_from_networkx_drops_self_loops(self):
-        nx_graph = nx.DiGraph([("A", "A"), ("A", "B")])
-        graph = WebGraph.from_networkx(nx_graph, start_pages=["A"])
-        assert not graph.has_link("A", "A")
 
 
 class TestFromAdjacency:
