@@ -5,7 +5,8 @@ noisy Common Log Format file behind, and an analyst has to filter it,
 partition it into users, and reconstruct sessions — after the fact
 (reactively), with no cookies or client instrumentation.
 
-The script builds the whole loop in a temp directory:
+The script builds the whole loop in a temporary directory, removed when
+it ends:
 
   simulate -> write CLF -> inject noise -> clean -> partition -> Smart-SRA
   -> evaluate against the simulator's ground truth.
@@ -26,7 +27,12 @@ from repro.logs.writer import requests_to_records, write_clf_file
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="repro_log_pipeline_"))
+    with tempfile.TemporaryDirectory(prefix="repro_log_pipeline_") as name:
+        run(Path(name))
+
+
+def run(workdir: Path) -> None:
+    """The pipeline, with its files under ``workdir``."""
     print(f"working in {workdir}")
 
     site = random_site(n_pages=150, avg_out_degree=10, seed=3)

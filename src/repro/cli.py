@@ -106,7 +106,6 @@ from repro.logs.cleaning import LogCleaner
 from repro.logs.reader import (
     iter_clf_lines,
     iter_requests,
-    read_clf_file,
     records_to_requests,
 )
 from repro.evaluation.statistics import describe, render_statistics
@@ -220,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "only the missing agent blocks")
 
     clean = sub.add_parser("clean", help="filter a CLF log to page views")
-    clean.add_argument("--log", required=True)
+    clean.add_argument("--log", required=True,
+                      help="input log path ('-' reads stdin)")
     clean.add_argument("--output", required=True)
 
     def add_amp_flags(command_parser: argparse.ArgumentParser) -> None:
@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rec = sub.add_parser("reconstruct", aliases=["sessionize"],
                          help="apply a heuristic to a log")
-    rec.add_argument("--log", required=True)
+    rec.add_argument("--log", required=True,
+                    help="input log path ('-' reads stdin)")
     rec.add_argument("--heuristic", default="heur4",
                      help="heur1 | heur2 | heur3 | heur4 | amp | phase1 | "
                           "referrer (needs a combined-format log)")
@@ -326,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="incremental (streaming) reconstruction, "
                                "optionally under a memory governor")
     strm.add_argument("--log", required=True,
-                      help="CLF log, fed in file order")
+                      help="CLF log, fed in file order ('-' reads stdin)")
     strm.add_argument("--heuristic",
                       choices=["smart-sra", "phase1", "amp"],
                       default="smart-sra",
@@ -470,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     anon = sub.add_parser("anonymize",
                           help="anonymize host identities in a log")
-    anon.add_argument("--log", required=True)
+    anon.add_argument("--log", required=True,
+                     help="input log path ('-' reads stdin)")
     anon.add_argument("--output", required=True)
     group = anon.add_mutually_exclusive_group(required=True)
     group.add_argument("--key", help="keyed pseudonymization secret")
@@ -756,11 +758,24 @@ def _note_drops(report) -> None:
               f"repair them", file=sys.stderr)
 
 
+@contextlib.contextmanager
+def _open_log(path: str, errors: str = "strict"):
+    """The log at ``path`` opened for reading, or stdin for ``-`` (left
+    open on exit)."""
+    if path == "-":
+        yield sys.stdin
+    else:
+        with open(path, encoding="utf-8", errors=errors) as handle:
+            yield handle
+
+
 def _read_log_surfacing_drops(path: str) -> list:
     """Read a log skipping malformed lines, but say so when any dropped."""
     from repro.logs.ingest import IngestReport
     report = IngestReport()
-    records = read_clf_file(path, skip_malformed=True, report=report)
+    with _open_log(path) as handle:
+        records = list(iter_clf_lines(handle, skip_malformed=True,
+                                      report=report))
     _note_drops(report)
     return records
 
@@ -893,7 +908,7 @@ def _stream_sharded(args: argparse.Namespace, sharded, governor) -> int:
         reorder_window=args.reorder_window, dedup=args.dedup)
     from repro.logs.ingest import IngestReport
     report = IngestReport()
-    with open(args.log, encoding="utf-8") as handle:
+    with _open_log(args.log) as handle:
         result = runtime.run(
             iter_requests(iter_clf_lines(handle, skip_malformed=True,
                                          report=report)),
@@ -966,7 +981,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     report = IngestReport()
     sessions = []
     next_watermark = None
-    with open(args.log, encoding="utf-8") as handle:
+    with _open_log(args.log) as handle:
         for request in iter_requests(
                 iter_clf_lines(handle, skip_malformed=True,
                                report=report)):
@@ -1397,11 +1412,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     specs = None
     if args.fault:
         specs = [parse_fault_spec(spec) for spec in args.fault]
-    if args.log == "-":
-        lines = [line.rstrip("\n") for line in sys.stdin]
-    else:
-        with open(args.log, encoding="utf-8", errors="replace") as handle:
-            lines = [line.rstrip("\n") for line in handle]
+    with _open_log(args.log, errors="replace") as handle:
+        lines = [line.rstrip("\n") for line in handle]
     corrupted = list(chaos_stream(lines, specs, seed=args.seed))
     payload = "".join(line + "\n" for line in corrupted)
     if args.output == "-":
@@ -1420,27 +1432,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.logs.ingest import IngestReport, ingest_clf_file, ingest_lines
+    from repro.logs.ingest import IngestReport, ingest_lines
     quarantine_path = args.quarantine
     if quarantine_path is None and args.error_policy in ("quarantine",
                                                          "repair"):
         quarantine_path = ("quarantine.log" if args.log == "-"
                           else f"{args.log}.quarantine")
-    if args.log == "-":
-        report = IngestReport()
-        if quarantine_path is not None:
-            with open(quarantine_path, "w", encoding="utf-8") as sink:
-                records = list(ingest_lines(sys.stdin,
-                                            policy=args.error_policy,
-                                            report=report, quarantine=sink))
-        else:
-            records = list(ingest_lines(sys.stdin,
-                                        policy=args.error_policy,
-                                        report=report))
-    else:
-        result = ingest_clf_file(args.log, policy=args.error_policy,
-                                 quarantine_path=quarantine_path)
-        records, report = result.records, result.report
+    report = IngestReport()
+    # the quarantine file is created even when nothing lands in it.
+    with _open_log(args.log, errors="replace") as handle, \
+            (contextlib.nullcontext() if quarantine_path is None
+             else open(quarantine_path, "w", encoding="utf-8")) as sink:
+        records = list(ingest_lines(handle, policy=args.error_policy,
+                                    report=report, quarantine=sink))
     print(report.summary())
     if not report.reconciles():  # pragma: no cover - invariant guard
         print("error: ingest accounting does not reconcile",

@@ -51,6 +51,10 @@ _LINE_PATTERN = re.compile(
     r'(?P<status>\d{3}) (?P<bytes>\d+|-)'
     r'(?: "(?P<referrer>[^"]*)" "(?P<user_agent>[^"]*)")?')
 
+#: ``_match(line)``: :data:`_LINE_PATTERN` matched against the whole line
+#: but its trailing newlines (a line from a file keeps its ``\n``).
+_match = re.compile(_LINE_PATTERN.pattern + r"\n*").fullmatch
+
 
 @slot_init
 @dataclass(frozen=True, slots=True)
@@ -90,7 +94,12 @@ class CLFRecord:
         A successful (2xx) GET is the classic page-view filter; everything
         else (POSTs, redirects, errors) is dropped during cleaning.
         """
-        return self.method == "GET" and 200 <= self.status < 300
+        return _page_view(self.method, self.status)
+
+
+def _page_view(method: str, status: int) -> bool:
+    """The page-view filter over a record's method and status."""
+    return method == "GET" and 200 <= status < 300
 
 
 def format_clf_line(record: CLFRecord) -> str:
@@ -166,10 +175,7 @@ def _parse(line: str, line_number: int | None,
            combined: bool | None = None) -> CLFRecord:
     """Match once and build one record; ``combined`` restricts the format
     (``None``: either)."""
-    end = len(line)
-    while end and line[end - 1] == "\n":    # every trailing newline
-        end -= 1
-    match = _LINE_PATTERN.fullmatch(line, 0, end)
+    match = _match(line)
     if match is None or (combined is not None and combined
                          != (match.group("referrer") is not None)):
         raise LogFormatError(
@@ -178,24 +184,42 @@ def _parse(line: str, line_number: int | None,
             line_number=line_number, line=line)
     (host, ident, authuser, date, hour, minute, second, tz, method, url,
      protocol, status, size, referrer, user_agent) = match.groups()
-    hours, minutes, seconds = int(hour), int(minute), int(second)
     try:
-        if hours < 24 and minutes < 60 and seconds < 60:
-            epoch = (_day_epoch(date)
-                     + hours * 3600 + minutes * 60 + seconds)
-        else:   # datetime names the first out-of-range field
-            epoch = _epoch(date, hours, minutes, seconds)
+        timestamp = _timestamp(date, hour, minute, second, tz)
     except KeyError:
         raise LogFormatError(f"unknown month abbreviation {date[3:6]!r}",
                              line_number=line_number, line=line) from None
     except ValueError as exc:
         raise LogFormatError(f"invalid date/time: {exc}",
                              line_number=line_number, line=line) from exc
-    return CLFRecord(host, float(epoch + _tz_offset(tz)), method, url,
-                     protocol, int(status),
+    return CLFRecord(host, timestamp, method, url, protocol, int(status),
                      None if size == "-" else int(size), ident, authuser,
                      None if referrer == "-" else referrer,
                      None if user_agent == "-" else user_agent)
+
+
+def _timestamp(date: str, hour: str, minute: str, second: str,
+               tz: str) -> float:
+    """UTC epoch seconds of a matched line's date, time and zone groups.
+
+    Raises ``KeyError`` for an unknown month and ``ValueError``
+    (datetime's message) for an impossible date or time.
+    """
+    hours = _HOUR_SECONDS.get(hour)
+    minutes = _SIXTY.get(minute)
+    seconds = _SIXTY.get(second)
+    if hours is None or minutes is None or seconds is None:
+        # out of range: datetime names the first bad field
+        epoch = _epoch(date, int(hour), int(minute), int(second))
+    else:
+        epoch = _day_epoch(date) + hours + minutes * 60 + seconds
+    return float(epoch + _tz_offset(tz))
+
+
+#: a clock field's text to its value, for hours 00-23 (in seconds) and
+#: minutes and seconds 00-59: one lookup converts and range-checks.
+_HOUR_SECONDS = {f"{hour:02d}": hour * 3600 for hour in range(24)}
+_SIXTY = {f"{value:02d}": value for value in range(60)}
 
 
 def _epoch(date: str, hours: int = 0, minutes: int = 0,

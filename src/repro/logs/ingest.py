@@ -33,6 +33,7 @@ on every run.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import re
 from collections.abc import Callable, Iterable, Iterator
@@ -246,6 +247,12 @@ def ingest_lines(lines: Iterable[str], *,
                  ) -> Iterator[CLFRecord]:
     """Parse log lines lazily under an explicit error policy.
 
+    Iterating the result yields :class:`~repro.logs.clf.CLFRecord` objects.
+    Handed to :func:`repro.logs.reader.iter_requests` before it is
+    started, the same loop parses each line straight into a
+    :class:`~repro.sessions.model.Request` instead, with the same
+    accounting, faults and quarantine output.
+
     Args:
         lines: raw log lines (either CLF or combined, per line).
         policy: what to do with malformed lines; see :class:`ErrorPolicy`.
@@ -265,9 +272,9 @@ def ingest_lines(lines: Iterable[str], *,
             ``report`` reconcile exactly
             (:func:`report_from_registry`).
 
-    Yields:
-        One :class:`~repro.logs.clf.CLFRecord` per successfully parsed
-        (or repaired) line, in input order.
+    Returns:
+        An iterator yielding one :class:`~repro.logs.clf.CLFRecord` per
+        successfully parsed (or repaired) line, in input order.
 
     Raises:
         ConfigurationError: for an unknown policy, or ``quarantine``
@@ -285,15 +292,52 @@ def ingest_lines(lines: Iterable[str], *,
     report.policy = policy.value
     if registry is None:
         registry = get_registry()
-    return _ingest(lines, policy, report, quarantine, on_malformed,
-                   registry)
+    return _IngestStream(
+        (lines, policy, report, quarantine, on_malformed, registry))
+
+
+class _IngestStream:
+    """What :func:`ingest_lines` returns: its loop, not yet started.
+
+    Iterating starts the loop with the record builder; :meth:`fuse`
+    starts it with another builder instead (see
+    :func:`repro.logs.reader.iter_requests`).
+    """
+
+    __slots__ = ("_arguments", "_loop")
+
+    def __init__(self, arguments: tuple) -> None:
+        self._arguments = arguments
+        self._loop: Iterator | None = None
+
+    def __iter__(self) -> Iterator[CLFRecord]:
+        if self._loop is None:
+            self._loop = _ingest(*self._arguments, parse_log_line, None)
+        return self._loop
+
+    def __next__(self) -> CLFRecord:
+        return next(iter(self))
+
+    def fuse(self, build: Callable[[str, int], object],
+             convert: Callable[[CLFRecord], object]) -> Iterator | None:
+        """The loop started with ``build(line, line_number)`` per line and
+        ``convert(record)`` per repaired record, or ``None`` if it has
+        started.  Each returns the item to yield, or ``None`` for none;
+        ``build`` raises :func:`parse_log_line`'s error for a malformed
+        line.  The lines then belong to the returned iterator alone.
+        """
+        if self._loop is not None:
+            return None
+        self._loop = iter(())
+        return _ingest(*self._arguments, build, convert)
 
 
 def _ingest(lines: Iterable[str], policy: ErrorPolicy,
             report: IngestReport, quarantine: QuarantineSink | None,
             on_malformed: Callable[[LogFormatError], None] | None,
-            registry: Registry,
-            ) -> Iterator[CLFRecord]:
+            registry: Registry, build: Callable[[str, int], object],
+            convert: Callable[[CLFRecord], object] | None,
+            ) -> Iterator:
     # Instrument handles are resolved once per run, and the per-line
     # updates sit behind one local bool so a disabled registry costs a
     # single truth test per line on the hot path.
@@ -316,15 +360,18 @@ def _ingest(lines: Iterable[str], policy: ErrorPolicy,
             m_blank.inc()
             continue
         try:
-            yield parse_log_line(line, line_number)
-            report.parsed += 1
-            if enabled:
-                m_parsed.inc()
-            continue
+            item = build(line, line_number)
         except LogFormatError as error:
             if policy is ErrorPolicy.STRICT:
                 raise
             caught = error
+        else:
+            if item is not None:
+                yield item
+            report.parsed += 1
+            if enabled:
+                m_parsed.inc()
+            continue
         if policy is ErrorPolicy.REPAIR:
             rescue = attempt_repair(line, line_number)
             if rescue is not None:
@@ -336,7 +383,9 @@ def _ingest(lines: Iterable[str], policy: ErrorPolicy,
                 m_repaired.inc()
                 registry.counter("ingest.faults",
                                  **{"class": f"repaired:{strategy}"}).inc()
-                yield record
+                item = record if convert is None else convert(record)
+                if item is not None:
+                    yield item
                 continue
         fault_class = classify_fault(line, caught)
         report._count(fault_class)
@@ -412,14 +461,9 @@ def ingest_clf_file(path: str, *,
     """
     policy = ErrorPolicy.coerce(policy)
     report = IngestReport()
-    if quarantine_path is not None:
-        with open(path, encoding="utf-8", errors="replace") as handle, \
-                open(quarantine_path, "w", encoding="utf-8") as sink:
-            records = list(ingest_lines(handle, policy=policy,
-                                        report=report, quarantine=sink,
-                                        registry=registry))
-    else:
-        with open(path, encoding="utf-8", errors="replace") as handle:
-            records = list(ingest_lines(handle, policy=policy,
-                                        report=report, registry=registry))
+    with open(path, encoding="utf-8", errors="replace") as handle, \
+            (contextlib.nullcontext() if quarantine_path is None
+             else open(quarantine_path, "w", encoding="utf-8")) as sink:
+        records = list(ingest_lines(handle, policy=policy, report=report,
+                                    quarantine=sink, registry=registry))
     return IngestResult(records=records, report=report)

@@ -11,6 +11,10 @@ repair) and per-fault accounting; use :func:`repro.logs.ingest.ingest_lines`
 directly when you need more than strict-or-skip.  Skipped lines are never
 silently lost: pass ``report`` and/or ``on_malformed`` to get an exact
 account of every dropped line.
+
+``iter_requests(iter_clf_lines(lines))`` is the streaming front end.  It
+is fused: one loop in :mod:`repro.logs.ingest` parses each line straight
+into a request, and no record is built in between.
 """
 
 from __future__ import annotations
@@ -18,9 +22,21 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable, Iterable, Iterator
 
-from repro.exceptions import LogFormatError
-from repro.logs.clf import CLFRecord, url_to_page
-from repro.logs.ingest import ErrorPolicy, IngestReport, ingest_lines
+from repro.exceptions import LateEventError, LogFormatError
+from repro.logs.clf import (
+    CLFRecord,
+    _match,
+    _page_view,
+    _timestamp,
+    parse_log_line,
+    url_to_page,
+)
+from repro.logs.ingest import (
+    ErrorPolicy,
+    IngestReport,
+    _IngestStream,
+    ingest_lines,
+)
 from repro.sessions.model import Request
 
 __all__ = ["read_clf_file", "iter_clf_lines", "iter_requests",
@@ -34,7 +50,10 @@ def iter_clf_lines(lines: Iterable[str], *,
                    = None) -> Iterator[CLFRecord]:
     """Parse an iterable of log lines lazily (either format, per line).
 
-    Blank lines are always skipped.
+    Blank lines are always skipped.  Iterating the result yields
+    :class:`~repro.logs.clf.CLFRecord` objects; passed unstarted to
+    :func:`iter_requests`, it parses each line straight into a
+    :class:`~repro.sessions.model.Request` instead (see there).
 
     Args:
         lines: raw log lines.
@@ -113,21 +132,53 @@ def iter_requests(records: Iterable[CLFRecord],
     Composes with :func:`iter_clf_lines` into a fully incremental
     file-to-request pipeline — ``repro stream`` feeds a log this way so
     a live run (a pipe, a growing file) is processed as it arrives
-    instead of after a full read.
+    instead of after a full read.  The composition is fused: given the
+    not yet started result of :func:`iter_clf_lines` (or
+    :func:`~repro.logs.ingest.ingest_lines`), each line is parsed straight
+    into a request, with no record in between; the requests, the ingest
+    accounting and the faults are the same as through records.  Any
+    other iterable of records, a started one included, is projected
+    record by record.
 
     Raises:
         LateEventError: as :func:`records_to_requests`.
     """
-    from repro.exceptions import LateEventError
     # a site has few distinct URLs: map each to its page once.
     page = functools.lru_cache(maxsize=4096)(url_to_page)
-    for record in records:
-        if watermark is not None and record.timestamp < watermark:
+
+    def project(timestamp: float, host: str, method: str, status: int,
+                url: str, referrer: str | None) -> Request | None:
+        # the one record -> request rule, over a record's fields; None
+        # drops the record.
+        if watermark is not None and timestamp < watermark:
             raise LateEventError(
-                f"record from {record.host!r} at t={record.timestamp} "
+                f"record from {host!r} at t={timestamp} "
                 f"predates the watermark {watermark}")
-        if not page_views_only or record.is_page_view:
-            referrer = record.referrer
-            yield Request(record.timestamp, record.host, page(record.url),
-                          False,
-                          None if referrer is None else page(referrer))
+        if page_views_only and not _page_view(method, status):
+            return None
+        return Request(timestamp, host, page(url), False,
+                       None if referrer is None else page(referrer))
+
+    def convert(record: CLFRecord) -> Request | None:
+        return project(record.timestamp, record.host, record.method,
+                       record.status, record.url, record.referrer)
+
+    def build(line: str, line_number: int) -> Request | None:
+        match = _match(line)
+        if match is not None:
+            (host, _, _, date, hour, minute, second, tz, method, url, _,
+             status, _, referrer, _) = match.groups()
+            try:
+                timestamp = _timestamp(date, hour, minute, second, tz)
+            except (KeyError, ValueError):
+                pass    # parse_log_line raises the exact error
+            else:
+                return project(timestamp, host, method, int(status), url,
+                               None if referrer == "-" else referrer)
+        return convert(parse_log_line(line, line_number))
+
+    if isinstance(records, _IngestStream):
+        fused = records.fuse(build, convert)
+        if fused is not None:
+            return fused
+    return filter(None, map(convert, records))

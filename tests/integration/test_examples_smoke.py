@@ -32,14 +32,15 @@ FAST_EXAMPLES = {
 
 @pytest.mark.parametrize("script", sorted(FAST_EXAMPLES))
 def test_example_runs(script, tmp_path):
-    # examples that work in a temp directory leave it for inspection;
-    # here it lands under the test's own tmp_path.
+    # the example's temporary files land under the test's own tmp_path,
+    # and none may outlive the run.
     completed = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / script)],
         capture_output=True, text=True, timeout=240, check=False,
         env=dict(os.environ, TMPDIR=str(tmp_path)))
     assert completed.returncode == 0, completed.stderr[-2000:]
     assert FAST_EXAMPLES[script] in completed.stdout
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_example_has_a_module_docstring_and_main():

@@ -350,6 +350,35 @@ def test_stream_matches_batch_reconstruct(pipeline_files, capsys):
     assert key(SessionSet.load(streamed)) == key(SessionSet.load(batch))
 
 
+@pytest.mark.parametrize("command", [
+    ["stream", "--topology", "{site}"],
+    ["reconstruct", "--heuristic", "heur4", "--topology", "{site}"],
+    ["clean"],
+    ["anonymize", "--key", "secret"],
+], ids=lambda command: command[0])
+def test_log_dash_reads_stdin(pipeline_files, capsys, monkeypatch, command):
+    dirty = str(pipeline_files["dir"] / "dirty.log")
+    assert main(["chaos", "--log", pipeline_files["log"], "--output", dirty,
+                 "--seed", "3", "--fault", "truncate:0.1",
+                 "--fault", "garble:0.05"]) == 0
+    capsys.readouterr()
+    command = [arg.format(site=pipeline_files["site"]) for arg in command]
+
+    def run(log: str, name: str) -> tuple[bytes, str]:
+        out = str(pipeline_files["dir"] / name)
+        assert main(command[:1] + ["--log", log, "--output", out]
+                    + command[1:]) == 0
+        with open(out, "rb") as handle:
+            return handle.read(), capsys.readouterr().err
+
+    from_file = run(dirty, "from_file")
+    with open(dirty, encoding="utf-8") as handle:
+        monkeypatch.setattr(sys, "stdin", handle)
+        from_stdin = run("-", "from_stdin")
+    assert from_stdin == from_file
+    assert "note: skipped" in from_file[1]   # the drop note, on both
+
+
 def test_stream_governed_reports_degradation(pipeline_files, capsys):
     out = str(pipeline_files["dir"] / "governed.json")
     assert main(["stream", "--log", pipeline_files["log"],
