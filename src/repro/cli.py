@@ -92,6 +92,7 @@ import argparse
 import contextlib
 import functools
 import gc
+import io
 import json
 import os
 import sys
@@ -759,13 +760,22 @@ def _note_drops(report) -> None:
 
 
 @contextlib.contextmanager
-def _open_log(path: str, errors: str = "strict"):
+def _open_log(path: str):
     """The log at ``path`` opened for reading, or stdin for ``-`` (left
-    open on exit)."""
+    open on exit).
+
+    A byte that is not UTF-8 decodes to U+FFFD instead of aborting the
+    read, so its line parses, or is dropped as malformed, like any other.
+    """
     if path == "-":
-        yield sys.stdin
+        handle = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8",
+                                  errors="replace")
+        try:
+            yield handle
+        finally:
+            handle.detach()
     else:
-        with open(path, encoding="utf-8", errors=errors) as handle:
+        with open(path, encoding="utf-8", errors="replace") as handle:
             yield handle
 
 
@@ -944,7 +954,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         streaming_phase1,
         streaming_smart_sra,
     )
-    from repro.streaming.governor import GovernedStreamingStats
     if args.flush_every < 0:
         print(f"error: --flush-every must be >= 0, got {args.flush_every}",
               file=sys.stderr)
@@ -996,14 +1005,14 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     _note_drops(report)
     SessionSet(sessions).save(args.output)
     stats = pipeline.stats()
-    mode = ("governed" if isinstance(stats, GovernedStreamingStats)
-            else "ungoverned")
+    governed = pipeline.governor is not None
+    mode = "governed" if governed else "ungoverned"
     print(f"streamed {stats.fed_requests} requests -> "
           f"{stats.emitted_sessions} sessions ({args.heuristic}, {mode})")
     if stats.late_dropped or stats.duplicates_dropped:
         print(f"  dropped: {stats.late_dropped} late, "
               f"{stats.duplicates_dropped} duplicates")
-    if isinstance(stats, GovernedStreamingStats):
+    if governed:
         print(f"  budget {stats.memory_budget}B, peak tracked "
               f"{stats.peak_tracked_bytes}B "
               f"({'bounded' if stats.peak_tracked_bytes <= stats.memory_budget else 'EXCEEDED'})")
@@ -1412,7 +1421,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     specs = None
     if args.fault:
         specs = [parse_fault_spec(spec) for spec in args.fault]
-    with _open_log(args.log, errors="replace") as handle:
+    with _open_log(args.log) as handle:
         lines = [line.rstrip("\n") for line in handle]
     corrupted = list(chaos_stream(lines, specs, seed=args.seed))
     payload = "".join(line + "\n" for line in corrupted)
@@ -1440,7 +1449,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                           else f"{args.log}.quarantine")
     report = IngestReport()
     # the quarantine file is created even when nothing lands in it.
-    with _open_log(args.log, errors="replace") as handle, \
+    with _open_log(args.log) as handle, \
             (contextlib.nullcontext() if quarantine_path is None
              else open(quarantine_path, "w", encoding="utf-8")) as sink:
         records = list(ingest_lines(handle, policy=args.error_policy,

@@ -27,7 +27,7 @@ Each spec is ``kind:index[:seconds[:attempts]]``:
   :class:`~repro.parallel.checkpoint.CheckpointStore` has its integrity
   digest flipped after the atomic rename, so validation must catch it;
 * ``mem-pressure:N[:F]`` — from feed ordinal ``N`` on, a
-  :class:`~repro.streaming.governor.GovernedStreamingReconstructor`
+  governed :class:`~repro.streaming.pipeline.StreamingReconstructor`
   constructed under the armed plan shrinks its effective memory budget
   by factor ``F`` (default 0.5) — models the co-tenant that eats half
   the headroom mid-stream;

@@ -85,7 +85,7 @@ def read_clf_file(path: str, *,
     """Read and parse a whole access-log file (plain CLF or combined).
 
     Args:
-        path: log file path.
+        path: log file path; a byte that is not UTF-8 decodes to U+FFFD.
         skip_malformed: see :func:`iter_clf_lines`.
         report: see :func:`iter_clf_lines`.
         on_malformed: see :func:`iter_clf_lines`.
@@ -93,7 +93,7 @@ def read_clf_file(path: str, *,
     Raises:
         LogFormatError: as :func:`iter_clf_lines`.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8", errors="replace") as handle:
         return list(iter_clf_lines(handle, skip_malformed=skip_malformed,
                                    report=report, on_malformed=on_malformed))
 

@@ -5,13 +5,14 @@ offline.  Production log pipelines usually cannot wait — they *tail* the
 access log and want sessions emitted as soon as they are provably complete.
 This package provides an incremental driver for exactly that:
 
-* :class:`~repro.streaming.pipeline.StreamingReconstructor` — feeds
-  requests one at a time, buffers each user's open Phase-1 candidate, and
-  emits finished sessions the moment the time rules prove the candidate
-  closed (or a watermark passes);
+* :class:`~repro.streaming.pipeline.StreamingReconstructor` — the one
+  pipeline class: feeds requests one at a time, buffers each user's open
+  Phase-1 candidate, and emits finished sessions the moment the time
+  rules prove the candidate closed (or a watermark passes), reporting one
+  :class:`~repro.streaming.pipeline.StreamingStats` ledger;
 * :func:`~repro.streaming.pipeline.streaming_smart_sra` /
-  :func:`~repro.streaming.pipeline.streaming_phase1` — the two canonical
-  configurations.
+  :func:`~repro.streaming.pipeline.streaming_phase1` /
+  :func:`~repro.streaming.pipeline.streaming_amp` — its finishers.
 
 The streaming output is *identical* to the batch output (verified by
 property test): Smart-SRA's two-phase structure makes it naturally
@@ -24,9 +25,11 @@ reorder buffer, a late-event policy (typed
 deduplication — see :mod:`repro.streaming.pipeline`.
 
 For *adversarial* streams — crawlers that never idle, NAT addresses
-aggregating thousands of humans — :mod:`repro.streaming.governor` bounds
-tracked memory under an explicit budget with observable degradation
-(eviction, spill-to-disk, quarantine, shedding) instead of OOM.
+aggregating thousands of humans — the same class takes a
+:class:`~repro.streaming.governor.GovernorConfig` as its ``governor``
+and bounds tracked memory under an explicit budget with observable
+degradation (eviction, spill-to-disk, quarantine, shedding) instead of
+OOM.  Without one it runs unbounded.
 
 For population scale, :mod:`repro.streaming.sharded` hash-shards users
 across crash-safe worker processes: per-shard watermarks with a global
@@ -38,8 +41,6 @@ output, and policy-driven degradation (``failover`` / ``shed-shard`` /
 
 from repro.streaming.governor import (
     OVERLOAD_POLICIES,
-    GovernedStreamingReconstructor,
-    GovernedStreamingStats,
     GovernorConfig,
     OverloadAudit,
     SpillStore,
@@ -75,8 +76,6 @@ __all__ = [
     "streaming_amp",
     "OVERLOAD_POLICIES",
     "GovernorConfig",
-    "GovernedStreamingReconstructor",
-    "GovernedStreamingStats",
     "SpillStore",
     "OverloadAudit",
     "audit_overload_config",

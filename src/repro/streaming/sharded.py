@@ -8,8 +8,9 @@ Architecture
 ------------
 
 A coordinator hash-shards users across ``N`` forked worker processes,
-each running a :class:`~repro.streaming.governor.GovernedStreamingReconstructor`
-over one shard of the user population.  Per shard there are two OS
+each running a governed
+:class:`~repro.streaming.pipeline.StreamingReconstructor` over one shard
+of the user population.  Per shard there are two OS
 pipes carrying the framed compact protocol of
 :mod:`repro.streaming.wire` — interned symbols plus fixed-width event
 records, never per-chunk pickles (the A17 lesson).  The coordinator's
@@ -614,7 +615,7 @@ class ShardedRunResult:
             arrival interleaving was).
         stats: the reconciling run ledger.
         shard_stats: each worker's final
-            :class:`~repro.streaming.governor.GovernedStreamingStats`
+            :class:`~repro.streaming.pipeline.StreamingStats`
             as a plain dict (empty for shed shards).
         recovery_seconds: wall-clock time from each failover to the
             respawned worker's first ACK — sent once its replay of the

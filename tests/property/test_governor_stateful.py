@@ -16,7 +16,11 @@ drops and ``state()`` -> ``restore()`` restarts, under ``evict`` and
 * the users a feed evicted or spilled are the oldest-idle ones, by
   ``(tail timestamp, user id)`` over the buffers the rebalance saw;
 * after a restart, the restored pipeline emits exactly what the original
-  does on every later step.
+  does on every later step;
+* under a budget and cap that never bind (the ``unbounded`` draw), the
+  governed pipeline emits exactly what an ungoverned twin fed the same
+  steps emits, with the same fed/emitted/closed/late/duplicate counters;
+  the twin restarts from its own state whenever the governed one does.
 
 The default profile is sized for the tier-1 suite; set
 ``GOVERNOR_STATEFUL_PROFILE=deep`` for more and longer runs.
@@ -44,6 +48,11 @@ from repro.sessions.model import Request
 from repro.streaming import streaming_phase1
 from repro.streaming.governor import GovernorConfig, request_cost
 
+#: the counters an ungoverned twin must share with a governed pipeline
+#: whose budget never binds.
+LOCKSTEP = ("fed_requests", "emitted_sessions", "closed_requests",
+            "late_dropped", "duplicates_dropped")
+
 USERS = ("a", "b", "c", "d")
 PAGES = ("P1", "P2", "P3")
 #: event-time steps, mostly short so candidates grow into caps and
@@ -70,13 +79,19 @@ class GovernorMachine(RuleBasedStateMachine):
     #: parent directory of the per-pipeline spill directories.
     spill_root = ""
 
-    @initialize(policy=st.sampled_from(["evict", "block"]),
+    @initialize(policy=st.sampled_from(["evict", "block", "unbounded"]),
                 budget=st.sampled_from(BUDGETS))
     def start(self, policy, budget):
-        self.governor = GovernorConfig(
-            memory_budget=budget, per_user_cap=4, overload_policy=policy,
-            quarantine_after=2, quarantine_cap=6,
-            spill_dir=self.spill_root if policy == "block" else None)
+        if policy == "unbounded":
+            self.governor = GovernorConfig(memory_budget=1 << 30,
+                                           per_user_cap=10**6)
+        else:
+            self.governor = GovernorConfig(
+                memory_budget=budget, per_user_cap=4, overload_policy=policy,
+                quarantine_after=2, quarantine_cap=6,
+                spill_dir=self.spill_root if policy == "block" else None)
+        self.twin = (self._build_twin() if policy == "unbounded"
+                     else None)
         self.pressure: list[tuple[int, float]] = []
         self.ordinal = 0         # feed calls, the fault clock
         self.clock = 0.0         # newest event time fed
@@ -102,6 +117,16 @@ class GovernorMachine(RuleBasedStateMachine):
             assert pipeline.stats() == source.stats()
         return pipeline, registry
 
+    @staticmethod
+    def _build_twin(source=None):
+        """An ungoverned pipeline, restored from ``source`` when given."""
+        twin = streaming_phase1(registry=Registry(), late_policy="drop",
+                                dedup=True)
+        if source is not None:
+            twin.restore(source.state())
+            assert twin.stats() == source.stats()
+        return twin
+
     def _budget(self) -> int:
         budget = self.governor.memory_budget
         for index, factor in self.pressure:
@@ -121,6 +146,8 @@ class GovernorMachine(RuleBasedStateMachine):
         emitted = pipeline.feed(request)
         if self.shadow is not None:
             assert _rows(self.shadow.feed(request)) == _rows(emitted)
+        if self.twin is not None:
+            assert _rows(self.twin.feed(request)) == _rows(emitted)
         self.clock = max(self.clock, request.timestamp)
         self.last[user] = request
         # A rebalance takes buffers oldest-idle first, by (tail, user)
@@ -175,6 +202,9 @@ class GovernorMachine(RuleBasedStateMachine):
         if self.shadow is not None:
             assert (_rows(self.shadow.flush(self.clock - offset))
                     == _rows(emitted))
+        if self.twin is not None:
+            assert (_rows(self.twin.flush(self.clock - offset))
+                    == _rows(emitted))
         floor = self.pipeline._flush_watermark
         assert all(mark > floor or user in self.pipeline._quarantine
                    for user, mark in self.pipeline._evict_watermarks.items())
@@ -185,12 +215,14 @@ class GovernorMachine(RuleBasedStateMachine):
         emitted = self.pipeline.flush()
         if self.shadow is not None:
             assert _rows(self.shadow.flush()) == _rows(emitted)
+        if self.twin is not None:
+            assert _rows(self.twin.flush()) == _rows(emitted)
         stats = self.pipeline.stats()
         assert stats.tracked_bytes == stats.buffered_requests == 0
         assert stats.spilled_requests == stats.quarantine_buffered == 0
         assert self.pipeline._evict_watermarks == {}
 
-    @precondition(lambda self: not self.pipeline.has_spilled)
+    @precondition(lambda self: self.pipeline.stats().spilled_requests == 0)
     @rule(factor=st.sampled_from((0.25, 0.5, 0.75)))
     def mem_pressure(self, factor):
         # the budget drops from the next feed on; a restart re-arms the
@@ -200,11 +232,13 @@ class GovernorMachine(RuleBasedStateMachine):
             self.shadow = self._build(self.shadow)[0]
         self.pipeline, self.registry = self._build(self.pipeline)
 
-    @precondition(lambda self: not self.pipeline.has_spilled)
+    @precondition(lambda self: self.pipeline.stats().spilled_requests == 0)
     @rule()
     def restart(self):
         self.shadow = self.pipeline
         self.pipeline, self.registry = self._build(self.pipeline)
+        if self.twin is not None:
+            self.twin = self._build_twin(self.twin)
 
     @invariant()
     def tracked_state_is_priced_and_reconciled(self):
@@ -219,6 +253,13 @@ class GovernorMachine(RuleBasedStateMachine):
         assert self.registry.value("governor.budget_bytes") == self._budget()
         if self.shadow is not None:
             assert self.shadow.stats() == stats
+
+    @invariant()
+    def unbounded_twin_keeps_lockstep(self):
+        if self.twin is not None:
+            stats, twin = self.pipeline.stats(), self.twin.stats()
+            for name in LOCKSTEP:
+                assert getattr(stats, name) == getattr(twin, name), name
 
     @invariant()
     def quarantined_users_are_watermarked(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -377,6 +378,44 @@ def test_log_dash_reads_stdin(pipeline_files, capsys, monkeypatch, command):
         from_stdin = run("-", "from_stdin")
     assert from_stdin == from_file
     assert "note: skipped" in from_file[1]   # the drop note, on both
+
+
+#: command -> pattern of the request/record count it prints.
+_COUNTED = {
+    "stream": (["--topology", "{site}"], r"streamed (\d+) requests"),
+    "reconstruct": (["--heuristic", "heur4", "--topology", "{site}"],
+                    r"from (\d+) requests"),
+    "clean": ([], r"kept \d+ of (\d+) records"),
+}
+
+
+@pytest.mark.parametrize("command, log", [
+    ("stream", "file"), ("stream", "-"), ("reconstruct", "file"),
+    ("clean", "file"),
+])
+def test_a_byte_that_is_not_utf8_does_not_abort(pipeline_files, capsys,
+                                                 monkeypatch, command, log):
+    with open(pipeline_files["log"], "rb") as handle:
+        lines = handle.read().splitlines(keepends=True)[:6]
+    assert b".html" in lines[2]
+    lines[2] = lines[2].replace(b".html", b"\xff.html", 1)
+    path = str(pipeline_files["dir"] / "latin.log")
+    with open(path, "wb") as handle:
+        handle.writelines(lines)
+    assert main(["ingest", "--log", path]) == 0
+    parsed = re.search(r"parsed:\s+(\d+)", capsys.readouterr().out)
+    assert int(parsed.group(1)) == 6
+    options, pattern = _COUNTED[command]
+    argv = [command, "--log", path if log == "file" else "-",
+            "--output", str(pipeline_files["dir"] / "out")]
+    argv += [arg.format(site=pipeline_files["site"]) for arg in options]
+    # stdin decodes strictly, as under a UTF-8 locale: ``--log -`` must
+    # read its bytes.
+    with open(path, encoding="utf-8") as stdin:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(argv) == 0
+    counted = re.search(pattern, capsys.readouterr().out)
+    assert int(counted.group(1)) == int(parsed.group(1))
 
 
 def test_stream_governed_reports_degradation(pipeline_files, capsys):

@@ -16,9 +16,12 @@ from repro.exceptions import (
 from repro.obs import Registry
 from repro.sessions.model import Request, Session
 from repro.simulator.adversarial import adversarial_workload
-from repro.streaming import streaming_phase1, streaming_smart_sra
+from repro.streaming import (
+    StreamingReconstructor,
+    streaming_phase1,
+    streaming_smart_sra,
+)
 from repro.streaming.governor import (
-    GovernedStreamingReconstructor,
     GovernorConfig,
     SpillStore,
     audit_overload_config,
@@ -26,6 +29,14 @@ from repro.streaming.governor import (
     request_cost,
 )
 from repro.topology.generators import random_site
+
+
+def _attributes(pipeline):
+    """Every attribute ``pipeline`` has set (it has slots, not a
+    ``__dict__``)."""
+    return {name: getattr(pipeline, name)
+            for name in StreamingReconstructor.__slots__
+            if hasattr(pipeline, name)}
 
 
 def _signature(sessions):
@@ -132,14 +143,16 @@ class TestPassThrough:
         assert stats.evictions == stats.cap_strikes == 0
         assert stats.closed_requests > 45_000
         bound = stats.active_users + stats.buffered_requests
-        sizes = {name: len(value) for name, value in vars(pipeline).items()
+        sizes = {name: len(value)
+                 for name, value in _attributes(pipeline).items()
                  if isinstance(value, (list, dict))}
         assert "_buffers" in sizes and "_user_bytes" in sizes
         assert all(size <= bound for size in sizes.values()), (sizes, bound)
 
     def test_factory_returns_governed_variant(self):
         pipeline = streaming_phase1(governor=GovernorConfig())
-        assert isinstance(pipeline, GovernedStreamingReconstructor)
+        assert pipeline.governor is not None
+        assert streaming_phase1().governor is None
 
 
 # -- evict policy ------------------------------------------------------------
@@ -429,7 +442,7 @@ class TestQuarantine:
         seen = []
         governor = GovernorConfig(memory_budget=1 << 20, per_user_cap=4,
                                   quarantine_after=1, quarantine_cap=12)
-        pipeline = GovernedStreamingReconstructor(
+        pipeline = StreamingReconstructor(
             lambda candidate: seen.append(len(candidate)) or [],
             governor=governor)
         for index in range(40):
@@ -486,26 +499,30 @@ class TestReplayState:
         for request in self._stream():
             pipeline.feed(request)
 
-    def test_every_changed_attribute_is_declared_state(self):
+    @pytest.mark.parametrize("governor", [
+        None,
+        GovernorConfig(memory_budget=1500, per_user_cap=8,
+                       quarantine_after=2, quarantine_cap=64),
+    ], ids=["unbounded", "governed"])
+    def test_every_changed_attribute_is_declared_state(self, governor):
         registry = Registry()
 
         def finisher(candidate):
             return [Session(candidate)]
 
         def build():
-            return GovernedStreamingReconstructor(
-                finisher, governor=GovernorConfig(
-                    memory_budget=1500, per_user_cap=8, quarantine_after=2,
-                    quarantine_cap=64),
-                late_policy="drop", dedup=True, registry=registry)
+            return StreamingReconstructor(
+                finisher, governor=governor, late_policy="drop", dedup=True,
+                registry=registry)
 
         fresh, driven = build(), build()
         self._drive(driven)
         stats = driven.stats()
         assert stats.late_dropped and stats.duplicates_dropped
-        assert stats.quarantined_users and stats.quarantine_buffered
-        assert stats.evictions > stats.cap_strikes > 0   # global eviction
-        before, after = vars(fresh), vars(driven)
+        if governor is not None:
+            assert stats.quarantined_users and stats.quarantine_buffered
+            assert stats.evictions > stats.cap_strikes > 0  # global eviction
+        before, after = _attributes(fresh), _attributes(driven)
         assert before.keys() == after.keys()
         changed = {name for name in after if after[name] != before[name]}
         declared = {"_" + key for key in driven.state()}

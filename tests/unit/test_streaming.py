@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import SmartSRAConfig
 from repro.exceptions import ExecutionError, ReconstructionError
 from repro.sessions.model import Request
+from repro.streaming.governor import GovernorConfig
 from repro.streaming.pipeline import (
     StreamingReconstructor,
     streaming_phase1,
@@ -125,12 +126,19 @@ class TestEquivalenceWithBatch:
 
 
 class TestReplayState:
-    def test_restored_pipeline_continues_identically(self, chain_site):
+    # the governed case's cap of 2 strikes and quarantines u before the
+    # restore, so the state carries its eviction watermark and channel.
+    @pytest.mark.parametrize("governor", [
+        None, GovernorConfig(per_user_cap=2, quarantine_after=1),
+    ], ids=["unbounded", "governed"])
+    def test_restored_pipeline_continues_identically(self, chain_site,
+                                                     governor):
         stream = [Request(0.0, "u", "A"), Request(MIN, "v", "A"),
                   Request(2 * MIN, "u", "B"), Request(3 * MIN, "u", "B"),
                   Request(40 * MIN, "v", "B"), Request(41 * MIN, "u", "C")]
         reference, first, second = (
-            streaming_smart_sra(chain_site, dedup=True) for _ in range(3))
+            streaming_smart_sra(chain_site, governor=governor, dedup=True)
+            for _ in range(3))
         head = first.feed_many(stream[:4]) + first.flush(15 * MIN)
         assert head                          # the watermark closed some
         second.restore(first.state())
