@@ -39,9 +39,14 @@ def write_metrics_sidecar(results_dir: pathlib.Path, name: str,
 
     The sidecar rides next to the usual text/CSV results so a benchmark
     run's internal counters (requests fed, sessions emitted, per-phase
-    wall time) survive alongside its headline numbers.
+    wall time) survive alongside its headline numbers.  It records the
+    workload knobs, which pick the counter pins ``repro bench-diff``
+    compares it with.
     """
+    snapshot = registry.snapshot()
+    snapshot["workload"] = {"agents": BENCH_AGENTS, "quick": BENCH_QUICK,
+                            "seed": BENCH_SEED}
     path = results_dir / f"{name}.metrics.json"
-    path.write_text(json.dumps(registry.snapshot(), indent=1,
-                               sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n",
+                    encoding="utf-8")
     return path

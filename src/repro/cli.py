@@ -54,9 +54,9 @@ Subcommands mirror the paper's pipeline:
 * ``trace``      — analyze a ``--trace`` JSON-lines file: span tree,
   inclusive/exclusive time, critical-path attribution and folded-stack
   flamegraph output (``repro trace analyze FILE``);
-* ``bench-diff`` — compare fresh benchmark metric sidecars against the
-  committed ``BENCH_BASELINE.json`` perf baseline, exiting non-zero on
-  regression (``--update`` re-records the baseline).
+* ``bench-diff`` — compare the counters of fresh benchmark sidecars with
+  the values pinned for their workload in ``BENCH_BASELINE.json``,
+  exiting non-zero on any change (``--update`` re-pins the workload).
 
 ``sweep`` accepts supervision flags (``--max-retries``,
 ``--chunk-deadline``, ``--on-chunk-failure``) that wrap its parallel
@@ -635,31 +635,23 @@ def build_parser() -> argparse.ArgumentParser:
                             "of text")
 
     bdiff = sub.add_parser("bench-diff",
-                           help="compare fresh bench metric sidecars "
-                                "against the committed perf baseline; "
-                                "non-zero exit on regression")
+                           help="check the counters of fresh bench "
+                                "sidecars against the values pinned for "
+                                "their workload; non-zero exit on any "
+                                "change")
     bdiff.add_argument("--results", metavar="DIR",
                        default="benchmarks/results",
                        help="directory of *.metrics.json sidecars "
                             "(default benchmarks/results)")
     bdiff.add_argument("--baseline", metavar="FILE",
                        default="BENCH_BASELINE.json",
-                       help="baseline document (default "
-                            "BENCH_BASELINE.json)")
-    bdiff.add_argument("--threshold", type=float, default=None,
-                       help="relative regression threshold (default "
-                            "0.20 = 20%%)")
-    bdiff.add_argument("--quick", action="store_true",
-                       help="structural check only (CI on shrunken "
-                            "REPRO_BENCH_QUICK workloads): every "
-                            "baselined bench and metric must still be "
-                            "present; values are not compared")
+                       help="counter pins (default BENCH_BASELINE.json)")
     bdiff.add_argument("--update", action="store_true",
-                       help="re-record the baseline from the current "
-                            "sidecars instead of comparing")
+                       help="re-pin the sidecars' workload from their "
+                            "counters instead of comparing; other "
+                            "workloads' pins are kept")
     bdiff.add_argument("--verbose", action="store_true",
-                       help="also list metrics that are within "
-                            "threshold")
+                       help="also list the counters that are equal")
     bdiff.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the diff report as a JSON document "
                             "instead of text")
@@ -1596,34 +1588,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        build_baseline,
-        compare_to_baseline,
-        load_sidecars,
-    )
-    from repro.obs.baseline import DEFAULT_THRESHOLD
+    from repro.obs import compare_to_baseline, load_sidecars, record_pins
     sidecars = load_sidecars(args.results)
+    baseline = None
+    if not args.update or os.path.exists(args.baseline):
+        with open(args.baseline, encoding="utf-8") as handle:
+            baseline = json.load(handle)
     if args.update:
-        if args.quick:
-            print("error: --update and --quick are mutually exclusive "
-                  "(never record a baseline from shrunken quick-mode "
-                  "runs)", file=sys.stderr)
-            return 2
-        document = build_baseline(sidecars)
+        document = record_pins(sidecars, baseline)
         with open(args.baseline, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=1, sort_keys=True)
             handle.write("\n")
-        benches = ", ".join(sorted(document["benches"]))
-        print(f"recorded baseline for {len(document['benches'])} "
-              f"bench(es) ({benches}) into {args.baseline}")
+        print(f"pinned the counters of {len(sidecars)} bench(es) "
+              f"({', '.join(sorted(sidecars))}) into {args.baseline}")
         return 0
-    with open(args.baseline, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    report = compare_to_baseline(
-        sidecars, baseline,
-        threshold=(DEFAULT_THRESHOLD if args.threshold is None
-                   else args.threshold),
-        quick=args.quick)
+    report = compare_to_baseline(sidecars, baseline)
     if args.as_json:
         print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
     else:

@@ -62,7 +62,7 @@ from typing import Any, Sequence
 
 from repro.core.config import SmartSRAConfig
 from repro.exceptions import ConfigurationError, PathBudgetError
-from repro.obs import get_registry
+from repro.obs import ConfigAudit, get_registry
 from repro.sessions.model import Request, Session
 from repro.topology.graph import WebGraph
 
@@ -73,7 +73,6 @@ __all__ = [
     "count_maximal_paths",
     "amp_sessions_reference",
     "amp_sessions_optimized",
-    "AMPAudit",
     "audit_amp_config",
 ]
 
@@ -405,49 +404,9 @@ def amp_sessions_optimized(candidate: Sequence[Request], topology: WebGraph,
 # -- configuration audit (repro doctor) --------------------------------------
 
 
-@dataclass(slots=True)
-class AMPAudit:
-    """Outcome of auditing an AMP configuration (``repro doctor``).
-
-    Attributes:
-        amp: the audited configuration.
-        checks: ``(level, message)`` conclusions; levels are ``"ok"``,
-            ``"warn"`` and ``"FAIL"`` (same vocabulary as
-            :class:`repro.streaming.governor.OverloadAudit`).
-    """
-
-    amp: AMPConfig
-    checks: list[tuple[str, str]]
-
-    @property
-    def ok(self) -> bool:
-        """True when no check failed (warnings are advisory)."""
-        return all(level != "FAIL" for level, _ in self.checks)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form (``repro doctor --json``)."""
-        return {
-            "path_budget": self.amp.path_budget,
-            "overflow": self.amp.overflow,
-            "checks": [{"level": level, "message": message}
-                       for level, message in self.checks],
-            "ok": self.ok,
-        }
-
-    def render(self) -> str:
-        """Human-readable audit, one conclusion per line."""
-        lines = [
-            f"amp configuration: path-budget={self.amp.path_budget}"
-            f" overflow={self.amp.overflow}"]
-        for level, message in self.checks:
-            lines.append(f"  {level:<4}  {message}")
-        lines.append(f"  verdict: {'ok' if self.ok else 'DEGRADED'}")
-        return "\n".join(lines)
-
-
 def audit_amp_config(amp: AMPConfig, *, memory_budget: int | None = None,
                      typical_cost: int = 96,
-                     typical_path_length: int = 8) -> AMPAudit:
+                     typical_path_length: int = 8) -> ConfigAudit:
     """Audit an AMP configuration for operational sanity.
 
     Static construction errors are :class:`ConfigurationError` at
@@ -500,4 +459,8 @@ def audit_amp_config(amp: AMPConfig, *, memory_budget: int | None = None,
             ("warn", f"path_budget {amp.path_budget} is past 1M; counting "
                      f"stays exact but enumeration cost is linear in the "
                      f"budget"))
-    return AMPAudit(amp=amp, checks=checks)
+    return ConfigAudit(
+        f"amp configuration: path-budget={amp.path_budget}"
+        f" overflow={amp.overflow}",
+        {"path_budget": amp.path_budget, "overflow": amp.overflow},
+        checks)

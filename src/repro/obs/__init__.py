@@ -49,10 +49,9 @@ from repro.obs.registry import (
 )
 from repro.obs.baseline import (
     BaselineReport,
-    build_baseline,
     compare_to_baseline,
-    derive_metrics,
     load_sidecars,
+    record_pins,
 )
 from repro.obs.export import MetricsServer, health_report
 from repro.obs.spans import (
@@ -63,7 +62,7 @@ from repro.obs.spans import (
     parse_trace,
 )
 from repro.obs.timeline import (
-    TelemetryAudit,
+    ConfigAudit,
     TimelinePoint,
     TimelineSampler,
     audit_telemetry_config,
@@ -94,7 +93,7 @@ __all__ = [
     "ListSink",
     "TimelineSampler",
     "TimelinePoint",
-    "TelemetryAudit",
+    "ConfigAudit",
     "audit_telemetry_config",
     "histogram_quantile",
     "MetricsServer",
@@ -105,8 +104,7 @@ __all__ = [
     "build_span_forest",
     "parse_trace",
     "BaselineReport",
-    "build_baseline",
     "compare_to_baseline",
-    "derive_metrics",
     "load_sidecars",
+    "record_pins",
 ]

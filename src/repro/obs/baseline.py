@@ -1,28 +1,18 @@
-"""Perf-baseline tracking: turn bench sidecars into an enforced ratchet.
+"""Counter pins: ``repro bench-diff`` checks the bench sidecars exactly.
 
 ``pytest benchmarks/ --emit-metrics`` leaves one snapshot sidecar per
-bench module in ``benchmarks/results/*.metrics.json``.  This module
-reduces each sidecar to scalar **derived metrics**, records them in a
-committed ``BENCH_BASELINE.json``, and compares a fresh run against that
-baseline with configurable thresholds — ``repro bench-diff`` exits
-non-zero on regression, so a perf cliff fails CI instead of landing
-silently.
+bench module in ``benchmarks/results/*.metrics.json``, and records in
+each the **workload** that produced it: the ``benchmarks/_bench_utils``
+knobs ``quick``, ``agents`` and ``seed``.  At a fixed workload the
+simulator and every pipeline are deterministic, so each sidecar counter
+(requests fed, Phase-2 extensions, AMP paths, ...) is an exact function
+of the code.  ``BENCH_BASELINE.json`` pins them, one pin set per
+workload; :func:`compare_to_baseline` picks the pin set of the sidecars'
+workload and fails on any pinned counter that changed or went missing.
+A bench or counter without a pin is not checked.
 
-Derived metrics per sidecar:
-
-* every counter, verbatim (``stream.requests.fed`` → 150000);
-* ``<series>:mean`` for every histogram — mean observation;
-* ``<series>:rate`` for every ``.seconds`` histogram with a positive
-  sum — observations per wall second, the throughput number.
-
-Regression semantics are directional: a ``:rate`` metric regresses by
-**dropping** more than the threshold (throughput fell), a ``.seconds``
-``:mean`` regresses by **rising** more than the threshold (latency
-grew).  Counters carry workload shape, not speed — they are compared
-only as *drift* (informational) and never fail the diff; structural
-absence of a whole metric does.  ``--quick`` mode (CI on shrunken
-workloads) checks structure only: every baselined bench has a sidecar
-and every baselined metric still derives from it, values ignored.
+Timings are not compared: the end-to-end bounds in ``BENCHMARK.json``
+are the one timing gate.
 """
 
 from __future__ import annotations
@@ -35,29 +25,18 @@ from typing import Any
 from repro.exceptions import ConfigurationError
 
 __all__ = [
-    "derive_metrics",
     "load_sidecars",
-    "build_baseline",
+    "record_pins",
     "compare_to_baseline",
     "BaselineReport",
 ]
 
-#: default relative-change threshold for regression (20%).
-DEFAULT_THRESHOLD = 0.20
+BASELINE_VERSION = 2
 
-BASELINE_VERSION = 1
-
-
-def derive_metrics(snapshot: dict[str, Any]) -> dict[str, float]:
-    """Reduce a snapshot document to the scalar metrics we baseline."""
-    metrics: dict[str, float] = dict(snapshot.get("counters", {}))
-    for series, data in snapshot.get("histograms", {}).items():
-        count = data.get("count", 0)
-        total = data.get("sum", 0.0)
-        metrics[f"{series}:mean"] = total / count if count else 0.0
-        if ".seconds" in series and total > 0:
-            metrics[f"{series}:rate"] = count / total
-    return metrics
+#: counters that depend on the process schedule, not on the workload,
+#: and are never pinned: a respawned shard replays the events since the
+#: last ACK its coordinator saw before the kill.
+UNPINNED = frozenset({"sharded.events.replayed"})
 
 
 def load_sidecars(results_dir: str) -> dict[str, dict[str, Any]]:
@@ -91,128 +70,131 @@ def load_sidecars(results_dir: str) -> dict[str, dict[str, Any]]:
     return sidecars
 
 
-def build_baseline(sidecars: dict[str, dict[str, Any]]) -> dict[str, Any]:
-    """Baseline document from sidecar snapshots (sorted, committable)."""
-    return {"version": BASELINE_VERSION,
-            "benches": {name: {"metrics": dict(sorted(
-                derive_metrics(snapshot).items()))}
-                for name, snapshot in sorted(sidecars.items())}}
+def _workload(sidecars: dict[str, dict[str, Any]]) -> dict[str, Any]:
+    """The one workload every sidecar records."""
+    workloads = [snapshot.get("workload") for snapshot in sidecars.values()]
+    workload = workloads[0]
+    if any(other != workload for other in workloads):
+        seen = sorted({json.dumps(other, sort_keys=True)
+                       for other in workloads})
+        raise ConfigurationError(
+            f"the sidecars record different workloads: {', '.join(seen)}")
+    if not isinstance(workload, dict):
+        raise ConfigurationError(
+            "the sidecars record no workload; re-run the benches with "
+            "--emit-metrics")
+    return workload
 
 
-def _direction(metric: str) -> str:
-    """``higher`` (rate: drop regresses), ``lower`` (seconds mean: rise
-    regresses) or ``shape`` (counters: drift only, never fails)."""
-    if metric.endswith(":rate"):
-        return "higher"
-    if metric.endswith(":mean") and ".seconds" in metric:
-        return "lower"
-    return "shape"
+def _label(workload: dict[str, Any]) -> str:
+    return " ".join(f"{key}={json.dumps(value)}"
+                    for key, value in sorted(workload.items()))
+
+
+def _pins(snapshot: dict[str, Any]) -> dict[str, int]:
+    return {name: value
+            for name, value in sorted(snapshot.get("counters", {}).items())
+            if name not in UNPINNED}
+
+
+def _pin_sets(baseline: dict[str, Any]) -> list[dict[str, Any]]:
+    if baseline.get("version") != BASELINE_VERSION:
+        raise ConfigurationError(
+            f"baseline document version {baseline.get('version')!r} is "
+            f"not {BASELINE_VERSION}")
+    return baseline.get("pins", [])
+
+
+def record_pins(sidecars: dict[str, dict[str, Any]],
+                baseline: dict[str, Any] | None = None) -> dict[str, Any]:
+    """Baseline document with the sidecars' workload (re)pinned.
+
+    Pin sets of other workloads in ``baseline`` are kept as they are.
+    """
+    workload = _workload(sidecars)
+    kept = _pin_sets(baseline) if baseline is not None else []
+    pins = [entry for entry in kept if entry["workload"] != workload]
+    pins.append({"workload": workload,
+                 "benches": {name: _pins(snapshot)
+                             for name, snapshot in sorted(sidecars.items())}})
+    pins.sort(key=lambda entry: _label(entry["workload"]))
+    return {"version": BASELINE_VERSION, "pins": pins}
 
 
 class BaselineReport:
-    """Outcome of comparing fresh sidecars against a baseline.
+    """Outcome of comparing fresh sidecars against their pin set.
 
-    ``rows`` are ``(bench, metric, status, detail)`` with status one of
-    ``ok`` / ``drift`` / ``missing`` / ``REGRESSION``; the comparison
-    fails (:attr:`ok` False, ``repro bench-diff`` exits 1) when any row
-    is ``missing`` or ``REGRESSION``.
+    ``rows`` are ``(bench, counter, status, detail)`` with status
+    ``ok``, ``CHANGED`` or ``MISSING``; :attr:`ok` is False (``repro
+    bench-diff`` exits 1) when any row is not ``ok``.
     """
 
     def __init__(self, rows: list[tuple[str, str, str, str]],
-                 threshold: float, quick: bool) -> None:
+                 workload: dict[str, Any]) -> None:
         self.rows = rows
-        self.threshold = threshold
-        self.quick = quick
+        self.workload = workload
 
     @property
-    def regressions(self) -> list[tuple[str, str, str, str]]:
-        return [row for row in self.rows
-                if row[2] in ("REGRESSION", "missing")]
+    def failures(self) -> list[tuple[str, str, str, str]]:
+        return [row for row in self.rows if row[2] != "ok"]
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.failures
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready report (``repro bench-diff --json``)."""
-        return {"version": 1, "ok": self.ok, "quick": self.quick,
-                "threshold": self.threshold,
-                "regressions": len(self.regressions),
-                "rows": [{"bench": bench, "metric": metric,
+        return {"version": BASELINE_VERSION, "ok": self.ok,
+                "workload": self.workload,
+                "failing": len(self.failures),
+                "rows": [{"bench": bench, "counter": counter,
                           "status": status, "detail": detail}
-                         for bench, metric, status, detail in self.rows]}
+                         for bench, counter, status, detail in self.rows]}
 
     def render(self, verbose: bool = False) -> str:
-        """Human-readable diff; quiet rows (ok) elided unless verbose."""
-        mode = "quick (structure only)" if self.quick else (
-            f"threshold {self.threshold:.0%}")
-        lines = [f"bench-diff: {len(self.rows)} checks, mode {mode}"]
-        shown = 0
-        for bench, metric, status, detail in self.rows:
-            if status == "ok" and not verbose:
-                continue
-            shown += 1
-            lines.append(f"  {status:<10} {bench}: {metric} — {detail}")
-        if not shown:
-            lines.append("  all metrics within threshold")
-        lines.append(f"verdict: {'ok' if self.ok else 'REGRESSION'} "
-                     f"({len(self.regressions)} failing)")
+        """Human-readable diff; ``ok`` rows elided unless verbose."""
+        lines = [f"bench-diff: {len(self.rows)} pinned counters, "
+                 f"workload {_label(self.workload)}"]
+        for bench, counter, status, detail in self.rows:
+            if verbose or status != "ok":
+                lines.append(f"  {status:<8} {bench}: {counter} {detail}")
+        if self.ok and not verbose:
+            lines.append("  all pinned counters equal")
+        lines.append(f"verdict: {'ok' if self.ok else 'CHANGED'} "
+                     f"({len(self.failures)} failing)")
         return "\n".join(lines)
 
 
 def compare_to_baseline(sidecars: dict[str, dict[str, Any]],
-                        baseline: dict[str, Any], *,
-                        threshold: float = DEFAULT_THRESHOLD,
-                        quick: bool = False) -> BaselineReport:
-    """Compare fresh sidecar snapshots against a baseline document.
+                        baseline: dict[str, Any]) -> BaselineReport:
+    """Compare fresh sidecars' counters with their workload's pin set.
 
-    Only benches present in the baseline are checked — a *new* bench
-    cannot regress, it just is not ratcheted until recorded with
-    ``repro bench-diff --update``.  A baselined bench with no fresh
-    sidecar is ``missing`` (the ratchet cannot be silently dodged by
-    deleting a bench's sidecar).
+    A pinned bench with no fresh sidecar is ``MISSING`` (deleting a
+    sidecar does not dodge the check); a sidecar or counter with no pin
+    is not checked until recorded with ``repro bench-diff --update``.
 
     Raises:
-        ConfigurationError: for a malformed baseline document or a
-            non-positive threshold.
+        ConfigurationError: for a malformed baseline document, sidecars
+            without one common workload, or a workload with no pin set.
     """
-    if threshold <= 0:
+    workload = _workload(sidecars)
+    pinned = next((entry["benches"] for entry in _pin_sets(baseline)
+                   if entry["workload"] == workload), None)
+    if pinned is None:
         raise ConfigurationError(
-            f"regression threshold must be positive, got {threshold}")
-    if baseline.get("version") != BASELINE_VERSION:
-        raise ConfigurationError(
-            f"baseline document version "
-            f"{baseline.get('version')!r} is not {BASELINE_VERSION}")
+            f"no pin set for workload {_label(workload)}; record one with "
+            f"repro bench-diff --update")
     rows: list[tuple[str, str, str, str]] = []
-    for bench, entry in sorted(baseline.get("benches", {}).items()):
-        recorded = entry.get("metrics", {})
+    for bench, pins in sorted(pinned.items()):
         if bench not in sidecars:
-            rows.append((bench, "*", "missing",
-                         "baselined bench has no fresh sidecar"))
+            rows.append((bench, "*", "MISSING", "pinned bench has no "
+                                                "sidecar"))
             continue
-        current = derive_metrics(sidecars[bench])
-        for metric, old in sorted(recorded.items()):
-            if metric not in current:
-                rows.append((bench, metric, "missing",
-                             "metric no longer derivable from sidecar"))
-                continue
-            if quick:
-                rows.append((bench, metric, "ok", "present"))
-                continue
-            new = current[metric]
-            if old <= 0:
-                rows.append((bench, metric, "ok",
-                             f"baseline {old:g} not comparable"))
-                continue
-            change = (new - old) / old
-            direction = _direction(metric)
-            detail = f"{old:g} -> {new:g} ({change:+.1%})"
-            if direction == "higher" and change < -threshold:
-                rows.append((bench, metric, "REGRESSION", detail))
-            elif direction == "lower" and change > threshold:
-                rows.append((bench, metric, "REGRESSION", detail))
-            elif direction == "shape" and abs(change) > threshold:
-                rows.append((bench, metric, "drift", detail))
-            else:
-                rows.append((bench, metric, "ok", detail))
-    return BaselineReport(rows, threshold, quick)
+        counters = sidecars[bench].get("counters", {})
+        for counter, old in sorted(pins.items()):
+            new = counters.get(counter)
+            status = ("ok" if new == old else
+                      "MISSING" if new is None else "CHANGED")
+            rows.append((bench, counter, status,
+                         f"{old} -> {'absent' if new is None else new}"))
+    return BaselineReport(rows, workload)

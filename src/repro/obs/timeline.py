@@ -38,6 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass
 from typing import Any
 
 from repro.exceptions import ConfigurationError
@@ -47,7 +48,7 @@ __all__ = [
     "TimelinePoint",
     "TimelineSampler",
     "histogram_quantile",
-    "TelemetryAudit",
+    "ConfigAudit",
     "audit_telemetry_config",
 ]
 
@@ -314,17 +315,22 @@ class TimelineSampler:
 # -- configuration audit (repro doctor) -------------------------------------
 
 
-class TelemetryAudit:
-    """Outcome of auditing a telemetry configuration (``repro doctor``).
+@dataclass(frozen=True, slots=True)
+class ConfigAudit:
+    """Outcome of auditing a configuration (``repro doctor``).
 
-    Same shape as the governor's :class:`~repro.streaming.governor.
-    OverloadAudit`: ``(level, message)`` conclusions with levels ``ok`` /
-    ``warn`` / ``FAIL``, advisory warnings, failing verdict only on
-    configurations that cannot work.
+    The overload, sharded, AMP and telemetry audits all return one.
+
+    Attributes:
+        title: the header line naming the audited configuration.
+        settings: the audited settings, leading keys of :meth:`to_dict`.
+        checks: ``(level, message)`` conclusions; levels are ``"ok"``,
+            ``"warn"`` and ``"FAIL"``.
     """
 
-    def __init__(self, checks: list[tuple[str, str]]) -> None:
-        self.checks = checks
+    title: str
+    settings: dict[str, Any]
+    checks: list[tuple[str, str]]
 
     @property
     def ok(self) -> bool:
@@ -333,13 +339,14 @@ class TelemetryAudit:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form (``repro doctor --json``)."""
-        return {"checks": [{"level": level, "message": message}
+        return {**self.settings,
+                "checks": [{"level": level, "message": message}
                            for level, message in self.checks],
                 "ok": self.ok}
 
     def render(self) -> str:
         """Human-readable audit, one conclusion per line."""
-        lines = ["telemetry configuration:"]
+        lines = [self.title]
         for level, message in self.checks:
             lines.append(f"  {level:<4}  {message}")
         lines.append(f"  verdict: {'ok' if self.ok else 'DEGRADED'}")
@@ -355,7 +362,7 @@ def audit_telemetry_config(*, interval: float | None = None,
                            capacity: int | None = None,
                            port: int | None = None,
                            memory_budget: int | None = None,
-                           typical_series: int = 24) -> TelemetryAudit:
+                           typical_series: int = 24) -> ConfigAudit:
     """Audit a live-telemetry configuration for operational sanity.
 
     Catches the legal-but-degenerate setups: a sampling interval so short
@@ -411,4 +418,4 @@ def audit_telemetry_config(*, interval: float | None = None,
                        f"~{ring_bytes}B (at ~{typical_series} series)"))
     if not checks:
         checks.append(("ok", "nothing to audit (no telemetry flags given)"))
-    return TelemetryAudit(checks)
+    return ConfigAudit("telemetry configuration:", {}, checks)

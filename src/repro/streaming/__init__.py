@@ -42,7 +42,6 @@ output, and policy-driven degradation (``failover`` / ``shed-shard`` /
 from repro.streaming.governor import (
     OVERLOAD_POLICIES,
     GovernorConfig,
-    OverloadAudit,
     SpillStore,
     audit_overload_config,
     parse_memory_budget,
@@ -58,7 +57,6 @@ from repro.streaming.pipeline import (
 from repro.streaming.sharded import (
     SHARD_FAILURE_POLICIES,
     ReplayLog,
-    ShardedAudit,
     ShardedConfig,
     ShardedRunResult,
     ShardedStreamingRuntime,
@@ -77,7 +75,6 @@ __all__ = [
     "OVERLOAD_POLICIES",
     "GovernorConfig",
     "SpillStore",
-    "OverloadAudit",
     "audit_overload_config",
     "parse_memory_budget",
     "request_cost",
@@ -86,7 +83,6 @@ __all__ = [
     "ShardedStreamingRuntime",
     "ShardedStreamingStats",
     "ShardedRunResult",
-    "ShardedAudit",
     "ShardLedger",
     "ReplayLog",
     "audit_sharded_config",

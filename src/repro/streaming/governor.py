@@ -63,7 +63,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.exceptions import ConfigurationError
-from repro.obs import snapshot_digest
+from repro.obs import ConfigAudit, snapshot_digest
 from repro.parallel.checkpoint import atomic_write_json
 from repro.sessions.model import Request
 
@@ -72,7 +72,6 @@ __all__ = [
     "SPILL_SCHEMA",
     "GovernorConfig",
     "SpillStore",
-    "OverloadAudit",
     "audit_overload_config",
     "parse_memory_budget",
     "request_cost",
@@ -295,50 +294,8 @@ class SpillStore:
 # -- configuration audit (repro doctor) -------------------------------------
 
 
-@dataclass(slots=True)
-class OverloadAudit:
-    """Outcome of auditing an overload configuration (``repro doctor``).
-
-    Attributes:
-        governor: the audited configuration.
-        checks: ``(level, message)`` conclusions; levels are ``"ok"``,
-            ``"warn"`` and ``"FAIL"``.
-    """
-
-    governor: GovernorConfig
-    checks: list[tuple[str, str]]
-
-    @property
-    def ok(self) -> bool:
-        """True when no check failed (warnings are advisory)."""
-        return all(level != "FAIL" for level, _ in self.checks)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form (``repro doctor --json``)."""
-        return {
-            "memory_budget": self.governor.memory_budget,
-            "per_user_cap": self.governor.per_user_cap,
-            "overload_policy": self.governor.overload_policy,
-            "spill_dir": self.governor.spill_dir,
-            "checks": [{"level": level, "message": message}
-                       for level, message in self.checks],
-            "ok": self.ok,
-        }
-
-    def render(self) -> str:
-        """Human-readable audit, one conclusion per line."""
-        lines = [
-            f"overload configuration: policy={self.governor.overload_policy}"
-            f" budget={self.governor.memory_budget}B"
-            f" per-user-cap={self.governor.per_user_cap}"]
-        for level, message in self.checks:
-            lines.append(f"  {level:<4}  {message}")
-        lines.append(f"  verdict: {'ok' if self.ok else 'DEGRADED'}")
-        return "\n".join(lines)
-
-
 def audit_overload_config(governor: GovernorConfig, *,
-                          typical_cost: int = 96) -> OverloadAudit:
+                          typical_cost: int = 96) -> ConfigAudit:
     """Audit a governor configuration for operational sanity.
 
     Static construction errors are :class:`ConfigurationError` at
@@ -395,7 +352,14 @@ def audit_overload_config(governor: GovernorConfig, *,
         except OSError as exc:
             checks.append(("FAIL", f"spill_dir {governor.spill_dir!r} is "
                                    f"not writable: {exc}"))
-    return OverloadAudit(governor=governor, checks=checks)
+    return ConfigAudit(
+        f"overload configuration: policy={governor.overload_policy}"
+        f" budget={budget}B per-user-cap={governor.per_user_cap}",
+        {"memory_budget": budget,
+         "per_user_cap": governor.per_user_cap,
+         "overload_policy": governor.overload_policy,
+         "spill_dir": governor.spill_dir},
+        checks)
 
 
 def __getattr__(name: str) -> Any:

@@ -123,7 +123,7 @@ from repro.exceptions import (ConfigurationError, ExecutionError,
                               WireProtocolError)
 from repro.faults.execution import (active_exec_faults,
                                     inject_shard_fault)
-from repro.obs import Registry, get_registry
+from repro.obs import ConfigAudit, Registry, get_registry
 from repro.parallel.supervisor import RetryPolicy
 from repro.sessions.model import Request, SessionSet
 from repro.streaming import wire
@@ -138,7 +138,6 @@ __all__ = [
     "ShardedStreamingRuntime",
     "ShardLedger",
     "ReplayLog",
-    "ShardedAudit",
     "audit_sharded_config",
     "shard_for",
     "capsule_from",
@@ -1241,52 +1240,9 @@ class ShardedStreamingRuntime:
 # configuration audit (repro doctor)
 
 
-@dataclass(frozen=True, slots=True)
-class ShardedAudit:
-    """Outcome of auditing a sharded configuration (``repro doctor``).
-
-    Attributes:
-        sharded: the audited configuration.
-        checks: ``(level, message)`` conclusions; levels are ``"ok"``,
-            ``"warn"`` and ``"FAIL"``.
-    """
-
-    sharded: ShardedConfig
-    checks: list[tuple[str, str]]
-
-    @property
-    def ok(self) -> bool:
-        """True when no check failed (warnings are advisory)."""
-        return all(level != "FAIL" for level, _ in self.checks)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form (``repro doctor --json``)."""
-        return {
-            "shards": self.sharded.shards,
-            "on_shard_failure": self.sharded.on_shard_failure,
-            "ack_interval": self.sharded.ack_interval,
-            "replay_capacity": self.sharded.replay_capacity,
-            "checks": [{"level": level, "message": message}
-                       for level, message in self.checks],
-            "ok": self.ok,
-        }
-
-    def render(self) -> str:
-        """Human-readable audit, one conclusion per line."""
-        lines = [
-            f"sharded configuration: shards={self.sharded.shards}"
-            f" on-shard-failure={self.sharded.on_shard_failure}"
-            f" ack-interval={self.sharded.ack_interval}"
-            f" replay-capacity={self.sharded.replay_capacity}"]
-        for level, message in self.checks:
-            lines.append(f"  {level:<4}  {message}")
-        lines.append(f"  verdict: {'ok' if self.ok else 'DEGRADED'}")
-        return "\n".join(lines)
-
-
 def audit_sharded_config(sharded: ShardedConfig,
                          governor: GovernorConfig | None = None, *,
-                         typical_cost: int = 96) -> ShardedAudit:
+                         typical_cost: int = 96) -> ConfigAudit:
     """Sanity-check a sharded deployment before running it.
 
     Mirrors :func:`~repro.streaming.governor.audit_overload_config`:
@@ -1331,4 +1287,13 @@ def audit_sharded_config(sharded: ShardedConfig,
                        f"coordinator can even poll ({_PUMP_TIMEOUT}s loop) — "
                        f"every shard would read as wedged; raise --shard-"
                        f"lease"))
-    return ShardedAudit(sharded, checks)
+    return ConfigAudit(
+        f"sharded configuration: shards={sharded.shards}"
+        f" on-shard-failure={sharded.on_shard_failure}"
+        f" ack-interval={sharded.ack_interval}"
+        f" replay-capacity={sharded.replay_capacity}",
+        {"shards": sharded.shards,
+         "on_shard_failure": sharded.on_shard_failure,
+         "ack_interval": sharded.ack_interval,
+         "replay_capacity": sharded.replay_capacity},
+        checks)

@@ -62,7 +62,7 @@ def _ensure_reachable(adjacency: dict[str, set[str]],
                 continue
             reachable.add(current)
             reachable_list.append(current)
-            stack.extend(adjacency[current])
+            stack.extend(sorted(adjacency[current]))
 
 
 def random_site(n_pages: int = 300, avg_out_degree: float = 15.0,
@@ -210,7 +210,7 @@ def power_law_site(n_pages: int = 300, links_per_page: int = 8,
         targets: set[str] = set()
         while len(targets) < fanout:
             targets.add(rng.choice(attachment_pool))
-        for target in targets:
+        for target in sorted(targets):
             adjacency[newcomer].add(target)
             attachment_pool.append(target)
             if rng.random() < 0.5:

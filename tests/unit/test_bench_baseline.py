@@ -3,33 +3,29 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import main
 from repro.exceptions import ConfigurationError
-from repro.obs import (
-    build_baseline,
-    compare_to_baseline,
-    derive_metrics,
-    load_sidecars,
-)
+from repro.obs import compare_to_baseline, load_sidecars, record_pins
+
+FULL = {"agents": 800, "quick": False, "seed": 0}
+QUICK = {"agents": 800, "quick": True, "seed": 0}
 
 
-def _snapshot(counters=None, histograms=None):
-    return {"version": 1, "counters": counters or {}, "gauges": {},
-            "histograms": histograms or {}}
+def _sidecar(counters, workload=FULL):
+    """A bench sidecar: a snapshot document plus its workload."""
+    return {"version": 1, "counters": dict(counters),
+            "gauges": {"stream.watermark.lag_seconds": 3.0},
+            "histograms": {"stream.feed.seconds": {
+                "buckets": [[1.0, 10]], "overflow": 0,
+                "sum": 10.0, "count": 10}},
+            "workload": workload}
 
 
-def _seconds_histogram(total, count):
-    return {"buckets": [[1.0, count]], "overflow": 0,
-            "sum": total, "count": count}
-
-
-#: a streaming sidecar: 1000 requests fed in 10s -> rate 100/s.
-_FAST = _snapshot(
-    counters={"stream.requests.fed": 1000},
-    histograms={"stream.feed.seconds": _seconds_histogram(10.0, 1000)})
+_STREAMING = {"stream.requests.fed": 1000, "sessions.phase2.extensions": 40}
 
 
 def _write_sidecar(directory, name, snapshot):
@@ -38,34 +34,14 @@ def _write_sidecar(directory, name, snapshot):
     return path
 
 
-class TestDeriveMetrics:
-    def test_counters_pass_through_verbatim(self):
-        metrics = derive_metrics(_snapshot(counters={"a.b": 7}))
-        assert metrics["a.b"] == 7
-
-    def test_histogram_mean_and_seconds_rate(self):
-        metrics = derive_metrics(_FAST)
-        assert metrics["stream.feed.seconds:mean"] == 10.0 / 1000
-        assert metrics["stream.feed.seconds:rate"] == 1000 / 10.0
-
-    def test_empty_histogram_mean_is_zero_no_rate(self):
-        snapshot = _snapshot(histograms={
-            "idle.seconds": _seconds_histogram(0.0, 0)})
-        metrics = derive_metrics(snapshot)
-        assert metrics["idle.seconds:mean"] == 0.0
-        assert "idle.seconds:rate" not in metrics
-
-    def test_non_seconds_histogram_gets_no_rate(self):
-        snapshot = _snapshot(histograms={
-            "session.length": _seconds_histogram(50.0, 10)})
-        metrics = derive_metrics(snapshot)
-        assert "session.length:mean" in metrics
-        assert "session.length:rate" not in metrics
+def _rows(report):
+    return {counter: (status, detail)
+            for __, counter, status, detail in report.rows}
 
 
 class TestSidecars:
     def test_load_names_by_stem(self, tmp_path):
-        _write_sidecar(tmp_path, "bench_streaming", _FAST)
+        _write_sidecar(tmp_path, "bench_streaming", _sidecar(_STREAMING))
         sidecars = load_sidecars(str(tmp_path))
         assert list(sidecars) == ["bench_streaming"]
 
@@ -84,201 +60,180 @@ class TestSidecars:
             load_sidecars(str(tmp_path))
 
     def test_build_baseline_shape(self):
-        baseline = build_baseline({"bench_streaming": _FAST})
-        assert baseline["version"] == 1
-        metrics = baseline["benches"]["bench_streaming"]["metrics"]
-        assert metrics["stream.feed.seconds:rate"] == 100.0
+        """A baseline pins counters only, under the sidecars' workload."""
+        baseline = record_pins({"bench_streaming": _sidecar(_STREAMING)})
+        assert baseline["version"] == 2
+        [pin_set] = baseline["pins"]
+        assert pin_set["workload"] == FULL
+        assert pin_set["benches"] == {"bench_streaming": _STREAMING}
+
+
+class TestRecordPins:
+    def test_schedule_dependent_counter_is_not_pinned(self):
+        baseline = record_pins({"bench_sharded": _sidecar(
+            {"sharded.events.routed": 160, "sharded.events.replayed": 7})})
+        pins = baseline["pins"][0]["benches"]["bench_sharded"]
+        assert pins == {"sharded.events.routed": 160}
+
+    def test_replaces_only_the_matching_pin_set(self):
+        baseline = record_pins({"bench_streaming": _sidecar(_STREAMING)})
+        baseline = record_pins(
+            {"bench_streaming": _sidecar({"stream.requests.fed": 5},
+                                         QUICK)}, baseline)
+        baseline = record_pins(
+            {"bench_streaming": _sidecar({"stream.requests.fed": 6},
+                                         QUICK)}, baseline)
+        pins = {json.dumps(entry["workload"], sort_keys=True):
+                entry["benches"]["bench_streaming"]
+                for entry in baseline["pins"]}
+        assert pins == {
+            json.dumps(FULL, sort_keys=True): _STREAMING,
+            json.dumps(QUICK, sort_keys=True): {"stream.requests.fed": 6}}
+
+    def test_sidecars_of_different_workloads_raise(self):
+        with pytest.raises(ConfigurationError, match="different workloads"):
+            record_pins({"a": _sidecar(_STREAMING),
+                         "b": _sidecar(_STREAMING, QUICK)})
+
+    def test_sidecar_without_workload_raises(self):
+        with pytest.raises(ConfigurationError, match="no workload"):
+            record_pins({"a": _sidecar(_STREAMING, None)})
 
 
 class TestCompare:
     def _baseline(self):
-        return build_baseline({"bench_streaming": _FAST})
+        return record_pins({"bench_streaming": _sidecar(_STREAMING)})
 
     def test_identical_run_is_ok(self):
-        report = compare_to_baseline({"bench_streaming": _FAST},
-                                     self._baseline())
-        assert report.ok and not report.regressions
+        report = compare_to_baseline(
+            {"bench_streaming": _sidecar(_STREAMING)}, self._baseline())
+        assert report.ok and not report.failures
+        assert len(report.rows) == 2
 
-    def test_rate_drop_over_threshold_regresses(self):
-        slower = _snapshot(
-            counters={"stream.requests.fed": 1000},
-            histograms={"stream.feed.seconds":
-                        _seconds_histogram(10.0, 750)})  # rate 75: -25%
-        report = compare_to_baseline({"bench_streaming": slower},
-                                     self._baseline(), threshold=0.20)
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_any_changed_counter_fails(self, delta):
+        moved = dict(_STREAMING)
+        moved["sessions.phase2.extensions"] += delta
+        report = compare_to_baseline(
+            {"bench_streaming": _sidecar(moved)}, self._baseline())
         assert not report.ok
-        assert any(status == "REGRESSION" and metric.endswith(":rate")
-                   for __, metric, status, __ in report.rows)
+        assert _rows(report)["sessions.phase2.extensions"] == (
+            "CHANGED", f"40 -> {40 + delta}")
 
-    def test_rate_drop_within_threshold_is_ok(self):
-        slower = _snapshot(
-            counters={"stream.requests.fed": 1000},
-            histograms={"stream.feed.seconds":
-                        _seconds_histogram(10.0, 900)})  # rate 90: -10%
-        assert compare_to_baseline({"bench_streaming": slower},
-                                   self._baseline(), threshold=0.20).ok
-
-    def test_rate_gain_never_regresses(self):
-        faster = _snapshot(
-            counters={"stream.requests.fed": 1000},
-            histograms={"stream.feed.seconds":
-                        _seconds_histogram(10.0, 2000)})
-        assert compare_to_baseline({"bench_streaming": faster},
+    def test_timings_are_not_compared(self):
+        slow = _sidecar(_STREAMING)
+        slow["histograms"]["stream.feed.seconds"]["sum"] = 1000.0
+        assert compare_to_baseline({"bench_streaming": slow},
                                    self._baseline()).ok
 
-    def test_seconds_mean_rise_regresses(self):
-        # mean rose 1.0 -> 2.0 while the rate column stays put (count
-        # halves, sum constant would move both; pin the mean only).
-        base = build_baseline({"bench": _snapshot(histograms={
-            "step.other": _seconds_histogram(0.0, 0),
-            "lat.seconds.observed":
-                {"buckets": [[1.0, 10]], "overflow": 0,
-                 "sum": 10.0, "count": 10}})})
-        risen = _snapshot(histograms={
-            "step.other": _seconds_histogram(0.0, 0),
-            "lat.seconds.observed":
-                {"buckets": [[1.0, 10]], "overflow": 0,
-                 "sum": 20.0, "count": 10}})
-        report = compare_to_baseline({"bench": risen}, base,
-                                     threshold=0.20)
-        rows = {metric: status for __, metric, status, __ in report.rows}
-        assert rows["lat.seconds.observed:mean"] == "REGRESSION"
-
-    def test_counter_change_is_drift_not_failure(self):
-        shifted = _snapshot(
-            counters={"stream.requests.fed": 2000},
-            histograms={"stream.feed.seconds":
-                        _seconds_histogram(10.0, 1000)})
-        report = compare_to_baseline({"bench_streaming": shifted},
-                                     self._baseline())
-        assert report.ok
-        rows = {metric: status for __, metric, status, __ in report.rows}
-        assert rows["stream.requests.fed"] == "drift"
+    def test_metric_no_longer_derivable_is_missing(self):
+        report = compare_to_baseline(
+            {"bench_streaming": _sidecar({"stream.requests.fed": 1000})},
+            self._baseline())
+        assert not report.ok
+        assert _rows(report)["sessions.phase2.extensions"] == (
+            "MISSING", "40 -> absent")
 
     def test_baselined_bench_without_sidecar_is_missing(self):
-        report = compare_to_baseline({}, self._baseline())
-        assert not report.ok
-        assert report.rows[0][2] == "missing"
-
-    def test_metric_no_longer_derivable_is_missing(self):
-        gutted = _snapshot(counters={"stream.requests.fed": 1000})
-        report = compare_to_baseline({"bench_streaming": gutted},
+        report = compare_to_baseline({"bench_other": _sidecar({})},
                                      self._baseline())
         assert not report.ok
+        assert report.rows == [("bench_streaming", "*", "MISSING",
+                                "pinned bench has no sidecar")]
 
     def test_new_bench_is_not_ratcheted(self):
+        grown = dict(_STREAMING, **{"stream.late_dropped": 3})
         report = compare_to_baseline(
-            {"bench_streaming": _FAST, "bench_new": _FAST},
-            self._baseline())
+            {"bench_streaming": _sidecar(grown),
+             "bench_new": _sidecar({"n": 1})}, self._baseline())
         assert report.ok
         assert all(bench == "bench_streaming"
                    for bench, __, __, __ in report.rows)
+        assert "stream.late_dropped" not in _rows(report)
 
-    def test_quick_mode_ignores_values_but_not_structure(self):
-        crawl = _snapshot(
-            counters={"stream.requests.fed": 1},
-            histograms={"stream.feed.seconds":
-                        _seconds_histogram(100.0, 1)})
-        assert compare_to_baseline({"bench_streaming": crawl},
-                                   self._baseline(), quick=True).ok
-        assert not compare_to_baseline({}, self._baseline(),
-                                       quick=True).ok
-
-    def test_zero_baseline_value_is_not_comparable(self):
-        base = build_baseline({"bench": _snapshot(counters={"n": 0})})
-        assert compare_to_baseline(
-            {"bench": _snapshot(counters={"n": 50})}, base).ok
-
-    def test_non_positive_threshold_raises(self):
-        with pytest.raises(ConfigurationError, match="threshold"):
-            compare_to_baseline({"bench_streaming": _FAST},
-                                self._baseline(), threshold=0.0)
+    def test_workload_without_pin_set_raises(self):
+        with pytest.raises(ConfigurationError, match="no pin set"):
+            compare_to_baseline(
+                {"bench_streaming": _sidecar(_STREAMING, QUICK)},
+                self._baseline())
 
     def test_bad_baseline_version_raises(self):
         with pytest.raises(ConfigurationError, match="version"):
-            compare_to_baseline({"bench_streaming": _FAST},
-                                {"version": 99})
+            compare_to_baseline({"bench_streaming": _sidecar(_STREAMING)},
+                                {"version": 1, "benches": {}})
 
     def test_render_elides_ok_rows_unless_verbose(self):
-        report = compare_to_baseline({"bench_streaming": _FAST},
-                                     self._baseline())
+        report = compare_to_baseline(
+            {"bench_streaming": _sidecar(_STREAMING)}, self._baseline())
         quiet = report.render()
-        assert "all metrics within threshold" in quiet
-        assert "verdict: ok" in quiet
-        verbose = report.render(verbose=True)
-        assert "stream.feed.seconds:rate" in verbose
+        assert "all pinned counters equal" in quiet
+        assert "verdict: ok (0 failing)" in quiet
+        assert "stream.requests.fed" in report.render(verbose=True)
 
 
 class TestBenchDiffCli:
     @pytest.fixture()
     def recorded(self, tmp_path):
-        """A results dir with one sidecar and a recorded baseline."""
+        """A results dir with one sidecar and its recorded pins."""
         results = tmp_path / "results"
         results.mkdir()
-        _write_sidecar(results, "bench_streaming", _FAST)
+        _write_sidecar(results, "bench_streaming", _sidecar(_STREAMING))
         baseline = tmp_path / "BENCH_BASELINE.json"
         assert main(["bench-diff", "--results", str(results),
                      "--baseline", str(baseline), "--update"]) == 0
         return {"results": results, "baseline": baseline,
-                "dir": tmp_path}
+                "dir": tmp_path,
+                "argv": ["bench-diff", "--results", str(results),
+                         "--baseline", str(baseline)]}
 
     def test_update_writes_sorted_versioned_baseline(self, recorded):
         document = json.loads(
             recorded["baseline"].read_text(encoding="utf-8"))
-        assert document["version"] == 1
-        assert "bench_streaming" in document["benches"]
-        metrics = document["benches"]["bench_streaming"]["metrics"]
-        assert list(metrics) == sorted(metrics)
+        assert document["version"] == 2
+        [pin_set] = document["pins"]
+        pins = pin_set["benches"]["bench_streaming"]
+        assert pins == _STREAMING
+        assert list(pins) == sorted(pins)
+
+    def test_update_replaces_only_the_matching_pin_set(self, recorded):
+        _write_sidecar(recorded["results"], "bench_streaming",
+                       _sidecar({"stream.requests.fed": 9}, QUICK))
+        assert main(recorded["argv"] + ["--update"]) == 0
+        _write_sidecar(recorded["results"], "bench_streaming",
+                       _sidecar({"stream.requests.fed": 8}, QUICK))
+        assert main(recorded["argv"] + ["--update"]) == 0
+        document = json.loads(
+            recorded["baseline"].read_text(encoding="utf-8"))
+        assert [(entry["workload"], entry["benches"]["bench_streaming"])
+                for entry in document["pins"]] == [
+            (FULL, _STREAMING), (QUICK, {"stream.requests.fed": 8})]
 
     def test_unchanged_run_exits_zero(self, recorded, capsys):
-        assert main(["bench-diff", "--results", str(recorded["results"]),
-                     "--baseline", str(recorded["baseline"])]) == 0
+        assert main(recorded["argv"]) == 0
         assert "verdict: ok" in capsys.readouterr().out
 
-    def test_synthetic_20pct_regression_exits_nonzero(self, recorded,
-                                                      capsys):
-        slower = _snapshot(
-            counters={"stream.requests.fed": 1000},
-            histograms={"stream.feed.seconds":
-                        _seconds_histogram(10.0, 700)})  # -30% throughput
-        _write_sidecar(recorded["results"], "bench_streaming", slower)
-        assert main(["bench-diff", "--results", str(recorded["results"]),
-                     "--baseline", str(recorded["baseline"])]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
+    def test_changed_counter_exits_one_and_prints_old_and_new(
+            self, recorded, capsys):
+        _write_sidecar(recorded["results"], "bench_streaming", _sidecar(
+            dict(_STREAMING, **{"sessions.phase2.extensions": 39})))
+        assert main(recorded["argv"]) == 1
+        out = capsys.readouterr().out
+        assert "CHANGED" in out and "40 -> 39" in out
 
-    def test_quick_mode_passes_the_same_regression(self, recorded):
-        slower = _snapshot(
-            counters={"stream.requests.fed": 1000},
-            histograms={"stream.feed.seconds":
-                        _seconds_histogram(10.0, 700)})
-        _write_sidecar(recorded["results"], "bench_streaming", slower)
-        assert main(["bench-diff", "--results", str(recorded["results"]),
-                     "--baseline", str(recorded["baseline"]),
-                     "--quick"]) == 0
-
-    def test_custom_threshold_tightens_the_ratchet(self, recorded):
-        slightly = _snapshot(
-            counters={"stream.requests.fed": 1000},
-            histograms={"stream.feed.seconds":
-                        _seconds_histogram(10.0, 900)})  # -10%
-        _write_sidecar(recorded["results"], "bench_streaming", slightly)
-        argv = ["bench-diff", "--results", str(recorded["results"]),
-                "--baseline", str(recorded["baseline"])]
-        assert main(argv) == 0
-        assert main(argv + ["--threshold", "0.05"]) == 1
+    def test_workload_without_pin_set_is_one_line_error(self, recorded,
+                                                        capsys):
+        _write_sidecar(recorded["results"], "bench_streaming",
+                       _sidecar(_STREAMING, QUICK))
+        assert main(recorded["argv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no pin set for workload")
+        assert err.count("\n") == 1
 
     def test_json_output_parses(self, recorded, capsys):
-        assert main(["bench-diff", "--results", str(recorded["results"]),
-                     "--baseline", str(recorded["baseline"]),
-                     "--json"]) == 0
+        assert main(recorded["argv"] + ["--json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["ok"] is True
-
-    def test_update_quick_is_a_usage_error(self, recorded, capsys):
-        assert main(["bench-diff", "--results", str(recorded["results"]),
-                     "--baseline", str(recorded["baseline"]),
-                     "--update", "--quick"]) == 2
-        assert "error" in capsys.readouterr().err
+        assert document["workload"] == FULL
 
     def test_missing_results_dir_is_one_line_error(self, tmp_path,
                                                    capsys):
@@ -295,11 +250,15 @@ class TestBenchDiffCli:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_committed_baseline_matches_committed_sidecars(self):
-        """The repo's own BENCH_BASELINE.json must stay in quick-mode
-        agreement with the committed sidecars (the CI smoke contract)."""
-        import pathlib
+        """The committed sidecars hold exactly the pinned counters of
+        their workload, and the baseline pins a full and a quick run."""
         root = pathlib.Path(__file__).parent.parent.parent
-        assert main(["bench-diff", "--quick",
-                     "--results", str(root / "benchmarks" / "results"),
-                     "--baseline",
-                     str(root / "BENCH_BASELINE.json")]) == 0
+        results = root / "benchmarks" / "results"
+        baseline = json.loads(
+            (root / "BENCH_BASELINE.json").read_text(encoding="utf-8"))
+        assert sorted(entry["workload"]["quick"]
+                      for entry in baseline["pins"]) == [False, True]
+        report = compare_to_baseline(load_sidecars(str(results)), baseline)
+        assert report.rows and report.ok, report.render()
+        assert main(["bench-diff", "--results", str(results),
+                     "--baseline", str(root / "BENCH_BASELINE.json")]) == 0

@@ -118,3 +118,43 @@ class TestPowerLawSite:
             power_law_site(10, links_per_page=0)
         with pytest.raises(TopologyError):
             power_law_site(10, start_fraction=0.0)
+
+
+#: builds every family, including a sparse random site whose
+#: reachability repair adds many links, and prints each graph's edges and
+#: start pages as JSON.
+_FAMILIES_SCRIPT = """
+import json
+from repro.topology.generators import (
+    hierarchical_site, power_law_site, random_site)
+graphs = {
+    "random": random_site(80, 15.0, seed=0),
+    "random-sparse": random_site(60, 1.2, seed=0),
+    "hierarchical": hierarchical_site(80, seed=0),
+    "power-law": power_law_site(80, links_per_page=8, seed=0),
+}
+print(json.dumps({name: [list(graph.edges()), sorted(graph.start_pages)]
+                  for name, graph in graphs.items()}))
+"""
+
+
+def test_generators_do_not_depend_on_the_hash_seed():
+    """Set iteration order varies with ``PYTHONHASHSEED``; the generators
+    must draw from their RNG in an order that does not."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        completed = subprocess.run(
+            [sys.executable, "-c", _FAMILIES_SCRIPT],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed))
+        assert completed.returncode == 0, completed.stderr
+        outputs.append(json.loads(completed.stdout))
+    for family in outputs[0]:
+        assert outputs[0][family] == outputs[1][family], family
